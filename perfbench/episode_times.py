@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Reference figures for perfbench/README.md; not part of the gated benchmark.
 
-    python3 perfbench/episode_times.py --iters 2000
+    python3 perfbench/episode_times.py
         time per episode of every shipped scenario: one `run_experiment`
-        call each, at the given iteration count, wall time / iterations
+        call of ITERATIONS iterations each, wall time / iterations
     python3 perfbench/episode_times.py --full feedback_2d
         one shipped scenario at its shipped length: wall time, peak RSS,
         iterations.csv size and the relative gap to J*
@@ -25,6 +25,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out" / "episode_times"
+ITERATIONS = 2000
 
 _CHILD = """
 import json, resource, sys, time
@@ -56,7 +57,6 @@ def measure(scenario: Path, iters: str) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--iters", type=int, default=2000)
     parser.add_argument("--full", default=None, metavar="SCENARIO")
     args = parser.parse_args()
     scenarios = sorted((ROOT / "src" / "escontrol" / "scenarios").glob("*.scn"))
@@ -65,7 +65,7 @@ def main() -> int:
         print(json.dumps({"scenario": args.full, **res}))
         return 0
     for path in scenarios:
-        res = measure(path, str(args.iters))
+        res = measure(path, str(ITERATIONS))
         print(f"{path.stem:26s} {1e6 * res['wall_s'] / res['iterations']:8.0f} us/episode "
               f"({res['iterations']} iterations, {res['wall_s']:.2f} s)")
     return 0

@@ -8,8 +8,11 @@ through ``escontrol.harness.run_experiment`` (the path ``esctl run`` takes)
 in fresh interpreters that import the checkout's ``src``:
 
 * set-up: SETUP_PROBES interpreters each start the workload's first call
-  and stop at its first episode; ``setup_s`` is their median time from
-  process start to that episode;
+  and stop at its first episode. Each probe is followed by a baseline
+  interpreter that only imports the libraries escontrol imports, and its
+  time is divided by the mean of the baselines on either side of it;
+  ``setup_s`` is the median ratio times BASELINE_REFERENCE_S (see
+  measure_setup);
 * the run: one interpreter runs whole rounds of the workload for S seconds
   (see workloads.py); with --trace 1 it alternates untraced and traced
   rounds.
@@ -38,12 +41,18 @@ ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
 import checks  # noqa: E402
-import hostspeed  # noqa: E402
 import reference  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-SETUP_PROBES = 7
+SETUP_PROBES = 11
+# The baseline interpreter of the set-up probes: fixed work of the same kind
+# as escontrol's set-up (starting Python and importing numpy, SciPy and
+# PyYAML from their compiled files), which no change to escontrol can move.
+BASELINE_CODE = ("import time, numpy, scipy.linalg, scipy.special, yaml; "
+                 "print(time.monotonic())")
+# The baseline's median time on the 2-core reference host (README.md).
+BASELINE_REFERENCE_S = 0.40
 PROBE_TIMEOUT_S = 60
 RUN_TIMEOUT_MARGIN_S = 120
 
@@ -67,15 +76,30 @@ def _worker(mode: str, args, out: Path, timeout: float) -> dict:
     return json.loads(result.read_text())
 
 
+def _baseline_seconds() -> float:
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", BASELINE_CODE], env=_child_env(),
+                          cwd=ROOT, check=True, timeout=PROBE_TIMEOUT_S,
+                          capture_output=True, text=True)
+    return float(proc.stdout.split()[-1]) - started
+
+
 def measure_setup(args, out: Path) -> list[float]:
-    """Rescaled set-up times of SETUP_PROBES fresh interpreters."""
-    times, before = [], hostspeed.kernel_seconds()
+    """Set-up times of SETUP_PROBES fresh interpreters on the reference host.
+
+    The host's speed drifts by tens of percent from one second to the next,
+    and a probe is mostly interpreter start-up and library imports. So each
+    probe's time is divided by the mean time of the baseline interpreters
+    run just before and just after it, which do the same kind of work, and
+    scaled to the baseline's time on the reference host.
+    """
+    times, before = [], _baseline_seconds()
     for _ in range(SETUP_PROBES):
         started = time.monotonic()
         res = _worker("setup", args, out, PROBE_TIMEOUT_S)
-        after = hostspeed.kernel_seconds()
-        times.append(hostspeed.rescale(res["first_episode_monotonic"] - started, 0.0,
-                                       [before, after]))
+        probe = res["first_episode_monotonic"] - started
+        after = _baseline_seconds()
+        times.append(probe * BASELINE_REFERENCE_S / ((before + after) / 2.0))
         before = after
     shutil.rmtree(out / "setup", ignore_errors=True)
     return times
@@ -95,6 +119,9 @@ def _artifacts(out_dir: Path) -> dict:
 def check_rounds(workload: workloads.Workload, rounds: list[dict]) -> dict:
     """Check every call of every round.
 
+    Episodes to target are summed over the first round's calls; a call
+    that raises or misses its gap counts n_iterations + 1.
+
     The first round's calls are checked against the references. A later
     round's call must leave artifacts identical to the first round's; then
     it passes exactly the checks the first round's call passed, since the
@@ -110,6 +137,8 @@ def check_rounds(workload: workloads.Workload, rounds: list[dict]) -> dict:
             if res["error"] is not None:
                 tally["raised"] += 1
                 tally["report"].append(f"{where}: raised\n{res['error']}")
+                if r == 0:
+                    tally["episodes"] += call.n_iterations + 1
                 continue
             out_dir = Path(res["out_dir"])
             artifacts = _artifacts(out_dir)
@@ -124,7 +153,10 @@ def check_rounds(workload: workloads.Workload, rounds: list[dict]) -> dict:
                                     f"{call.noise_seed}")
                 if r == 0:
                     first[i] = (artifacts, problems)
-                    tally["episodes"] += count or 0
+                    # a call that misses its gap counts its full length,
+                    # so a miss can never lower the metric
+                    tally["episodes"] += (call.n_iterations + 1 if count is None
+                                          else count)
                 elif first[i] is not None:
                     problems = problems + ["artifacts differ from round 0"]
             if problems:
@@ -133,12 +165,20 @@ def check_rounds(workload: workloads.Workload, rounds: list[dict]) -> dict:
     return tally
 
 
+def _run_seconds(rounds: list[dict]) -> float:
+    """Sum over the workload's calls of each call's median rescaled time
+    over ``rounds``: a call slowed by the host in one round and another
+    call in the next do not both reach the result."""
+    return sum(statistics.median(r["calls"][i]["rescaled_s"] for r in rounds)
+               for i in range(len(rounds[0]["calls"])))
+
+
 def end_to_end(run: dict, setup_times: list[float], episodes: int, out: Path) -> dict:
     first = out / "r00"
     artifact_bytes = sum(p.stat().st_size for p in first.rglob("*") if p.is_file())
     return {
         "setup_s": (statistics.median(setup_times), "s"),
-        "run_s": (statistics.median(r["run_s"] for r in run["rounds"]), "s"),
+        "run_s": (_run_seconds(run["rounds"]), "s"),
         "episodes_to_target": (episodes, "count"),
         "peak_rss_mb": (run["peak_rss_mb"], "MB"),
         "artifact_mb": (artifact_bytes / 1e6, "MB"),
@@ -159,8 +199,7 @@ def per_layer(run: dict) -> dict:
             r["layers"][name]["failures"] for r in traced), "count")
     for name, unit in zip(spans.COUNTERS, ("MB", "count", "B")):
         metrics[name] = (statistics.median(r["counters"][name] for r in traced), unit)
-    metrics["trace.overhead_s"] = (statistics.median(r["run_s"] for r in traced)
-                                   - statistics.median(r["run_s"] for r in plain), "s")
+    metrics["trace.overhead_s"] = (_run_seconds(traced) - _run_seconds(plain), "s")
     return metrics
 
 

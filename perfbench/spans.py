@@ -177,9 +177,10 @@ class Tracer:
         """Index of the next span; spans from a mark on form one slice."""
         return len(self.starts)
 
-    def summary(self, begin: int = 0, end: int | None = None) -> dict:
-        """calls, self_s and failures per span name over spans [begin, end)."""
-        end = len(self.starts) if end is None else end
+    def summary(self, begin: int = 0) -> dict:
+        """calls, self_s and failures per span name over the spans from
+        ``begin`` on."""
+        end = len(self.starts)
         # slicing an array copies it, so no buffer stays exported and the
         # recorder can keep appending
         names = np.frombuffer(self.names[begin:end], dtype=np.int32)

@@ -29,7 +29,6 @@ sys.path.insert(1, str(HERE))
 import escontrol  # noqa: E402
 from escontrol import harness  # noqa: E402
 
-import hostspeed  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -68,6 +67,11 @@ def setup(workload: workloads.Workload, out: Path) -> dict:
 
 
 def run(workload: workloads.Workload, seconds: float, traced: bool, out: Path) -> dict:
+    # imported here, not at the top, so that a set-up probe loads no
+    # benchmark code (hostspeed pulls in reference and scipy.integrate)
+    # before its first episode
+    import hostspeed
+
     tracer = spans.Tracer() if traced else None
     rounds = []
     deadline = time.perf_counter() + seconds

@@ -55,8 +55,8 @@ def build(name: str, seed: int) -> Workload:
         raise KeyError(f"unknown workload {name!r}; expected one of {sorted(WHY)}")
     seeds = noise_seeds(seed, DRIFTING_SEEDS)
     if name == "feedback_synthesis":
-        calls = (Call("feedback_2d", "feedback_2d", 8000, seeds[0], 0.08),
-                 Call("feedback_tracking_demo", "feedback_tracking_demo", 8000,
+        calls = (Call("feedback_2d", "feedback_2d", 6000, seeds[0], 0.08),
+                 Call("feedback_tracking_demo", "feedback_tracking_demo", 6000,
                       seeds[0], 0.30))
     elif name == "openloop_tracking":
         calls = (Call("example3_tracking", "example3_tracking", 20000, seeds[0], 0.50),)
