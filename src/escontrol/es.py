@@ -25,7 +25,8 @@ from .basis import ControllerCoefficients
 from .errors import (ContractViolationError, EsControlError,
                      MeasurementInvalidError, OracleDivergedError,
                      ScheduleCollisionError)
-from .scenario import Scenario, run_episode, run_multi_episode
+from .scenario import (Scenario, episode_cost_fn, episode_model, run_episode,
+                       run_multi_episode)
 
 PHASE_COS = "cos"
 PHASE_SIN = "sin"
@@ -317,6 +318,9 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
                 wrapped = type(exc)(f"ES iteration s={s}: {exc}")
             except TypeError:
                 raise
+            # keep the error's context (step_index, node_index) and add the iteration
+            wrapped.__dict__.update(vars(exc))
+            wrapped.iteration = s
             raise wrapped from exc
     return EsRunRecord(scenario_id=scenario_id, config=config,
                        coefficients=coeff_hist, costs=costs, measured_costs=measured)
@@ -427,12 +431,17 @@ def restricted_optimum(scenario: Scenario, slow_time: float = 0.0):
     """Best achievable (coefficients, cost) inside the scenario's basis.
 
     Exact for linear dynamics with quadratic cost, where the episode cost is
-    an explicit convex quadratic in the coefficient vector. This is the
+    an explicit convex quadratic in the coefficient vector: H, g and j0 come
+    from the scenario's episode model at ``slow_time``. Costs the model does
+    not cover are probed instead (``assemble_quadratic_cost``). This is the
     reference for every ES convergence test.
     """
-    from .scenario import episode_cost_fn
-
-    dim = scenario.control_dim * scenario.basis.n_functions
-    model = assemble_quadratic_cost(episode_cost_fn(scenario, slow_time), dim)
+    episodes = episode_model(scenario, slow_time)
+    form = None if episodes is None else episodes.quadratic_form(scenario.initial_conditions)
+    if form is None:
+        dim = scenario.control_dim * scenario.basis.n_functions
+        model = assemble_quadratic_cost(episode_cost_fn(scenario, slow_time), dim)
+    else:
+        model = QuadraticCostModel(*form)
     c_star = model.minimizer()
     return c_star, model.minimum(), model

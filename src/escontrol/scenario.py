@@ -8,6 +8,7 @@ horizon), which keeps episodes pure functions of their inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -15,19 +16,26 @@ import numpy as np
 from scipy.special import ndtri
 
 from .basis import Basis, ControllerCoefficients, controller_samples
-from .errors import ContractViolationError, ScenarioValidationError
+from .errors import (ContractViolationError, IntegrationDivergedError,
+                     ScenarioValidationError)
 from .ode import (StateTrajectory, TimeGrid, integrate_rk4,
                   integrate_rk4_linear, quadrature_trapezoid)
 
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    """dx/dtau = A(t) x + B(t) u with A, B functions of slow time t."""
+    """dx/dtau = A(t) x + B(t) u with A, B functions of slow time t.
+
+    ``time_invariant`` marks a plant whose A and B do not depend on t; it is
+    set by :meth:`constant`, and such a plant's open-loop episodes are
+    evaluated from an exact quadratic model instead of being simulated.
+    """
 
     a_fn: Callable[[float], np.ndarray]
     b_fn: Callable[[float], np.ndarray]
     state_dim: int
     control_dim: int
+    time_invariant: bool = False
 
     @classmethod
     def constant(cls, a, b) -> "LinearDynamics":
@@ -40,7 +48,7 @@ class LinearDynamics:
                 f"B rows ({b.shape[0]}) must match the state dimension ({a.shape[0]})"
             )
         return cls(a_fn=lambda t: a, b_fn=lambda t: b,
-                   state_dim=a.shape[0], control_dim=b.shape[1])
+                   state_dim=a.shape[0], control_dim=b.shape[1], time_invariant=True)
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,13 @@ class QuadraticCost:
         self._ref_cache[key] = vals
         return vals
 
+    def reference_nodes(self, grid: TimeGrid) -> np.ndarray:
+        """Reference sampled on the grid nodes; a cache hit builds no node grid."""
+        cached = self._ref_cache.get((grid.n_steps + 1, grid.t_start, grid.t_end))
+        if cached is not None:
+            return cached
+        return self.reference_samples(grid.nodes())
+
 
 @dataclass(frozen=True)
 class GeneralCost:
@@ -152,10 +167,11 @@ CostSpec = QuadraticCost | GeneralCost
 class NoiseModel:
     """Gaussian measurement noise from a counter-based Philox stream.
 
-    Draw i is ndtri(u_i) * std_dev where u_i is the i-th uniform of the
-    Philox4x64-10 stream keyed by ``seed`` (inverse-CDF sampling), so any
-    position in the stream is reproducible on any platform without
-    generating its predecessors.
+    Draw i is ndtri(u) * std_dev (inverse-CDF sampling), where u is the
+    (4 i)-th uniform of the Philox4x64-10 stream keyed by ``seed``:
+    ``Philox.advance(i)`` skips i whole counter blocks of four 64-bit words,
+    one word per uniform. Any position in the stream is reproducible on any
+    platform without generating its predecessors.
     """
 
     std_dev: float
@@ -192,7 +208,8 @@ class Scenario:
     feedforward: bool = False
     es_defaults: dict = field(default_factory=dict)
     raw_config: dict | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    # init=False: dataclasses.replace() builds a copy with a cache of its own
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ics = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in self.initial_conditions]
@@ -261,8 +278,9 @@ def cost_of_trajectory(cost: CostSpec, grid: TimeGrid, states: np.ndarray,
                        controls: np.ndarray) -> float:
     """Terminal term plus trapezoid quadrature of the running term."""
     if isinstance(cost, QuadraticCost):
-        taus = np.linspace(grid.t_start, grid.t_end, grid.n_steps + 1)
-        err = states @ cost.c_matrix.T - cost.reference_samples(taus)
+        err = states @ cost.c_matrix.T
+        if cost.reference is not None:
+            err = err - cost.reference_nodes(grid)
         running = 0.5 * (np.einsum("ki,ij,kj->k", err, cost.q_matrix, err)
                          + np.einsum("ki,ij,kj->k", controls, cost.r_matrix, controls))
         e_t = err[-1]
@@ -287,7 +305,7 @@ def cost_of_trajectories(cost: CostSpec, grid: TimeGrid, states: np.ndarray,
                          for i in range(m)])
     err = states.reshape(n_nodes * m, -1) @ cost.c_matrix.T
     if cost.reference is not None:
-        ref = cost.reference_samples(grid.nodes())
+        ref = cost.reference_nodes(grid)
         err = (err.reshape(n_nodes, m, -1) - ref[:, None, :]).reshape(n_nodes * m, -1)
     u = controls.reshape(n_nodes * m, -1)
     running = 0.5 * (np.einsum("ki,ki->k", err @ cost.q_matrix, err)
@@ -295,6 +313,117 @@ def cost_of_trajectories(cost: CostSpec, grid: TimeGrid, states: np.ndarray,
     e_t = err[-m:]
     terminal = 0.5 * np.einsum("ki,ki->k", e_t @ cost.p_matrix, e_t)
     return terminal + grid.h * (running.sum(axis=0) - 0.5 * (running[0] + running[-1]))
+
+
+class QuadraticEpisodeModel:
+    """Exact open-loop episodes of a linear plant, frozen at one slow time,
+    under a quadratic cost.
+
+    RK4 on dx/dtau = A x + B u is linear in the forcing, so the states are
+    affine in the flat coefficient vector a (channel-major, as in
+    ``ControllerCoefficients.flat``): x = x_free(x0) + G a, where column
+    i = c * n_functions + j of G is the response from rest to basis function
+    j on control channel c. The trapezoid cost of those states is then
+    exactly J(a) = 1/2 a'Ha + g(x0)'a + j0(x0). G and H are built once;
+    x_free, g and j0 once per initial condition. Results agree with the
+    step-by-step simulation to rounding, not bitwise.
+    """
+
+    def __init__(self, scenario: Scenario, slow_time: float):
+        dyn, cost, grid = scenario.dynamics, scenario.cost, scenario.grid
+        self.grid = grid
+        self._cost = cost
+        self._a = np.atleast_2d(np.asarray(dyn.a_fn(slow_time), dtype=float))
+        b = np.atleast_2d(np.asarray(dyn.b_fn(slow_time), dtype=float))
+        phi_d = scenario.basis_matrix_doubled()
+        rest = np.zeros(scenario.state_dim)
+        columns = [integrate_rk4_linear(self._a, np.outer(phi_d[:, j], b[:, c]), rest,
+                                        grid).states
+                   for c in range(scenario.control_dim) for j in range(phi_d.shape[1])]
+        gain = np.stack(columns, axis=-1)  # (n_steps + 1, state_dim, n_coeffs)
+        self._gain = gain.reshape(-1, gain.shape[-1])
+        self._phi_nodes = np.ascontiguousarray(phi_d[0::2])
+        weights = np.full(grid.n_steps + 1, grid.h)
+        weights[[0, -1]] *= 0.5
+        # x'Mx sees only the symmetric part of M, which also keeps H symmetric
+        self._p, self._q, r = (0.5 * (m + m.T)
+                               for m in (cost.p_matrix, cost.q_matrix, cost.r_matrix))
+        out = np.einsum("ij,kjn->kin", cost.c_matrix, gain)  # C G at every node
+        self._out_end = out[-1]
+        self._out_weighted = out * weights[:, None, None]
+        self._weights = weights
+        hessian = (np.tensordot(self._out_weighted, np.einsum("ij,kjn->kin", self._q, out),
+                                axes=([0, 1], [0, 1]))
+                   + self._out_end.T @ self._p @ self._out_end
+                   + np.kron(r, self._phi_nodes.T @ (weights[:, None] * self._phi_nodes)))
+        self.hessian = 0.5 * (hessian + hessian.T)
+        self._free: dict[bytes, tuple | None] = {}
+
+    def free_response(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """(x_free, g, j0) of initial condition x0; None if x_free diverges."""
+        key = x0.tobytes()
+        if key not in self._free:
+            try:
+                x_free = integrate_rk4_linear(self._a, None, x0, self.grid).states
+            except IntegrationDivergedError:
+                self._free[key] = None
+                return None
+            err = x_free @ self._cost.c_matrix.T
+            if self._cost.reference is not None:
+                err = err - self._cost.reference_nodes(self.grid)
+            q_err = err @ self._q
+            g = (np.tensordot(self._out_weighted, q_err, axes=([0, 1], [0, 1]))
+                 + self._out_end.T @ (self._p @ err[-1]))
+            j0 = 0.5 * (self._weights @ np.einsum("ki,ki->k", q_err, err)
+                        + err[-1] @ self._p @ err[-1])
+            self._free[key] = (x_free, g, float(j0))
+        return self._free[key]
+
+    def episode(self, coeffs: ControllerCoefficients, x0: np.ndarray):
+        """(trajectory, node controls, J) of the episode from x0, or None when
+        the model does not give finite states and cost."""
+        free = self.free_response(x0)
+        if free is None:
+            return None
+        x_free, g, j0 = free
+        a = coeffs.values.ravel()
+        states = x_free + (self._gain @ a).reshape(x_free.shape)
+        j = float(a @ (0.5 * (self.hessian @ a) + g)) + j0
+        if not (math.isfinite(j) and np.isfinite(states).all()):
+            return None
+        return (StateTrajectory(self.grid, states, states.shape[1]),
+                controller_samples(coeffs, self._phi_nodes), j)
+
+    def quadratic_form(self, initial_conditions) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """(H, g, j0) of the cost summed over the initial conditions; None if
+        a free response diverges."""
+        frees = [self.free_response(x0) for x0 in initial_conditions]
+        if any(free is None for free in frees):
+            return None
+        return (len(frees) * self.hessian, sum(free[1] for free in frees),
+                sum(free[2] for free in frees))
+
+
+def episode_model(scenario: Scenario, slow_time: float = 0.0) -> QuadraticEpisodeModel | None:
+    """The exact quadratic model of the scenario's open-loop episodes at ``slow_time``.
+
+    None unless the plant is LinearDynamics and the cost a QuadraticCost, or
+    when a response to a basis function diverges. A time-invariant plant's
+    model is built on first use and kept in the scenario's cache; any other
+    plant's is built for the call.
+    """
+    dyn = scenario.dynamics
+    if not isinstance(dyn, LinearDynamics) or not isinstance(scenario.cost, QuadraticCost):
+        return None
+    if dyn.time_invariant and "episode_model" in scenario._cache:
+        return scenario._cache["episode_model"]
+    try:
+        model = QuadraticEpisodeModel(scenario, slow_time)
+    except IntegrationDivergedError:
+        model = None
+    if dyn.time_invariant:
+        scenario._cache["episode_model"] = model
+    return model
 
 
 def _integrate_open_loop(scenario: Scenario, coeffs: ControllerCoefficients,
@@ -317,6 +446,26 @@ def _integrate_open_loop(scenario: Scenario, coeffs: ControllerCoefficients,
     return traj, u_nodes
 
 
+def _open_loop_episode(scenario: Scenario, coeffs: ControllerCoefficients,
+                       slow_time: float, x0: np.ndarray):
+    """(trajectory, node controls, J) of one open-loop episode from x0.
+
+    A time-invariant linear plant under a quadratic cost is served by its
+    exact quadratic model. Every other plant and cost is simulated step by
+    step, and so is any episode whose model result is not finite, so that
+    it fails as the simulation does, with the same step index.
+    """
+    dyn = scenario.dynamics
+    if isinstance(dyn, LinearDynamics) and dyn.time_invariant:
+        model = episode_model(scenario)
+        if model is not None:
+            result = model.episode(coeffs, x0)
+            if result is not None:
+                return result
+    traj, u_nodes = _integrate_open_loop(scenario, coeffs, slow_time, x0)
+    return traj, u_nodes, cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
+
+
 def run_episode(scenario: Scenario, coeffs: ControllerCoefficients,
                 slow_time: float = 0.0, noise_index: int = 0) -> EpisodeResult:
     """Integrate one episode from the first initial condition and measure J."""
@@ -326,9 +475,8 @@ def run_episode(scenario: Scenario, coeffs: ControllerCoefficients,
             f"coefficients shaped {coeffs.values.shape} do not fit "
             f"{scenario.control_dim} channels x {scenario.basis.n_functions} functions"
         )
-    traj, u_nodes = _integrate_open_loop(scenario, coeffs, slow_time,
-                                         scenario.initial_conditions[0])
-    j = cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
+    traj, u_nodes, j = _open_loop_episode(scenario, coeffs, slow_time,
+                                          scenario.initial_conditions[0])
     return EpisodeResult(trajectory=traj, controls=u_nodes, cost=j,
                          measured_cost=j + scenario.noise.draw(noise_index))
 
@@ -348,8 +496,7 @@ def run_multi_episode(scenario: Scenario, coeffs, slow_time: float = 0.0,
     else:
         episodes = []
         for x0 in scenario.initial_conditions:
-            traj, u_nodes = _integrate_open_loop(scenario, coeffs, slow_time, x0)
-            j = cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
+            traj, u_nodes, j = _open_loop_episode(scenario, coeffs, slow_time, x0)
             episodes.append(EpisodeResult(traj, u_nodes, j, j))
     total = float(sum(ep.cost for ep in episodes))
     return MultiEpisodeResult(episodes=tuple(episodes), total_cost=total,

@@ -1,9 +1,10 @@
 """Scenario factories shared across the test modules."""
 import numpy as np
 
-from escontrol.basis import FourierPairsBasis
+from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.ode import TimeGrid
-from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario)
+from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
+                                _integrate_open_loop, cost_of_trajectory)
 
 # 2x2 plant and weights of the feedback-synthesis example
 A_2D = [[1.0, 0.25], [0.3, 0.7]]
@@ -68,3 +69,22 @@ def quadratic_cost_samples(cost, grid, states, controls):
     terminal = 0.5 * float(err[-1] @ cost.p_matrix @ err[-1])
     h = grid.h
     return terminal + float(h * (g.sum() - 0.5 * (g[0] + g[-1])))
+
+
+def simulated_episode(scenario, coeffs, x0, slow_time=0.0):
+    """(states, node controls, J) of one open-loop episode, simulated step by
+    step: the reference for the exact quadratic episode model."""
+    traj, u_nodes = _integrate_open_loop(scenario, coeffs, slow_time, x0)
+    j = cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
+    return traj.states, u_nodes, j
+
+
+def simulated_cost_fn(scenario, slow_time=0.0):
+    """Noise-free simulated cost of a flat coefficient vector, summed over
+    the initial conditions."""
+    def cost_fn(flat):
+        coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
+        return sum(simulated_episode(scenario, coeffs, x0, slow_time)[2]
+                   for x0 in scenario.initial_conditions)
+
+    return cost_fn

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import example2_scenario
+from helpers import example2_scenario, scalar_scenario, simulated_episode
 from escontrol.basis import ControllerCoefficients, CustomSampledBasis
-from escontrol.errors import (ContractViolationError, MeasurementInvalidError,
-                              OracleDivergedError, ScheduleCollisionError)
+from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
+                              MeasurementInvalidError, OracleDivergedError,
+                              RiccatiInstabilityError, ScheduleCollisionError)
 from escontrol.es import (EsConfig, assemble_quadratic_cost, default_phases, es_step,
                           finite_diff_gradient, gradient_flow_reference,
                           make_frequency_schedule, restricted_optimum, run_es)
 from escontrol.ode import TimeGrid, cumulative_trapezoid, quadrature_trapezoid
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
-                                episode_cost_fn)
+                                episode_cost_fn, episode_model)
 
 
 # --- frequency schedules ----------------------------------------------------
@@ -185,6 +186,42 @@ def test_run_es_propagates_iteration_index_on_error():
 
     with pytest.raises(MeasurementInvalidError, match="s=0"):
         run_es(cost, cfg, 3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_run_es_keeps_the_step_index_of_a_diverging_episode():
+    scenario = scalar_scenario(a=10.0, n_steps=200, m=2)
+    start = np.full(4, 1e306)
+    coeffs = ControllerCoefficients.from_flat(start, 1)
+    x0 = scenario.initial_conditions[0]
+    with pytest.raises(IntegrationDivergedError) as bare:
+        simulated_episode(scenario, coeffs, x0)
+    assert bare.value.step_index > 0
+    # the exact model gives no finite episode here, so run_episode falls
+    # back to the simulation and fails as it does
+    assert episode_model(scenario).episode(coeffs, x0) is None
+    cfg = EsConfig.build(k=0.2, alpha=20.0, omega0=500.0, n_coeffs=4)
+    with pytest.raises(IntegrationDivergedError, match="s=0") as wrapped:
+        run_es(scenario, cfg, 3, initial_coeffs=start)
+    assert wrapped.value.step_index == bare.value.step_index
+    assert wrapped.value.iteration == 0
+
+
+def test_run_es_keeps_the_riccati_node_index():
+    cfg = EsConfig.build(k=1.0, alpha=1.0, omega0=50.0, n_coeffs=1)
+
+    class Source:
+        @staticmethod
+        def measure(flat, s):
+            if s == 2:
+                raise RiccatiInstabilityError("S(tau) blew up", node_index=7)
+            return 1.0, 1.0
+
+    with pytest.raises(RiccatiInstabilityError, match="s=2") as wrapped:
+        run_es(Source(), cfg, 5)
+    assert wrapped.value.node_index == 7
+    assert wrapped.value.iteration == 2
 
 
 def test_run_es_vector_valued_controller_converges():

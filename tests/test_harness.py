@@ -1,14 +1,18 @@
 import json
 import math
 
+import numpy as np
+
 import pytest
 import yaml
 
 from escontrol.cli import main as cli_main
 from escontrol.errors import (ScenarioParseError, ScenarioValidationError)
+from escontrol.es import EsConfig, EsRunRecord
 from escontrol.harness import (ExperimentSpec, apply_overrides, build_scenario,
                                es_config_for, load_scenario, normalize_config,
-                               run_experiment, save_scenario, shipped_scenarios)
+                               run_experiment, save_scenario, shipped_scenarios,
+                               write_csv, write_iterations_csv)
 from escontrol.scenario import run_episode
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
@@ -228,3 +232,67 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     run_experiment(spec)
     assert (tmp_path / "envout" / "example2_scalar-open-loop-es" /
             "summary.json").exists()
+
+
+def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def _per_cell_csv(path, header, rows):
+    """The per-cell writer write_csv must match byte for byte."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def _awkward_floats(rng, shape):
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    flat = values.reshape(-1)
+    flat[:7] = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, 5e-324]
+    rng.shuffle(flat)
+    return values
+
+
+def test_write_csv_is_byte_identical_to_the_per_cell_writer(tmp_path, rng):
+    # iterations layout: s, then t, J, J_hat and the coefficients
+    n_rows, n_coeffs = 2500, 40  # more rows than one write block
+    cfg = EsConfig.build(k=0.2, alpha=20.0, omega0=500.0, n_coeffs=n_coeffs)
+    coeffs = _awkward_floats(rng, (n_rows, n_coeffs))
+    costs, measured = _awkward_floats(rng, (2, n_rows))
+    record = EsRunRecord("awkward", cfg, coeffs, costs, measured)
+    write_iterations_csv(tmp_path / "new.csv", record)
+    header = ["s", "t", "J", "J_hat"] + [f"c_{i:03d}" for i in range(n_coeffs)]
+    times = record.times()
+    _per_cell_csv(tmp_path / "old.csv", header,
+                  ([s, times[s], costs[s], measured[s], *coeffs[s]] for s in range(n_rows)))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    # trajectory layout: phase and s, then tau, states and controls
+    block = _awkward_floats(rng, (300, 5))
+    header = ["phase", "s", "tau", "x_0", "x_1", "u_0", "u_1"]
+    write_csv(tmp_path / "new.csv", header, ((("last", 4000), row) for row in block))
+    _per_cell_csv(tmp_path / "old.csv", header, (["last", 4000, *row] for row in block))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    # gains layout: float cells only
+    header = ["tau", "k_1_1", "k_1_2", "oracle_k_1_1", "oracle_k_1_2"]
+    write_csv(tmp_path / "new.csv", header, (((), row) for row in block))
+    _per_cell_csv(tmp_path / "old.csv", header, block)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["feedback_2d", "feedback_tracking_demo"])
+def test_cli_compare_refuses_a_feedback_scenario(name, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code = cli_main(["compare", "--scenario", str(SHIPPED[name]), "--iters", "50",
+                     "--out", str(out)])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ContractViolationError"
+    assert "feedback" in record["message"]
+    assert not list(out.glob("*.csv"))

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import ndtri
 
 from helpers import (A_2D, B_2D, P_2D, Q_2D, R_2D, X0_2D, Y0_2D,
                      example2_scenario, quadratic_cost_samples, scalar_scenario)
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import ContractViolationError
-from escontrol.ode import TimeGrid
+from escontrol.harness import load_scenario, shipped_scenarios
+from escontrol.ode import TimeGrid, quadrature_trapezoid
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics,
-                                NoiseModel, QuadraticCost, Scenario, run_episode,
-                                run_multi_episode)
+                                NoiseModel, QuadraticCost, Scenario, cost_of_trajectory,
+                                run_episode, run_multi_episode)
+
+SHIPPED = {p.stem: p for p in shipped_scenarios()}
 
 
 def test_zero_control_constant_state():
@@ -48,6 +52,15 @@ def test_noise_stream_is_reproducible_and_position_addressable():
     # scaling is linear in the standard deviation
     double = NoiseModel(std_dev=1.0, seed=42)
     assert double.draw(3) == pytest.approx(2.0 * model.draw(3), rel=1e-12)
+
+
+def test_noise_draw_i_is_the_4i_th_uniform_of_the_philox_stream():
+    # Philox.advance(i) skips i counter blocks of four uniforms; changing
+    # that would change every noisy result
+    model = NoiseModel(std_dev=0.5, seed=42)
+    uniforms = np.random.Generator(np.random.Philox(key=42)).random(20)
+    for i in range(5):
+        assert model.draw(i) == float(0.5 * ndtri(uniforms[4 * i]))
 
 
 def test_measured_cost_uses_stream_position():
@@ -123,6 +136,26 @@ def test_quadratic_cost_nonnegative(rng):
     for _ in range(20):
         coeffs = ControllerCoefficients(rng.standard_normal((1, 6)) * 3.0)
         assert run_episode(scenario, coeffs).cost >= 0.0
+
+
+@pytest.mark.parametrize("name", ["timevarying_noisy", "example3_tracking"])
+def test_cost_of_trajectory_is_pinned_to_its_quadrature_expression(name, rng):
+    scenario = load_scenario(SHIPPED[name])
+    cost, grid = scenario.cost, scenario.grid
+    states = rng.standard_normal((grid.n_steps + 1, 1))
+    controls = rng.standard_normal((grid.n_steps + 1, 1))
+
+    def expected():
+        taus = np.linspace(grid.t_start, grid.t_end, grid.n_steps + 1)
+        err = states @ cost.c_matrix.T - cost.reference_samples(taus)
+        running = 0.5 * (np.einsum("ki,ij,kj->k", err, cost.q_matrix, err)
+                         + np.einsum("ki,ij,kj->k", controls, cost.r_matrix, controls))
+        terminal = 0.5 * float(err[-1] @ cost.p_matrix @ err[-1])
+        return terminal + quadrature_trapezoid(running, grid)
+
+    # before and after the reference samples are cached
+    for _ in range(2):
+        assert cost_of_trajectory(cost, grid, states, controls) == expected()
 
 
 def test_linear_fast_path_matches_general_dynamics_path(rng):
