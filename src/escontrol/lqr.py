@@ -18,13 +18,17 @@ and the optimal control is u = -K(tau) x + R^-1 B' v(tau), K = R^-1 B' S.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ContractViolationError, RiccatiInstabilityError
-from .ode import StateTrajectory, TimeGrid, integrate_rk4, integrate_rk4_linear
+from .errors import (ContractViolationError, IntegrationDivergedError,
+                     RiccatiInstabilityError)
+from .ode import StateTrajectory, TimeGrid, integrate_rk4_linear, rk4_steps
 from .scenario import LinearDynamics, QuadraticCost, Scenario, cost_of_trajectory
 
 _PSD_TOL = -1e-8
@@ -50,10 +54,6 @@ class RiccatiSolution:
     def state_dim(self) -> int:
         return self.a_matrix.shape[0]
 
-    def optimal_cost(self, x0) -> float:
-        """1/2 x0' S(0) x0; only valid for the regulating case (r = 0)."""
-        return optimal_cost_quadratic_form(self, x0)
-
 
 def _pd_inverse_times(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """mat^-1 rhs through a Cholesky factorization, with a condition check."""
@@ -63,6 +63,81 @@ def _pd_inverse_times(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"matrix is not safely positive definite (eigenvalues {eigs})"
         )
     return cho_solve(cho_factor(mat, lower=True), rhs)
+
+
+def _first_indefinite(mats: np.ndarray, tol: float) -> int | None:
+    """Index of the first symmetric matrix in the stack with an eigenvalue
+    below ``tol``, else None."""
+    low = np.linalg.eigvalsh(mats).min(axis=1) < tol
+    return int(np.argmax(low)) if low.any() else None
+
+
+def _riccati_sweep(a, m, ctqc, cost: QuadraticCost, grid: TimeGrid, s_end, v_end):
+    """S (and v, unless ``v_end`` is None) on the half-step grid, ascending in tau.
+
+    RK4 runs in reversed time sigma = T - tau: first S, then v along the
+    closed loop (A - M S)' recorded at every stage of the S sweep. Taken
+    apart, S and v go through exactly the elementwise arithmetic of one RK4
+    on the packed vector (S, v), so the results are the same bits. For a
+    scalar plant the operands are Python floats rather than 1x1 arrays.
+    Raises IntegrationDivergedError at the first step where S or v is not
+    finite.
+    """
+    n = a.shape[0]
+    sigma_grid = TimeGrid(0.0, grid.span, 2 * grid.n_steps)
+    if n == 1:
+        mul, transpose, finite = operator.mul, operator.pos, math.isfinite
+        operand = np.ndarray.item
+    else:
+        mul, transpose = operator.matmul, np.transpose
+
+        def finite(x):
+            return bool(np.isfinite(x).all())
+
+        def operand(x):
+            return x
+    a, m, ctqc = operand(a), operand(m), operand(ctqc)
+    a_t = transpose(a)
+    closed = []  # (A - M S)' at every stage of the S sweep, in call order
+
+    def s_rate(sigma, s):
+        s = 0.5 * (s + transpose(s))  # keep the symmetric part only
+        if v_end is not None:
+            closed.append(transpose(a - mul(m, s)))
+        return mul(a_t, s) + mul(s, a) - mul(mul(s, m), s) + ctqc
+
+    def sweep(rate, x, n_steps):
+        """States up to the first non-finite one, and that step's index."""
+        xs = [x]
+        for k, x in enumerate(islice(rk4_steps(rate, x, sigma_grid), n_steps)):
+            if not finite(x):
+                return xs, k
+            xs.append(x)
+        return xs, None
+
+    s_list, bad = sweep(s_rate, operand(s_end), sigma_grid.n_steps)
+    v_list = None
+    if v_end is not None:
+        stages = iter(closed)
+        ctq = cost.c_matrix.T @ cost.q_matrix
+
+        def v_rate(sigma, v):
+            r_tau = np.atleast_1d(np.asarray(cost.reference(grid.t_end - sigma),
+                                             dtype=float))
+            return mul(next(stages), v) + operand(ctq @ r_tau)
+
+        # v can only be stepped as far as the S stages reach
+        v_list, v_bad = sweep(v_rate, operand(v_end), len(closed) // 4)
+        if v_bad is not None:
+            bad = v_bad
+    if bad is not None:
+        raise IntegrationDivergedError(
+            f"state became non-finite at step {bad} (t = {bad * sigma_grid.h})",
+            step_index=bad,
+        )
+    s_doubled = np.array(s_list).reshape(-1, n, n)[::-1]
+    v_doubled = None if v_list is None else np.array(v_list).reshape(-1, n)[::-1]
+    return s_doubled, v_doubled
 
 
 def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
@@ -77,38 +152,21 @@ def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
     ctqc = c.T @ cost.q_matrix @ c
     has_reference = cost.reference is not None
 
-    t_end = grid.t_end
-    sigma_grid = TimeGrid(0.0, grid.span, 2 * grid.n_steps)
     s_terminal = c.T @ cost.p_matrix @ c
+    v_terminal = None
     if has_reference:
-        r_end = np.atleast_1d(np.asarray(cost.reference(t_end), dtype=float))
+        r_end = np.atleast_1d(np.asarray(cost.reference(grid.t_end), dtype=float))
         v_terminal = c.T @ cost.p_matrix @ r_end
-    else:
-        v_terminal = np.zeros(n)
-    y0 = np.concatenate([s_terminal.ravel(), v_terminal])
-
-    def derivative(sigma, y):
-        s = y[: n * n].reshape(n, n)
-        s = 0.5 * (s + s.T)              # keep the symmetric part only
-        ds = a.T @ s + s @ a - s @ m @ s + ctqc
-        if has_reference:
-            v = y[n * n:]
-            tau = t_end - sigma
-            r_tau = np.atleast_1d(np.asarray(cost.reference(tau), dtype=float))
-            dv = (a - m @ s).T @ v + c.T @ cost.q_matrix @ r_tau
-        else:
-            dv = np.zeros(n)
-        return np.concatenate([ds.ravel(), dv])
-
     try:
-        back = integrate_rk4(derivative, y0, sigma_grid)
+        # a blow-up is reported by the step it happens at, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_doubled, v_doubled = _riccati_sweep(a, m, ctqc, cost, grid, s_terminal,
+                                                  v_terminal)
     except Exception as exc:
         raise RiccatiInstabilityError(f"backward Riccati integration failed: {exc}") from exc
-
-    y_doubled = back.states[::-1]                      # ascending tau
-    s_doubled = y_doubled[:, : n * n].reshape(-1, n, n)
     s_doubled = 0.5 * (s_doubled + np.transpose(s_doubled, (0, 2, 1)))
-    v_doubled = y_doubled[:, n * n:] if has_reference else np.zeros((y_doubled.shape[0], n))
+    if v_doubled is None:
+        v_doubled = np.zeros((s_doubled.shape[0], n))
     k_doubled = np.einsum("ij,kjl->kil", rinv_bt, s_doubled)
 
     s_nodes = s_doubled[0::2]
@@ -116,11 +174,11 @@ def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
         bad = int(np.argmax(~np.isfinite(s_nodes).reshape(s_nodes.shape[0], -1).all(axis=1)))
         raise RiccatiInstabilityError(f"S blew up at node {bad}", node_index=bad)
     if not cost.terminal_indefinite_ok:
-        for idx in range(s_nodes.shape[0]):
-            if np.linalg.eigvalsh(s_nodes[idx]).min() < _PSD_TOL:
-                raise RiccatiInstabilityError(
-                    f"S lost positive semidefiniteness at node {idx}", node_index=idx
-                )
+        bad = _first_indefinite(s_nodes, _PSD_TOL)
+        if bad is not None:
+            raise RiccatiInstabilityError(
+                f"S lost positive semidefiniteness at node {bad}", node_index=bad
+            )
     return RiccatiSolution(
         grid=grid,
         s_matrices=s_nodes,

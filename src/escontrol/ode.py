@@ -7,7 +7,7 @@ experiments reproduce exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,35 +67,47 @@ class StateTrajectory:
                 f"got {states.shape}"
             )
 
-    def terminal_state(self) -> np.ndarray:
-        return self.states[-1]
+
+def rk4_steps(derivative: Callable, x, grid: TimeGrid) -> Iterator:
+    """Classical fixed-step 4th-order Runge-Kutta for dx/dt = derivative(t, x).
+
+    Yields the state after each step of the grid. ``x`` and the derivative's
+    values may be floats or arrays: anything closed under ``+`` and scalar
+    ``*``. The caller decides when to stop, e.g. at a non-finite state.
+    """
+    h = grid.h
+    half = 0.5 * h
+    for k in range(grid.n_steps):
+        t = grid.t_start + k * h
+        k1 = derivative(t, x)
+        k2 = derivative(t + half, x + half * k1)
+        k3 = derivative(t + half, x + half * k2)
+        k4 = derivative(t + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield x
 
 
 def integrate_rk4(derivative: Derivative, x0, grid: TimeGrid) -> StateTrajectory:
-    """Classical fixed-step 4th-order Runge-Kutta for dx/dt = derivative(t, x).
+    """RK4 (:func:`rk4_steps`) for a vector state, sampled on every grid node.
 
     Raises :class:`IntegrationDivergedError` carrying the failing step index
     if any state component becomes NaN or infinite.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     dim = x.shape[0]
-    h = grid.h
-    half = 0.5 * h
     states = np.empty((grid.n_steps + 1, dim))
     states[0] = x
-    t = grid.t_start
-    for k in range(grid.n_steps):
-        k1 = np.asarray(derivative(t, x), dtype=float)
-        k2 = np.asarray(derivative(t + half, x + half * k1), dtype=float)
-        k3 = np.asarray(derivative(t + half, x + half * k2), dtype=float)
-        k4 = np.asarray(derivative(t + h, x + h * k3), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def rate(t, x):
+        return np.asarray(derivative(t, x), dtype=float)
+
+    for k, x in enumerate(rk4_steps(rate, x, grid)):
         if not np.all(np.isfinite(x)):
             raise IntegrationDivergedError(
-                f"state became non-finite at step {k} (t = {t})", step_index=k
+                f"state became non-finite at step {k} (t = {grid.t_start + k * grid.h})",
+                step_index=k,
             )
         states[k + 1] = x
-        t = grid.t_start + (k + 1) * h
     return StateTrajectory(grid=grid, states=states, dimension=dim)
 
 
@@ -136,10 +148,11 @@ def cumulative_trapezoid(samples: Sequence[float], grid: TimeGrid) -> np.ndarray
 
 def rk4_step_matrices(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
                       h: float) -> np.ndarray:
-    """Per-step RK4 transition matrices for dx/dt = A(t) x, batched over steps.
+    """RK4 transition matrices for dx/dt = A(t) x.
 
     Inputs are (n_steps, d, d) stacks of A sampled at step starts, midpoints
-    and ends; a constant A may be passed broadcast to that shape.
+    and ends, giving one matrix per step; a constant A is passed as one
+    (d, d) matrix three times and gives the single matrix every step shares.
     """
     dim = a_start.shape[-1]
     eye = np.eye(dim)
@@ -150,14 +163,23 @@ def rk4_step_matrices(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _apply(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """A f[k] for every row k of f; A is one (d, d) matrix or a stack of them."""
+    return f @ a.T if a.ndim == 2 else np.einsum("kij,kj->ki", a, f)
+
+
 def rk4_step_forcing(a_mid: np.ndarray, a_end: np.ndarray,
                      f_start: np.ndarray, f_mid: np.ndarray, f_end: np.ndarray,
                      h: float) -> np.ndarray:
-    """Per-step RK4 forcing contributions for dx/dt = A(t) x + f(t)."""
+    """Per-step RK4 forcing contributions for dx/dt = A(t) x + f(t).
+
+    The f are (n_steps, d); A is an (n_steps, d, d) stack or one constant
+    (d, d) matrix, as in :func:`rk4_step_matrices`.
+    """
     w1 = f_start
-    w2 = f_mid + (0.5 * h) * np.einsum("kij,kj->ki", a_mid, w1)
-    w3 = f_mid + (0.5 * h) * np.einsum("kij,kj->ki", a_mid, w2)
-    w4 = f_end + h * np.einsum("kij,kj->ki", a_end, w3)
+    w2 = f_mid + (0.5 * h) * _apply(a_mid, w1)
+    w3 = f_mid + (0.5 * h) * _apply(a_mid, w2)
+    w4 = f_end + h * _apply(a_end, w3)
     return (h / 6.0) * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
 
 
@@ -201,31 +223,43 @@ def first_nonfinite_step(states: np.ndarray) -> int | None:
 
 def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
                      grid: TimeGrid) -> StateTrajectory:
-    """Scan x[k+1] = phi[k] x[k] + w[k] over the grid."""
+    """Scan x[k+1] = phi[k] x[k] + w[k] over the grid.
+
+    ``phi`` is an (n_steps, d, d) stack or one (d, d) matrix shared by every
+    step; ``w`` is (n_steps, d) or None for no forcing.
+    """
     n = grid.n_steps
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.shape[0]
-    states = np.empty((n + 1, dim))
-    states[0] = x0
     if dim == 1:
         # plain-float scan is several times faster than numpy here
-        phis = phi.reshape(n).tolist()
-        ws = [0.0] * n if w is None else w.reshape(n).tolist()
+        phis = [float(phi.flat[0])] * n if phi.ndim == 2 else phi.reshape(n).tolist()
         x = float(x0[0])
-        out = states[:, 0]
-        for k in range(n):
-            x = phis[k] * x + ws[k]
-            out[k + 1] = x
-    else:
-        x = x0
+        xs = [x]
+        append = xs.append
         if w is None:
-            for k in range(n):
-                x = phi[k] @ x
-                states[k + 1] = x
+            for p in phis:
+                x = p * x
+                append(x)
         else:
-            for k in range(n):
-                x = phi[k] @ x + w[k]
-                states[k + 1] = x
+            for p, wk in zip(phis, w.reshape(n).tolist()):
+                x = p * x + wk
+                append(x)
+        states = np.array(xs).reshape(n + 1, 1)
+    else:
+        phis = [phi] * n if phi.ndim == 2 else phi
+        x = x0
+        xs = [x]
+        append = xs.append
+        if w is None:
+            for p in phis:
+                x = p @ x
+                append(x)
+        else:
+            for p, wk in zip(phis, w):
+                x = p @ x + wk
+                append(x)
+        states = np.array(xs)
     bad = first_nonfinite_step(states)
     if bad is not None:
         raise IntegrationDivergedError(
@@ -239,17 +273,15 @@ def integrate_rk4_linear(a_samples: np.ndarray, f_samples: np.ndarray | None,
     """RK4 for dx/dt = A(t) x + f(t) with A, f pre-sampled on the doubled grid.
 
     ``a_samples`` has shape (2 n_steps + 1, d, d) (nodes interleaved with
-    midpoints); a constant A may be given as (d, d). ``f_samples`` is
-    (2 n_steps + 1, d) or None.
+    midpoints); a constant A is given as (d, d) and builds one step matrix
+    for all steps. ``f_samples`` is (2 n_steps + 1, d) or None.
     """
-    n = grid.n_steps
     h = grid.h
     a_samples = np.asarray(a_samples, dtype=float)
     if a_samples.ndim == 2:
-        a_samples = np.broadcast_to(a_samples, (2 * n + 1,) + a_samples.shape)
-    a_start = a_samples[0:-1:2]
-    a_mid = a_samples[1::2]
-    a_end = a_samples[2::2]
+        a_start = a_mid = a_end = a_samples
+    else:
+        a_start, a_mid, a_end = a_samples[0:-1:2], a_samples[1::2], a_samples[2::2]
     phi = rk4_step_matrices(a_start, a_mid, a_end, h)
     w = None
     if f_samples is not None:

@@ -172,10 +172,18 @@ class NoiseModel:
     ``Philox.advance(i)`` skips i whole counter blocks of four 64-bit words,
     one word per uniform. Any position in the stream is reproducible on any
     platform without generating its predecessors.
+
+    Draws are generated in blocks of ``_BLOCK`` consecutive indices, at the
+    first draw that needs the block, and the latest block is kept. A draw
+    is still a pure function of (seed, std_dev, i).
     """
 
     std_dev: float
     seed: int
+    # (block number, draws) of the latest block; not part of the value
+    _block: tuple = field(default=(-1, ()), init=False, repr=False, compare=False)
+
+    _BLOCK = 512
 
     def __post_init__(self):
         if not np.isfinite(self.std_dev) or self.std_dev < 0:
@@ -185,11 +193,14 @@ class NoiseModel:
     def draw(self, index: int) -> float:
         if self.std_dev == 0.0:
             return 0.0
-        bit_gen = np.random.Philox(key=self.seed)
-        bit_gen.advance(int(index))
-        u = np.random.Generator(bit_gen).random()
-        u = min(max(u, 5e-324), 1.0 - 1e-16)
-        return float(self.std_dev * ndtri(u))
+        number, offset = divmod(int(index), self._BLOCK)
+        if self._block[0] != number:
+            bit_gen = np.random.Philox(key=self.seed)
+            bit_gen.advance(number * self._BLOCK)
+            u = np.random.Generator(bit_gen).random(4 * self._BLOCK)[0::4]
+            u = np.clip(u, 5e-324, 1.0 - 1e-16)
+            object.__setattr__(self, "_block", (number, (self.std_dev * ndtri(u)).tolist()))
+        return self._block[1][offset]
 
 
 @dataclass
@@ -387,8 +398,10 @@ class QuadraticEpisodeModel:
             return None
         x_free, g, j0 = free
         a = coeffs.values.ravel()
-        states = x_free + (self._gain @ a).reshape(x_free.shape)
-        j = float(a @ (0.5 * (self.hessian @ a) + g)) + j0
+        # an overflow is caught by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = x_free + (self._gain @ a).reshape(x_free.shape)
+            j = float(a @ (0.5 * (self.hessian @ a) + g)) + j0
         if not (math.isfinite(j) and np.isfinite(states).all()):
             return None
         return (StateTrajectory(self.grid, states, states.shape[1]),

@@ -2,6 +2,8 @@
 import numpy as np
 
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
+from escontrol.errors import RiccatiInstabilityError
+from escontrol.lqr import RiccatiSolution, _pd_inverse_times
 from escontrol.ode import TimeGrid
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
                                 _integrate_open_loop, cost_of_trajectory)
@@ -88,3 +90,69 @@ def simulated_cost_fn(scenario, slow_time=0.0):
                    for x0 in scenario.initial_conditions)
 
     return cost_fn
+
+
+def packed_riccati_reference(dynamics, cost, grid, slow_time=0.0):
+    """Riccati + feedforward solve on the packed vector (S, v), stepped by a
+    plain RK4 loop: the reference the dedicated sweep in solve_riccati must
+    reproduce bit for bit. Returns a RiccatiSolution."""
+    a = np.atleast_2d(np.asarray(dynamics.a_fn(slow_time), dtype=float))
+    b = np.atleast_2d(np.asarray(dynamics.b_fn(slow_time), dtype=float))
+    n = a.shape[0]
+    c = cost.c_matrix
+    rinv_bt = _pd_inverse_times(cost.r_matrix, b.T)
+    m = b @ rinv_bt
+    ctqc = c.T @ cost.q_matrix @ c
+    has_reference = cost.reference is not None
+
+    t_end = grid.t_end
+    sigma_grid = TimeGrid(0.0, grid.span, 2 * grid.n_steps)
+    s_terminal = c.T @ cost.p_matrix @ c
+    if has_reference:
+        r_end = np.atleast_1d(np.asarray(cost.reference(t_end), dtype=float))
+        v_terminal = c.T @ cost.p_matrix @ r_end
+    else:
+        v_terminal = np.zeros(n)
+
+    def derivative(sigma, y):
+        s = y[: n * n].reshape(n, n)
+        s = 0.5 * (s + s.T)
+        ds = a.T @ s + s @ a - s @ m @ s + ctqc
+        if has_reference:
+            v = y[n * n:]
+            r_tau = np.atleast_1d(np.asarray(cost.reference(t_end - sigma), dtype=float))
+            dv = (a - m @ s).T @ v + c.T @ cost.q_matrix @ r_tau
+        else:
+            dv = np.zeros(n)
+        return np.concatenate([ds.ravel(), dv])
+
+    x = np.concatenate([s_terminal.ravel(), v_terminal])
+    h = sigma_grid.h
+    half = 0.5 * h
+    states = np.empty((sigma_grid.n_steps + 1, x.shape[0]))
+    states[0] = x
+    t = sigma_grid.t_start
+    for k in range(sigma_grid.n_steps):
+        k1 = derivative(t, x)
+        k2 = derivative(t + half, x + half * k1)
+        k3 = derivative(t + half, x + half * k2)
+        k4 = derivative(t + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise RiccatiInstabilityError(
+                "backward Riccati integration failed: "
+                f"state became non-finite at step {k} (t = {t})"
+            )
+        states[k + 1] = x
+        t = sigma_grid.t_start + (k + 1) * h
+
+    y_doubled = states[::-1]
+    s_doubled = y_doubled[:, : n * n].reshape(-1, n, n)
+    s_doubled = 0.5 * (s_doubled + np.transpose(s_doubled, (0, 2, 1)))
+    v_doubled = y_doubled[:, n * n:] if has_reference else np.zeros((y_doubled.shape[0], n))
+    k_doubled = np.einsum("ij,kjl->kil", rinv_bt, s_doubled)
+    return RiccatiSolution(grid=grid, s_matrices=s_doubled[0::2], gains=k_doubled[0::2],
+                           feedforward=v_doubled[0::2], a_matrix=a, b_matrix=b,
+                           rinv_bt=rinv_bt, has_reference=has_reference,
+                           _s_doubled=s_doubled, _k_doubled=k_doubled,
+                           _v_doubled=v_doubled)

@@ -7,14 +7,16 @@ to the simulation at 1e-9 relative on every shipped scenario it serves, and
 check that everything else is still simulated.
 """
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import (example2_scenario, feedback_2d_scenario, simulated_cost_fn,
-                     simulated_episode)
+from helpers import (example2_scenario, feedback_2d_scenario, scalar_scenario,
+                     simulated_cost_fn, simulated_episode)
 from escontrol import scenario as scenario_mod
 from escontrol.basis import ControllerCoefficients
+from escontrol.errors import IntegrationDivergedError
 from escontrol.es import assemble_quadratic_cost, restricted_optimum
 from escontrol.feedback import GainField, run_feedback_episodes
 from escontrol.harness import load_scenario, shipped_scenarios
@@ -147,3 +149,15 @@ def test_restricted_optimum_matches_the_probed_quadratic_form(make, slow_time):
     assert abs(model.j0 - probed.j0) <= REL * abs(probed.j0)
     # only a time-invariant plant keeps its model
     assert ("episode_model" in scenario._cache) == scenario.dynamics.time_invariant
+
+
+def test_overflowing_model_falls_back_without_a_numpy_warning():
+    scenario = scalar_scenario(a=10.0, n_steps=200, m=2)
+    coeffs = ControllerCoefficients.from_flat(np.full(4, 1e306), 1)
+    with pytest.raises(IntegrationDivergedError) as bare:
+        simulated_episode(scenario, coeffs, scenario.initial_conditions[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationDivergedError) as served:
+            run_episode(scenario, coeffs)
+    assert served.value.step_index == bare.value.step_index

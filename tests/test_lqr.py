@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import example2_scenario, feedback_2d_scenario, scalar_scenario
+from helpers import (example2_scenario, feedback_2d_scenario, packed_riccati_reference,
+                     scalar_scenario)
 from escontrol.basis import ControllerCoefficients
-from escontrol.errors import ContractViolationError
-from escontrol.lqr import (optimal_cost_quadratic_form, oracle_costs,
+from escontrol.errors import ContractViolationError, RiccatiInstabilityError
+from escontrol.harness import load_scenario, shipped_scenarios
+from escontrol.lqr import (_first_indefinite, optimal_cost_quadratic_form, oracle_costs,
                            scenario_oracle, simulate_optimal, solve_riccati)
 from escontrol.ode import TimeGrid
 from escontrol.scenario import (LinearDynamics, QuadraticCost, run_episode)
@@ -167,3 +169,76 @@ def test_riccati_grid_mismatch_rejected():
     with pytest.raises(ContractViolationError):
         simulate_optimal(scenario.dynamics, scenario.cost, TimeGrid(0.0, 1.0, 500),
                          np.array([2.0]), sol)
+
+
+SHIPPED = {p.stem: p for p in shipped_scenarios()}
+SHIPPED_SLOW_TIMES = [(name, 0.0) for name in sorted(SHIPPED)] + [
+    ("timevarying_noisy", 1500.0), ("timevarying_noisy", 4000.0)]
+
+
+def _assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name, slow_time", SHIPPED_SLOW_TIMES)
+def test_riccati_sweep_matches_the_packed_rk4_solve_bitwise(name, slow_time):
+    scenario = load_scenario(SHIPPED[name])
+    sol = scenario_oracle(scenario, slow_time)
+    ref = packed_riccati_reference(scenario.dynamics, scenario.cost, scenario.grid,
+                                   slow_time)
+    for field in ("s_matrices", "gains", "feedforward", "_s_doubled", "_k_doubled",
+                  "_v_doubled"):
+        _assert_same_bits(getattr(sol, field), getattr(ref, field))
+    _assert_same_bits(oracle_costs(scenario, slow_time, sol),
+                      oracle_costs(scenario, slow_time, ref))
+
+
+def _blowing_up(state_dim, reference=None, terminal=-50.0):
+    """A plant whose strongly negative terminal weight drives S to -inf
+    within the horizon; with a positive one S stays finite."""
+    eye = np.eye(state_dim)
+    return (LinearDynamics.constant(eye, eye),
+            QuadraticCost(c_matrix=eye, p_matrix=terminal * eye, q_matrix=eye,
+                          r_matrix=eye, reference=reference,
+                          terminal_indefinite_ok=True))
+
+
+@pytest.mark.parametrize("state_dim, reference, terminal", [
+    (1, None, -50.0), (1, lambda tau: np.atleast_1d(1.0 + np.sin(tau)), -50.0),
+    (2, None, -50.0), (2, lambda tau: np.array([np.cos(tau), 2.0]), -50.0),
+    # S stays finite, v overflows
+    (1, lambda tau: np.atleast_1d(1e308), 1.0),
+    (2, lambda tau: np.array([1.0, 1e308]), 1.0),
+])
+def test_riccati_blow_up_reports_the_step_of_the_packed_solve(state_dim, reference,
+                                                              terminal):
+    dynamics, cost = _blowing_up(state_dim, reference, terminal)
+    grid = TimeGrid(0.0, 1.0, 200)
+    with pytest.raises(RiccatiInstabilityError) as expected, \
+            np.errstate(over="ignore", invalid="ignore"):
+        packed_riccati_reference(dynamics, cost, grid)
+    with pytest.raises(RiccatiInstabilityError) as got:
+        solve_riccati(dynamics, cost, grid)
+    assert str(got.value) == str(expected.value)
+    assert "state became non-finite at step" in str(got.value)
+
+
+def _per_node_first_indefinite(mats, tol):
+    for idx in range(mats.shape[0]):
+        if np.linalg.eigvalsh(mats[idx]).min() < tol:
+            return idx
+    return None
+
+
+@pytest.mark.parametrize("failing", [0, 7, 19, None])
+def test_first_indefinite_node_matches_the_per_node_check(failing):
+    rng = np.random.default_rng(11)
+    roots = rng.standard_normal((20, 2, 2))
+    mats = roots @ np.transpose(roots, (0, 2, 1))  # PSD
+    if failing is not None:
+        mats[failing] -= 10.0 * np.eye(2)
+        mats[-1 if failing != 19 else 0] -= 1e-9 * np.eye(2)  # inside the tolerance
+    got = _first_indefinite(mats, -1e-8)
+    assert got == _per_node_first_indefinite(mats, -1e-8) == failing

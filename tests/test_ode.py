@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escontrol.basis import ControllerCoefficients, controller_samples
 from escontrol.errors import ContractViolationError, IntegrationDivergedError
+from escontrol.harness import load_scenario, shipped_scenarios
 from escontrol.ode import (TimeGrid, cumulative_trapezoid, integrate_rk4,
-                           integrate_rk4_linear, quadrature_trapezoid)
+                           integrate_rk4_linear, propagate_linear, quadrature_trapezoid,
+                           rk4_steps)
 
 
 def test_grid_invariants():
@@ -135,3 +138,65 @@ def test_linear_fast_path_scalar_matches_generic():
         lambda t, x: x + math.cos(2.0 * math.pi * t), np.array([2.0]), grid
     )
     assert np.allclose(fast.states, generic.states, rtol=1e-12, atol=1e-12)
+
+
+SHIPPED = {p.stem: p for p in shipped_scenarios()}
+SCALAR_SLOW_TIMES = [("example1_integrator", 0.0), ("example2_scalar", 0.0),
+                     ("example2_scalar_periodic", 0.0), ("example3_tracking", 0.0),
+                     ("feedback_tracking_demo", 0.0), ("timevarying_noisy", 0.0),
+                     ("timevarying_noisy", 1500.0), ("timevarying_noisy", 4000.0)]
+
+
+def _frozen_plant_inputs(name, slow_time):
+    """(A, forcing samples, x0, grid) of an open-loop episode of a shipped
+    scenario under random coefficients, plant frozen at slow_time."""
+    scenario = load_scenario(SHIPPED[name])
+    a = np.atleast_2d(scenario.dynamics.a_fn(slow_time))
+    b = np.atleast_2d(scenario.dynamics.b_fn(slow_time))
+    rng = np.random.default_rng(5)
+    coeffs = ControllerCoefficients(
+        rng.standard_normal((scenario.control_dim, scenario.basis.n_functions)))
+    u_d = controller_samples(coeffs, scenario.basis_matrix_doubled())
+    return a, u_d @ b.T, scenario.initial_conditions[0], scenario.grid
+
+
+def _broadcast(a, grid):
+    return np.broadcast_to(a, (2 * grid.n_steps + 1,) + a.shape)
+
+
+@pytest.mark.parametrize("name, slow_time", SCALAR_SLOW_TIMES)
+def test_constant_a_matches_the_broadcast_stack_bitwise(name, slow_time):
+    a, forcing, x0, grid = _frozen_plant_inputs(name, slow_time)
+    for f in (forcing, None):
+        constant = integrate_rk4_linear(a, f, x0, grid).states
+        stacked = integrate_rk4_linear(_broadcast(a, grid), f, x0, grid).states
+        assert constant.tobytes() == stacked.tobytes()
+
+
+def test_constant_a_matches_the_broadcast_stack_on_the_2x2_plant():
+    a, _, _, grid = _frozen_plant_inputs("feedback_2d", 0.0)
+    taus = np.linspace(0.0, 1.0, 2 * grid.n_steps + 1)
+    forcing = np.stack([np.sin(3.0 * taus), np.cos(2.0 * taus)], axis=1)
+    for x0 in (np.array([1.3, -1.1]), np.array([-1.0, -0.5])):
+        for f in (forcing, None):
+            constant = integrate_rk4_linear(a, f, x0, grid).states
+            stacked = integrate_rk4_linear(_broadcast(a, grid), f, x0, grid).states
+            assert np.abs(constant - stacked).max() <= 1e-13 * np.abs(stacked).max()
+
+
+def test_unforced_scan_only_multiplies():
+    # adding a zero forcing would turn -0.0 into 0.0
+    for phi in (np.array([[0.5]]), np.full((4, 1, 1), 0.5)):
+        states = propagate_linear(phi, None, np.array([-0.0]), TimeGrid(0.0, 1.0, 4)).states
+        assert np.all(states == 0.0) and np.all(np.signbit(states))
+
+
+def test_rk4_steps_on_floats_matches_integrate_rk4_bitwise():
+    grid = TimeGrid(0.0, 1.0, 300)
+
+    def rate(t, x):
+        return 1.5 * x - 0.2 * x * x + math.cos(4.0 * t)
+
+    floats = list(rk4_steps(rate, 0.7, grid))
+    arrays = integrate_rk4(rate, np.array([0.7]), grid).states[1:, 0]
+    assert np.array(floats).tobytes() == arrays.tobytes()

@@ -63,6 +63,37 @@ def test_noise_draw_i_is_the_4i_th_uniform_of_the_philox_stream():
         assert model.draw(i) == float(0.5 * ndtri(uniforms[4 * i]))
 
 
+def _fresh_philox_draw(std_dev, seed, index):
+    """Draw ``index`` from its own Philox generator: the definition that
+    block generation must reproduce."""
+    bit_gen = np.random.Philox(key=seed)
+    bit_gen.advance(index)
+    u = np.random.Generator(bit_gen).random()
+    return float(std_dev * ndtri(min(max(u, 5e-324), 1.0 - 1e-16)))
+
+
+def test_block_draws_equal_one_generator_per_draw():
+    block = NoiseModel._BLOCK
+    edges = [0, 1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 3 * block + 5]
+    shuffled = [2 * block, 3, block, 10**6, block - 1, 0, 10**6 - 1, 10**6 + block, 7]
+    first, second = NoiseModel(0.5, 42), NoiseModel(1.25, 20260810)
+    for index in edges + shuffled:
+        assert first.draw(index) == _fresh_philox_draw(0.5, 42, index)
+    for index in shuffled:  # two streams interleaved
+        assert first.draw(index) == _fresh_philox_draw(0.5, 42, index)
+        assert second.draw(index) == _fresh_philox_draw(1.25, 20260810, index)
+
+
+def test_block_cache_is_not_part_of_the_noise_model_value():
+    model = NoiseModel(0.5, 42)
+    clean = NoiseModel(0.5, 42)
+    model.draw(3)
+    assert model == clean and hash(model) == hash(clean) and repr(model) == repr(clean)
+    silent = NoiseModel(0.0, 42)
+    assert silent.draw(10**6) == 0.0
+    assert silent._block == clean._block  # nothing generated
+
+
 def test_measured_cost_uses_stream_position():
     scenario = example2_scenario(noise_std=0.5, seed=9)
     coeffs = scenario.zero_coefficients()
