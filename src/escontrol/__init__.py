@@ -12,7 +12,6 @@ from .errors import (ContractViolationError, EsControlError, IllPosedSynthesisEr
                      ScenarioParseError, ScenarioValidationError,
                      ScheduleCollisionError)
 from .es import (EsConfig, EsRunRecord, assemble_quadratic_cost, es_step,
-                 finite_diff_gradient, gradient_flow_reference,
                  make_frequency_schedule, restricted_optimum, run_es)
 from .feedback import (GainField, eval_gain, gain_dither_assignment, project_gains,
                        run_feedback_episode, synthesize_gain)

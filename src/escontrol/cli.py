@@ -7,8 +7,10 @@
 
 ``run`` dispatches to open-loop ES or feedback synthesis depending on the
 scenario's ``feedback`` flag. Output directory defaults to
-$ESCONTROL_OUTPUT_DIR/<scenario>-<mode> (or ./runs/...). Module errors exit
-nonzero after writing a machine-readable error.json.
+$ESCONTROL_OUTPUT_DIR/<scenario>-<mode> (or ./runs/...; the file stem names
+a scenario that cannot be loaded). Module errors exit nonzero after writing
+a machine-readable error.json there, with the ES iteration, integrator step
+or Riccati node of the failure when it has one.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from pathlib import Path
 import yaml
 
 from .errors import EsControlError
-from .harness import ExperimentSpec, run_experiment, shipped_scenarios
+from .harness import ExperimentSpec, output_dir, run_experiment, shipped_scenarios
 
 
 def _add_common(parser: argparse.ArgumentParser, with_iters: bool):
@@ -100,11 +102,14 @@ def main(argv=None) -> int:
             "scenario": args.scenario,
             "mode": mode or "run",
         }
+        record.update({key: int(getattr(exc, key)) for key in ("iteration", "step_index",
+                       "node_index") if getattr(exc, key, None) is not None})
         sys.stderr.write(json.dumps(record) + "\n")
-        out = Path(args.out) if args.out else None
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "error.json").write_text(json.dumps(record, indent=2))
+        # a scenario that could not be loaded has no name yet: use its file stem
+        out = Path(getattr(exc, "out_dir", None)
+                   or output_dir(spec, Path(args.scenario).stem, record["mode"]))
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "error.json").write_text(json.dumps(record, indent=2))
         return 1
     print(json.dumps(summary.to_dict(), indent=2))
     return 0

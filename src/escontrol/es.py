@@ -7,7 +7,7 @@ updated from nothing but the latest scalar cost measurement:
 
 with phase either cos or sin per coefficient. For fast dithers the
 iteration averages to a gradient flow da/dt = -(k alpha / 2) dJ/da, which
-is what the gradient-flow reference here integrates for validation.
+is what the tests' gradient-flow reference integrates for validation.
 
 Note the sqrt(alpha * w_j) factor makes the dither amplitude grow with
 frequency, so coefficients high in a wide schedule oscillate visibly more
@@ -23,10 +23,8 @@ import numpy as np
 
 from .basis import ControllerCoefficients
 from .errors import (ContractViolationError, EsControlError,
-                     MeasurementInvalidError, OracleDivergedError,
-                     ScheduleCollisionError)
-from .scenario import (Scenario, episode_cost_fn, episode_model, run_episode,
-                       run_multi_episode)
+                     MeasurementInvalidError, ScheduleCollisionError)
+from .scenario import Scenario, episode_cost_fn, episode_model, open_loop_measurement
 
 PHASE_COS = "cos"
 PHASE_SIN = "sin"
@@ -74,6 +72,12 @@ def make_frequency_schedule(omega0: float, n_coeffs: int,
 def default_phases(n_coeffs: int) -> tuple[str, ...]:
     """Alternating cos/sin, pairing even-index (a) coefficients with cos."""
     return tuple(PHASE_COS if i % 2 == 0 else PHASE_SIN for i in range(n_coeffs))
+
+
+def default_delta(frequencies: np.ndarray) -> float:
+    """The step size that samples the fastest dither exactly
+    ``_MIN_SAMPLES_PER_PERIOD`` times per period."""
+    return 2.0 * np.pi / (_MIN_SAMPLES_PER_PERIOD * float(frequencies.max()))
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ class EsConfig:
             ranges = [(1.0, 1.75, n_coeffs)] if n_coeffs > 1 else [(1.0, 1.0, 1)]
         freqs = make_frequency_schedule(omega0, n_coeffs, ranges)
         if delta is None:
-            delta = 2.0 * np.pi / (_MIN_SAMPLES_PER_PERIOD * float(freqs.max()))
+            delta = default_delta(freqs)
         if phases is None:
             phases = default_phases(n_coeffs)
         return cls(k=k, alpha=alpha, omega0=omega0, frequencies=freqs,
@@ -223,11 +227,8 @@ class EsRunRecord:
     def n_iterations(self) -> int:
         return self.coefficients.shape[0] - 1
 
-    def steps(self) -> np.ndarray:
-        return np.arange(self.coefficients.shape[0])
-
     def times(self) -> np.ndarray:
-        return self.steps() * self.config.delta
+        return np.arange(self.coefficients.shape[0]) * self.config.delta
 
     def final_window(self) -> int:
         """Rows in the convergence-statistic window (one slowest-dither period)."""
@@ -244,55 +245,30 @@ class EsRunRecord:
         return self.coefficients[-self.final_window():].mean(axis=0)
 
 
-class _ScenarioCostSource:
-    """Adapts a Scenario to the (flat coefficients, step) -> (J, J_hat) protocol."""
-
-    def __init__(self, scenario: Scenario, delta: float):
-        self.scenario = scenario
-        self.delta = delta
-        self.n_channels = scenario.control_dim
-        self.multi = len(scenario.initial_conditions) > 1
-
-    def measure(self, flat: np.ndarray, s: int) -> tuple[float, float]:
-        coeffs = ControllerCoefficients.from_flat(flat, self.n_channels)
-        t = self.scenario.slow_time_for(s, self.delta)
-        if self.multi:
-            res = run_multi_episode(self.scenario, coeffs, slow_time=t, noise_index=s)
-            return res.total_cost, res.measured_total_cost
-        res = run_episode(self.scenario, coeffs, slow_time=t, noise_index=s)
-        return res.cost, res.measured_cost
-
-
-def _as_cost_source(cost_source, config: EsConfig):
-    if isinstance(cost_source, Scenario):
-        return _ScenarioCostSource(cost_source, config.delta)
-    return cost_source
-
-
 def run_es(cost_source, config: EsConfig, n_iterations: int,
            initial_coeffs=None, scenario_id: str = "") -> EsRunRecord:
     """Alternate cost measurement and es_step, recording every iterate.
 
-    ``cost_source`` is a Scenario, an object with
-    ``measure(flat, s) -> (J, J_hat)``, or a plain noise-free callable of the
-    flat coefficient vector. Coefficients start at zero unless given.
+    An iteration needs only (J, J_hat), from one ``measure(flat, s)`` chosen
+    once by the type of ``cost_source``: a Scenario's open-loop episodes
+    (:func:`~escontrol.scenario.open_loop_measurement`: costed without
+    coefficient or result objects after the first), the ``measure`` method
+    of an object (such as :func:`~escontrol.feedback.closed_loop_measurement`),
+    or a plain noise-free callable of the flat coefficients. Coefficients
+    start at zero unless given.
     """
     if n_iterations < 1:
         raise ContractViolationError(f"n_iterations must be >= 1, got {n_iterations}")
     config.validate_sampling()
-    source = _as_cost_source(cost_source, config)
-    if callable(source) and not hasattr(source, "measure"):
-        fn = source
-
-        class _CallableSource:
-            @staticmethod
-            def measure(flat, s):
-                j = float(fn(flat))
-                return j, j
-
-        source = _CallableSource()
-    if isinstance(cost_source, Scenario) and not scenario_id:
-        scenario_id = cost_source.name
+    if isinstance(cost_source, Scenario):
+        measure = open_loop_measurement(cost_source, config.delta).measure
+        scenario_id = scenario_id or cost_source.name
+    elif hasattr(cost_source, "measure"):
+        measure = cost_source.measure
+    else:
+        def measure(flat, s):
+            j = float(cost_source(flat))
+            return j, j
 
     if initial_coeffs is None:
         flat = np.zeros(config.n_coeffs)
@@ -308,7 +284,7 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
     for s in range(n_iterations + 1):
         coeff_hist[s] = flat
         try:
-            j, j_hat = source.measure(flat, s)
+            j, j_hat = measure(flat, s)
             costs[s] = j
             measured[s] = j_hat
             if s < n_iterations:
@@ -326,57 +302,6 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
                        coefficients=coeff_hist, costs=costs, measured_costs=measured)
 
 
-def finite_diff_gradient(cost_fn: Callable[[np.ndarray], float], point,
-                         h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient, one coordinate at a time."""
-    if h <= 0:
-        raise ContractViolationError(f"finite-difference step must be positive, got {h}")
-    point = np.asarray(point, dtype=float)
-    grad = np.empty_like(point)
-    for i in range(point.shape[0]):
-        bump = np.zeros_like(point)
-        bump[i] = h
-        grad[i] = (float(cost_fn(point + bump)) - float(cost_fn(point - bump))) / (2.0 * h)
-    if not np.all(np.isfinite(grad)):
-        raise MeasurementInvalidError("finite-difference gradient is not finite")
-    return grad
-
-
-def gradient_flow_reference(cost_fn: Callable[[np.ndarray], float], a0,
-                            kalpha: float, duration: float, step: float,
-                            fd_h: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the averaged system da/dt = -(k alpha / 2) dJ/da (RK4).
-
-    Test oracle only. ``step`` must be small against the cost curvature
-    (step * ||Hessian|| < 0.1 keeps RK4 comfortably stable). Returns
-    (times, path) with path[0] = a0.
-    """
-    a = np.atleast_1d(np.asarray(a0, dtype=float)).copy()
-    n = max(1, int(round(duration / step)))
-    times = np.arange(n + 1) * step
-    path = np.empty((n + 1, a.shape[0]))
-    path[0] = a
-    scale = -0.5 * kalpha
-    bound = 1e8 * (1.0 + float(np.linalg.norm(a)))
-
-    def rate(v):
-        try:
-            return scale * finite_diff_gradient(cost_fn, v, h=fd_h)
-        except MeasurementInvalidError as exc:
-            raise OracleDivergedError(f"gradient flow diverged: {exc}") from exc
-
-    for i in range(n):
-        k1 = rate(a)
-        k2 = rate(a + 0.5 * step * k1)
-        k3 = rate(a + 0.5 * step * k2)
-        k4 = rate(a + step * k3)
-        a = a + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(a)) or np.linalg.norm(a) > bound:
-            raise OracleDivergedError(f"gradient flow diverged at t={times[i + 1]}")
-        path[i + 1] = a
-    return times, path
-
-
 @dataclass(frozen=True)
 class QuadraticCostModel:
     """Exact quadratic model J(c) = 1/2 c' H c + g' c + j0."""
@@ -391,9 +316,6 @@ class QuadraticCostModel:
 
     def minimizer(self) -> np.ndarray:
         return np.linalg.solve(self.hessian, -self.gradient0)
-
-    def minimum(self) -> float:
-        return self(self.minimizer())
 
 
 def assemble_quadratic_cost(cost_fn: Callable[[np.ndarray], float],
@@ -444,4 +366,4 @@ def restricted_optimum(scenario: Scenario, slow_time: float = 0.0):
     else:
         model = QuadraticCostModel(*form)
     c_star = model.minimizer()
-    return c_star, model.minimum(), model
+    return c_star, model(c_star), model

@@ -23,12 +23,13 @@ import numpy as np
 from .basis import Basis
 from .errors import (ContractViolationError, IllPosedSynthesisError,
                      IntegrationDivergedError)
-from .es import EsConfig, EsRunRecord, PHASE_COS, PHASE_SIN, make_frequency_schedule, run_es
+from .es import (EsConfig, EsRunRecord, PHASE_COS, PHASE_SIN, default_delta,
+                 make_frequency_schedule, run_es)
 from .lqr import RiccatiSolution
 from .ode import (StateTrajectory, TimeGrid, first_nonfinite_step, prefix_transitions,
                   rk4_step_forcing, rk4_step_matrices)
-from .scenario import (EpisodeResult, LinearDynamics, QuadraticCost, Scenario,
-                       cost_of_trajectories)
+from .scenario import (EpisodeMeasurement, EpisodeResult, LinearDynamics, QuadraticCost,
+                       Scenario, cost_of_trajectories)
 
 
 @dataclass(frozen=True)
@@ -114,31 +115,27 @@ def eval_gain(field: GainField, tau: float) -> np.ndarray:
     return field.gain_samples(field.basis.eval_matrix(tau))[0]
 
 
-def run_feedback_episodes(scenario: Scenario, field: GainField, x0s,
-                          slow_time: float = 0.0) -> list[EpisodeResult]:
-    """Closed-loop episodes under u = -K(tau) x (+ V(tau)) for several
-    initial conditions at once.
-
-    The transition matrices depend only on the field, so all episodes of a
-    batch share one pass: the cumulative closed-loop maps come from a
-    prefix scan over the RK4 steps, every initial condition rides along as
-    a column, and the costs are taken in one batched quadrature. This is
-    the hot path of gain synthesis.
-    """
+def _closed_loops(scenario: Scenario, flat: np.ndarray, feedforward: bool, x0s,
+                  slow_time: float):
+    """States (n_steps + 1, m, d), node controls (n_steps + 1, m, p) and the
+    m costs of the closed loops from the starts x0s under the gain field with
+    flat coefficients (the layout of :meth:`GainField.flat`)."""
     if not isinstance(scenario.dynamics, LinearDynamics):
         raise ContractViolationError("feedback episodes require linear dynamics")
     a = np.atleast_2d(np.asarray(scenario.dynamics.a_fn(slow_time), dtype=float))
     b = np.atleast_2d(np.asarray(scenario.dynamics.b_fn(slow_time), dtype=float))
     grid = scenario.grid
-    n, dim = grid.n_steps, a.shape[0]
+    n, dim, p, n_f = grid.n_steps, a.shape[0], b.shape[1], scenario.basis.n_functions
+    n_gain = p * dim * n_f
     phi_d = scenario.basis_matrix_doubled()
-    k_d = field.gain_samples(phi_d)
+    # as GainField.gain_samples and feedforward_samples
+    k_d = (phi_d @ flat[:n_gain].reshape(p * dim, n_f).T).reshape(-1, p, dim)
     a_cl = a - b @ k_d
     phi_step = rk4_step_matrices(a_cl[0:-1:2], a_cl[1::2], a_cl[2::2], grid.h)
     starts = np.stack([np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s], axis=1)
     v_nodes = None
-    if field.has_feedforward:
-        v_d = field.feedforward_samples(phi_d)
+    if feedforward:
+        v_d = phi_d @ flat[n_gain:].reshape(p, n_f).T
         forcing = v_d @ b.T
         w = rk4_step_forcing(a_cl[1::2], a_cl[2::2], forcing[0:-1:2],
                              forcing[1::2], forcing[2::2], grid.h)
@@ -161,18 +158,52 @@ def run_feedback_episodes(scenario: Scenario, field: GainField, x0s,
     controls = -(states @ k_d[0::2].transpose(0, 2, 1))
     if v_nodes is not None:
         controls += v_nodes[:, None, :]
-    costs = cost_of_trajectories(scenario.cost, grid, states, controls)
-    return [EpisodeResult(trajectory=StateTrajectory(grid=grid, states=states[:, i],
-                                                     dimension=dim),
+    return states, controls, cost_of_trajectories(scenario.cost, grid, states, controls)
+
+
+def run_feedback_episodes(scenario: Scenario, field: GainField, x0s,
+                          slow_time: float = 0.0) -> list[EpisodeResult]:
+    """Closed-loop episodes under u = -K(tau) x (+ V(tau)) for several
+    initial conditions at once.
+
+    The transition matrices depend only on the field, so all episodes of a
+    batch share one pass: the cumulative closed-loop maps come from a
+    prefix scan over the RK4 steps, every initial condition rides along as
+    a column, and the costs are taken in one batched quadrature. This is
+    the hot path of gain synthesis.
+    """
+    states, controls, costs = _closed_loops(scenario, field.flat(), field.has_feedforward,
+                                            x0s, slow_time)
+    return [EpisodeResult(trajectory=StateTrajectory(grid=scenario.grid, states=states[:, i],
+                                                     dimension=states.shape[2]),
                           controls=controls[:, i], cost=float(costs[i]),
                           measured_cost=float(costs[i]))
-            for i in range(n_ep)]
+            for i in range(costs.shape[0])]
 
 
 def run_feedback_episode(scenario: Scenario, field: GainField, x0,
                          slow_time: float = 0.0) -> EpisodeResult:
     """Closed-loop episode under u = -K(tau) x (+ V(tau)); noise-free cost."""
     return run_feedback_episodes(scenario, field, [x0], slow_time)[0]
+
+
+def gain_field(scenario: Scenario, flat) -> GainField:
+    """The scenario's gain field with flat coefficients."""
+    return GainField.from_flat(flat, scenario.basis, scenario.state_dim,
+                               scenario.control_dim, feedforward=scenario.feedforward)
+
+
+def closed_loop_measurement(scenario: Scenario, delta: float) -> EpisodeMeasurement:
+    """run_es's measurement of the closed loops from every initial condition
+    under the gain field of the flat coefficients. Its cost-only J is the
+    total_cost of run_multi_episode on that GainField, to the bit."""
+    def cost(flat: np.ndarray, slow_time: float) -> float:
+        costs = _closed_loops(scenario, flat, scenario.feedforward,
+                              scenario.initial_conditions, slow_time)[2]
+        return float(sum(costs.tolist()))
+
+    return EpisodeMeasurement(scenario, delta, lambda flat: gain_field(scenario, flat),
+                              lambda _: cost)
 
 
 def gain_dither_assignment(omega0: float, m: int, state_dim: int, control_dim: int,
@@ -230,22 +261,6 @@ def gain_dither_assignment(omega0: float, m: int, state_dim: int, control_dim: i
     return freqs, tuple(phases)
 
 
-class _GainCostSource:
-    def __init__(self, scenario: Scenario, delta: float):
-        self.scenario = scenario
-        self.delta = delta
-
-    def measure(self, flat: np.ndarray, s: int) -> tuple[float, float]:
-        from .scenario import run_multi_episode
-
-        field = GainField.from_flat(flat, self.scenario.basis,
-                                    self.scenario.state_dim, self.scenario.control_dim,
-                                    feedforward=self.scenario.feedforward)
-        t = self.scenario.slow_time_for(s, self.delta)
-        res = run_multi_episode(self.scenario, field, slow_time=t, noise_index=s)
-        return res.total_cost, res.measured_total_cost
-
-
 def _check_initial_conditions(scenario: Scenario):
     n = scenario.state_dim
     stacked = np.stack(scenario.initial_conditions) \
@@ -296,20 +311,15 @@ def synthesize_gain(scenario: Scenario, config: EsConfig | None = None,
             es["omega0"], m, scenario.state_dim, scenario.control_dim,
             feedforward=scenario.feedforward)
         delta = es.get("delta")
-        if delta is None:
-            delta = 2.0 * np.pi / (10.0 * float(freqs.max()))
         config = EsConfig(k=es["k"], alpha=es["alpha"], omega0=es["omega0"],
-                          frequencies=freqs, delta=delta, phases=phases)
+                          frequencies=freqs, phases=phases,
+                          delta=default_delta(freqs) if delta is None else delta)
     if n_iterations is None:
         n_iterations = int(es.get("n_iterations", 1000))
 
-    source = _GainCostSource(scenario, config.delta)
-    record = run_es(source, config, n_iterations, scenario_id=scenario.name)
-    field = GainField.from_flat(record.period_averaged_coefficients(),
-                                scenario.basis, scenario.state_dim,
-                                scenario.control_dim,
-                                feedforward=scenario.feedforward)
-    return field, record
+    record = run_es(closed_loop_measurement(scenario, config.delta), config, n_iterations,
+                    scenario_id=scenario.name)
+    return gain_field(scenario, record.period_averaged_coefficients()), record
 
 
 def project_gains(riccati: RiccatiSolution, basis: Basis, grid: TimeGrid,

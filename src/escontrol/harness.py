@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .basis import ControllerCoefficients, FourierPairsBasis
-from .errors import (ContractViolationError, ScenarioParseError,
+from .errors import (ContractViolationError, EsControlError, ScenarioParseError,
                      ScenarioValidationError)
 from .es import EsConfig, EsRunRecord, run_es
 from .feedback import GainField, synthesize_gain
@@ -190,8 +190,10 @@ def normalize_config(config: dict, name: str | None = None) -> dict:
     return out
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file."""
+def load_scenario(path, overrides: dict[str, str] | None = None,
+                  seed: int | None = None) -> Scenario:
+    """Parse and validate a scenario file, after the dotted-path
+    ``overrides`` (see apply_overrides) and a replacement noise ``seed``."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -205,6 +207,10 @@ def load_scenario(path) -> Scenario:
         raise ScenarioParseError(f"{path}{line}: {exc}") from exc
     if not isinstance(config, dict):
         raise ScenarioParseError(f"{path}: scenario file must be a mapping")
+    if overrides:
+        config = apply_overrides(config, overrides)
+    if seed is not None:
+        config.setdefault("noise", {})["seed"] = int(seed)
     try:
         return build_scenario(config, name=config.get("name", path.stem))
     except ScenarioValidationError as exc:
@@ -328,7 +334,7 @@ def write_iterations_csv(path: Path, record: EsRunRecord) -> None:
 def _write_trajectories_csv(path: Path, scenario: Scenario, record: EsRunRecord) -> None:
     """First/last-iteration episodes (closed loop from the first initial
     condition when the record is a gain-synthesis run)."""
-    from .feedback import run_feedback_episode
+    from .feedback import gain_field, run_feedback_episode
 
     taus = scenario.grid.nodes()
     header = (["phase", "s", "tau"]
@@ -338,10 +344,7 @@ def _write_trajectories_csv(path: Path, scenario: Scenario, record: EsRunRecord)
     def episode_rows(phase: str, s: int):
         t = scenario.slow_time_for(s, record.config.delta)
         if scenario.feedback:
-            field_ = GainField.from_flat(record.coefficients[s], scenario.basis,
-                                         scenario.state_dim, scenario.control_dim,
-                                         feedforward=scenario.feedforward)
-            res = run_feedback_episode(scenario, field_,
+            res = run_feedback_episode(scenario, gain_field(scenario, record.coefficients[s]),
                                        scenario.initial_conditions[0], slow_time=t)
         else:
             coeffs = ControllerCoefficients.from_flat(record.coefficients[s],
@@ -390,14 +393,12 @@ def _write_gains_csv(path: Path, scenario: Scenario, field_: GainField,
     write_csv(path, header, (((), row) for row in data))
 
 
-def _resolve_out_dir(spec: ExperimentSpec, scenario_name: str, mode: str) -> Path:
+def output_dir(spec: ExperimentSpec, scenario_name: str, mode: str) -> Path:
+    """The spec's out_dir, else $ESCONTROL_OUTPUT_DIR/<scenario>-<mode>
+    (./runs/<scenario>-<mode> without the variable)."""
     if spec.out_dir:
-        out = Path(spec.out_dir)
-    else:
-        base = Path(os.environ.get(OUTPUT_DIR_ENV, "runs"))
-        out = base / f"{scenario_name}-{mode}"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return Path(spec.out_dir)
+    return Path(os.environ.get(OUTPUT_DIR_ENV, "runs")) / f"{scenario_name}-{mode}"
 
 
 def _oracle_info(scenario: Scenario, slow_time: float):
@@ -415,23 +416,23 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
 
     Artifacts: iterations.csv (ES modes), trajectory.csv (open-loop modes),
     gains.csv (feedback mode), oracle.csv (oracle/compare modes) and
-    summary.json always.
+    summary.json always. An EsControlError raised once the scenario is
+    built carries ``out_dir``, the experiment's resolved output directory.
     """
     started = time.perf_counter()
     path = Path(spec.scenario_path)
-    try:
-        config = yaml.safe_load(path.read_text())
-    except OSError as exc:
-        raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
-    if spec.overrides:
-        config = apply_overrides(config, spec.overrides)
-    if spec.seed is not None:
-        config.setdefault("noise", {})["seed"] = int(spec.seed)
-    scenario = build_scenario(config, name=config.get("name", path.stem))
-
+    scenario = load_scenario(path, spec.overrides, spec.seed)
     mode = spec.mode or ("feedback-es" if scenario.feedback else "open-loop-es")
+    try:
+        return _run_mode(spec, path, scenario, mode, started)
+    except EsControlError as exc:
+        exc.out_dir = str(output_dir(spec, scenario.name, mode))
+        raise
+
+
+def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
+              started: float) -> RunSummary:
+    """run_experiment once the scenario is built and the mode resolved."""
     if mode not in MODES:
         raise ContractViolationError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "compare" and scenario.feedback:
@@ -439,11 +440,8 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
             f"compare mode runs open-loop ES, but {scenario.name!r} is a feedback "
             "scenario; run its gain synthesis with `esctl run`"
         )
-    if mode == "feedback-es" and len(scenario.initial_conditions) < scenario.state_dim:
-        raise ScenarioValidationError(
-            f"feedback-es needs at least {scenario.state_dim} initial conditions"
-        )
-    out_dir = _resolve_out_dir(spec, scenario.name, mode)
+    out_dir = output_dir(spec, scenario.name, mode)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     extras: dict = {}
     record = None

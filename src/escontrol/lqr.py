@@ -50,10 +50,6 @@ class RiccatiSolution:
     _k_doubled: np.ndarray
     _v_doubled: np.ndarray
 
-    @property
-    def state_dim(self) -> int:
-        return self.a_matrix.shape[0]
-
 
 def _pd_inverse_times(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """mat^-1 rhs through a Cholesky factorization, with a condition check."""
@@ -120,11 +116,15 @@ def _riccati_sweep(a, m, ctqc, cost: QuadraticCost, grid: TimeGrid, s_end, v_end
     if v_end is not None:
         stages = iter(closed)
         ctq = cost.c_matrix.T @ cost.q_matrix
+        forcing = (None, None)  # (stage time, C'Q r): times repeat only back to back
 
         def v_rate(sigma, v):
-            r_tau = np.atleast_1d(np.asarray(cost.reference(grid.t_end - sigma),
-                                             dtype=float))
-            return mul(next(stages), v) + operand(ctq @ r_tau)
+            nonlocal forcing
+            if forcing[0] != sigma:
+                r_tau = np.atleast_1d(np.asarray(cost.reference(grid.t_end - sigma),
+                                                 dtype=float))
+                forcing = (sigma, operand(ctq @ r_tau))
+            return mul(next(stages), v) + forcing[1]
 
         # v can only be stepped as far as the S stages reach
         v_list, v_bad = sweep(v_rate, operand(v_end), len(closed) // 4)

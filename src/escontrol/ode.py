@@ -46,9 +46,6 @@ class TimeGrid:
     def midpoints(self) -> np.ndarray:
         return self.nodes()[:-1] + 0.5 * self.h
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.t_start, self.t_end, self.n_steps * factor)
-
 
 @dataclass(frozen=True)
 class StateTrajectory:
@@ -119,19 +116,6 @@ def quadrature_trapezoid(samples: Sequence[float], grid: TimeGrid) -> float:
             f"expected {grid.n_steps + 1} samples for the grid, got {s.shape[0]}"
         )
     return float(grid.h * (s.sum() - 0.5 * (s[0] + s[-1])))
-
-
-def cumulative_trapezoid(samples: Sequence[float], grid: TimeGrid) -> np.ndarray:
-    """Running trapezoid integral sampled at every node (starts at 0)."""
-    s = np.asarray(samples, dtype=float)
-    if s.shape[0] != grid.n_steps + 1:
-        raise ContractViolationError(
-            f"expected {grid.n_steps + 1} samples for the grid, got {s.shape[0]}"
-        )
-    out = np.empty_like(s)
-    out[0] = 0.0
-    np.cumsum(0.5 * grid.h * (s[1:] + s[:-1]), out=out[1:])
-    return out
 
 
 # --- fast paths for linear(-affine) dynamics -------------------------------

@@ -439,24 +439,25 @@ def episode_model(scenario: Scenario, slow_time: float = 0.0) -> QuadraticEpisod
     return model
 
 
-def _integrate_open_loop(scenario: Scenario, coeffs: ControllerCoefficients,
-                         slow_time: float, x0: np.ndarray):
+def _integrate_open_loop(scenario: Scenario, values: np.ndarray, slow_time: float,
+                         x0: np.ndarray):
+    """(trajectory, node controls) of one open-loop episode from x0, simulated
+    step by step under the coefficient rows ``values`` (n_channels, n_functions)."""
     dyn = scenario.dynamics
     if isinstance(dyn, LinearDynamics):
         a = np.atleast_2d(np.asarray(dyn.a_fn(slow_time), dtype=float))
         b = np.atleast_2d(np.asarray(dyn.b_fn(slow_time), dtype=float))
-        u_d = controller_samples(coeffs, scenario.basis_matrix_doubled())
+        u_d = scenario.basis_matrix_doubled() @ values.T
         traj = integrate_rk4_linear(a, u_d @ b.T, x0, scenario.grid)
         return traj, u_d[0::2]
     basis = scenario.basis
 
     def derivative(tau, x):
-        u = basis.eval_matrix(tau)[0] @ coeffs.values.T
+        u = basis.eval_matrix(tau)[0] @ values.T
         return dyn.f(tau, x, u)
 
     traj = integrate_rk4(derivative, x0, scenario.grid)
-    u_nodes = controller_samples(coeffs, scenario.basis_matrix_nodes())
-    return traj, u_nodes
+    return traj, scenario.basis_matrix_nodes() @ values.T
 
 
 def _open_loop_episode(scenario: Scenario, coeffs: ControllerCoefficients,
@@ -475,7 +476,7 @@ def _open_loop_episode(scenario: Scenario, coeffs: ControllerCoefficients,
             result = model.episode(coeffs, x0)
             if result is not None:
                 return result
-    traj, u_nodes = _integrate_open_loop(scenario, coeffs, slow_time, x0)
+    traj, u_nodes = _integrate_open_loop(scenario, coeffs.values, slow_time, x0)
     return traj, u_nodes, cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
 
 
@@ -516,14 +517,90 @@ def run_multi_episode(scenario: Scenario, coeffs, slow_time: float = 0.0,
                               measured_total_cost=total + scenario.noise.draw(noise_index))
 
 
+def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
+    """Noise-free J(flat, slow_time) of the open-loop episodes, to the bit
+    run_episode's cost (one initial condition) or run_multi_episode's total.
+
+    A frozen linear plant under a quadratic cost is served by its episode
+    model's 1/2 a'Ha + g'a + j0 per initial condition while neither J nor a
+    state x_free + G a can overflow; larger coefficients are rerun as
+    run_episode runs them, and fail with the simulation's error and step
+    index. Other plants and costs are simulated.
+    """
+    ics, n_ch = scenario.initial_conditions, scenario.control_dim
+
+    def total(costs):
+        return costs[0] if len(ics) == 1 else float(sum(costs))
+
+    def simulated(flat, slow_time):
+        runs = (_integrate_open_loop(scenario, flat.reshape(n_ch, -1), slow_time, x0)
+                for x0 in ics)
+        return total([cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
+                      for traj, u_nodes in runs])
+
+    def episodes(flat, slow_time):
+        coeffs = ControllerCoefficients.from_flat(flat, n_ch)
+        return total([_open_loop_episode(scenario, coeffs, slow_time, x0)[2] for x0 in ics])
+
+    dyn = scenario.dynamics
+    model = episode_model(scenario) if getattr(dyn, "time_invariant", False) else None
+    frees = [] if model is None else [model.free_response(x0) for x0 in ics]
+    if model is None or any(free is None for free in frees):
+        return simulated if model is None else episodes
+    hessian = model.hessian
+    # row sums bound every product: |a_i| < 1e100 / scale keeps all far from overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.max([len(hessian), np.abs(model._gain).sum(axis=1).max(),
+                        np.abs(hessian).sum(axis=1).max(),
+                        *(np.abs(np.r_[x.ravel(), g, j0]).max() for x, g, j0 in frees)])
+    max_abs = 1e100 / scale if scale < math.inf else 0.0
+
+    def modelled(flat, slow_time):
+        if np.abs(flat).max() < max_abs:
+            h_a = hessian @ flat
+            return total([float(flat @ (0.5 * h_a + g)) + j0 for _, g, j0 in frees])
+        return episodes(flat, slow_time)
+
+    return modelled
+
+
 def episode_cost_fn(scenario: Scenario, slow_time: float = 0.0) -> Callable[[np.ndarray], float]:
     """Noise-free cost of a flat coefficient vector; used by the oracles."""
-    n_ch = scenario.control_dim
+    cost = open_loop_cost(scenario)
+    return lambda flat: cost(np.asarray(flat, dtype=float), slow_time)
 
-    def cost_fn(flat: np.ndarray) -> float:
-        coeffs = ControllerCoefficients.from_flat(flat, n_ch)
-        if len(scenario.initial_conditions) == 1:
-            return run_episode(scenario, coeffs, slow_time=slow_time).cost
-        return run_multi_episode(scenario, coeffs, slow_time=slow_time).total_cost
 
-    return cost_fn
+class EpisodeMeasurement:
+    """run_es's ``measure(flat, s) -> (J, J_hat)``: episode s at its slow
+    time, plus noise draw s. The first goes through run_episode (one open
+    loop) or run_multi_episode on ``coefficients(flat)``, which validate it
+    and build what the scenario caches, such as its episode model. Every
+    later J comes, with the same bits, from ``cost_fn(scenario)(flat, t)``.
+    """
+
+    def __init__(self, scenario: Scenario, delta: float, coefficients, cost_fn):
+        self.scenario, self.delta = scenario, delta
+        self._coefficients, self._cost_fn, self._cost = coefficients, cost_fn, None
+
+    def measure(self, flat: np.ndarray, s: int) -> tuple[float, float]:
+        scenario = self.scenario
+        t = scenario.slow_time_for(s, self.delta)
+        if self._cost is not None:
+            j = self._cost(flat, t)
+            return j, j + scenario.noise.draw(s)
+        coeffs = self._coefficients(flat)
+        if isinstance(coeffs, ControllerCoefficients) and len(scenario.initial_conditions) == 1:
+            res = run_episode(scenario, coeffs, slow_time=t, noise_index=s)
+            measured = res.cost, res.measured_cost
+        else:
+            res = run_multi_episode(scenario, coeffs, slow_time=t, noise_index=s)
+            measured = res.total_cost, res.measured_total_cost
+        self._cost = self._cost_fn(scenario)
+        return measured
+
+
+def open_loop_measurement(scenario: Scenario, delta: float) -> EpisodeMeasurement:
+    """run_es's measurement of open-loop episodes under basis coefficients."""
+    return EpisodeMeasurement(
+        scenario, delta, lambda flat: ControllerCoefficients.from_flat(flat, scenario.control_dim),
+        open_loop_cost)

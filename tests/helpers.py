@@ -1,8 +1,11 @@
-"""Scenario factories shared across the test modules."""
+"""Scenario factories and reference oracles shared across the test modules."""
+from typing import Callable, Sequence
+
 import numpy as np
 
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
-from escontrol.errors import RiccatiInstabilityError
+from escontrol.errors import (ContractViolationError, MeasurementInvalidError,
+                              OracleDivergedError, RiccatiInstabilityError)
 from escontrol.lqr import RiccatiSolution, _pd_inverse_times
 from escontrol.ode import TimeGrid
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
@@ -76,7 +79,7 @@ def quadratic_cost_samples(cost, grid, states, controls):
 def simulated_episode(scenario, coeffs, x0, slow_time=0.0):
     """(states, node controls, J) of one open-loop episode, simulated step by
     step: the reference for the exact quadratic episode model."""
-    traj, u_nodes = _integrate_open_loop(scenario, coeffs, slow_time, x0)
+    traj, u_nodes = _integrate_open_loop(scenario, coeffs.values, slow_time, x0)
     j = cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
     return traj.states, u_nodes, j
 
@@ -156,3 +159,72 @@ def packed_riccati_reference(dynamics, cost, grid, slow_time=0.0):
                            rinv_bt=rinv_bt, has_reference=has_reference,
                            _s_doubled=s_doubled, _k_doubled=k_doubled,
                            _v_doubled=v_doubled)
+
+
+def finite_diff_gradient(cost_fn: Callable[[np.ndarray], float], point,
+                         h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient, one coordinate at a time."""
+    if h <= 0:
+        raise ContractViolationError(f"finite-difference step must be positive, got {h}")
+    point = np.asarray(point, dtype=float)
+    grad = np.empty_like(point)
+    for i in range(point.shape[0]):
+        bump = np.zeros_like(point)
+        bump[i] = h
+        grad[i] = (float(cost_fn(point + bump)) - float(cost_fn(point - bump))) / (2.0 * h)
+    if not np.all(np.isfinite(grad)):
+        raise MeasurementInvalidError("finite-difference gradient is not finite")
+    return grad
+
+
+def gradient_flow_reference(cost_fn: Callable[[np.ndarray], float], a0,
+                            kalpha: float, duration: float, step: float,
+                            fd_h: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the averaged system da/dt = -(k alpha / 2) dJ/da (RK4).
+
+    Test oracle only. ``step`` must be small against the cost curvature
+    (step * ||Hessian|| < 0.1 keeps RK4 comfortably stable). Returns
+    (times, path) with path[0] = a0.
+    """
+    a = np.atleast_1d(np.asarray(a0, dtype=float)).copy()
+    n = max(1, int(round(duration / step)))
+    times = np.arange(n + 1) * step
+    path = np.empty((n + 1, a.shape[0]))
+    path[0] = a
+    scale = -0.5 * kalpha
+    bound = 1e8 * (1.0 + float(np.linalg.norm(a)))
+
+    def rate(v):
+        try:
+            return scale * finite_diff_gradient(cost_fn, v, h=fd_h)
+        except MeasurementInvalidError as exc:
+            raise OracleDivergedError(f"gradient flow diverged: {exc}") from exc
+
+    for i in range(n):
+        k1 = rate(a)
+        k2 = rate(a + 0.5 * step * k1)
+        k3 = rate(a + 0.5 * step * k2)
+        k4 = rate(a + step * k3)
+        a = a + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(a)) or np.linalg.norm(a) > bound:
+            raise OracleDivergedError(f"gradient flow diverged at t={times[i + 1]}")
+        path[i + 1] = a
+    return times, path
+
+
+def cumulative_trapezoid(samples: Sequence[float], grid: TimeGrid) -> np.ndarray:
+    """Running trapezoid integral sampled at every node (starts at 0)."""
+    s = np.asarray(samples, dtype=float)
+    if s.shape[0] != grid.n_steps + 1:
+        raise ContractViolationError(
+            f"expected {grid.n_steps + 1} samples for the grid, got {s.shape[0]}"
+        )
+    out = np.empty_like(s)
+    out[0] = 0.0
+    np.cumsum(0.5 * grid.h * (s[1:] + s[:-1]), out=out[1:])
+    return out
+
+
+def refined(grid, factor=2):
+    """The grid with ``factor`` times as many steps over the same span."""
+    return TimeGrid(grid.t_start, grid.t_end, grid.n_steps * factor)

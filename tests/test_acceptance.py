@@ -30,16 +30,17 @@ import pytest
 import yaml
 
 from conftest import record_acceptance
+from helpers import (cumulative_trapezoid, finite_diff_gradient, gradient_flow_reference,
+                     refined)
 from escontrol.basis import ControllerCoefficients, eval_controller
-from escontrol.es import (EsConfig, finite_diff_gradient, gradient_flow_reference,
-                          restricted_optimum, run_es)
+from escontrol.es import EsConfig, restricted_optimum, run_es
 from escontrol.feedback import run_feedback_episode, synthesize_gain
 from escontrol.harness import (ExperimentSpec, apply_overrides, build_scenario,
                                es_config_for, load_scenario, run_experiment,
                                shipped_scenarios)
 from escontrol.lqr import (optimal_cost_quadratic_form, scenario_oracle,
                            simulate_optimal, solve_riccati)
-from escontrol.ode import TimeGrid, cumulative_trapezoid, quadrature_trapezoid
+from escontrol.ode import TimeGrid, quadrature_trapezoid
 from escontrol.scenario import run_episode
 
 SCN = {p.stem: p for p in shipped_scenarios()}
@@ -315,7 +316,7 @@ def test_criterion_7_oracle_self_consistency(rng):
     for name, path in SCN.items():
         s = load_scenario(path)
         coarse = scenario_oracle(s).s_matrices[0]
-        fine = solve_riccati(s.dynamics, s.cost, s.grid.refined()).s_matrices[0]
+        fine = solve_riccati(s.dynamics, s.cost, refined(s.grid)).s_matrices[0]
         drifts[name] = float(np.abs(fine - coarse).max() / np.abs(fine).max())
     worst_drift = max(drifts.values())
 

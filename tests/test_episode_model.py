@@ -1,27 +1,32 @@
-"""The exact quadratic episode model against the step-by-step simulation.
+"""The exact quadratic episode model against the step-by-step simulation,
+and run_es's measurements against the public episode functions.
 
 For a time-invariant linear plant under a quadratic cost, run_episode and the
 open-loop branch of run_multi_episode evaluate J = 1/2 a'Ha + g'a + j0 and
 the states x_free + G a instead of integrating. These tests hold that model
 to the simulation at 1e-9 relative on every shipped scenario it serves, and
-check that everything else is still simulated.
+check that everything else is still simulated. The measurements run_es takes
+without result objects must give the public functions' (J, J_hat) bit for bit.
 """
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from helpers import (example2_scenario, feedback_2d_scenario, scalar_scenario,
-                     simulated_cost_fn, simulated_episode)
+from helpers import (X0_2D, Y0_2D, Z0_2D, example2_scenario, feedback_2d_scenario,
+                     scalar_scenario, simulated_cost_fn, simulated_episode)
 from escontrol import scenario as scenario_mod
-from escontrol.basis import ControllerCoefficients
+from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import IntegrationDivergedError
-from escontrol.es import assemble_quadratic_cost, restricted_optimum
-from escontrol.feedback import GainField, run_feedback_episodes
-from escontrol.harness import load_scenario, shipped_scenarios
+from escontrol.es import assemble_quadratic_cost, restricted_optimum, run_es
+from escontrol.feedback import (GainField, closed_loop_measurement, run_feedback_episodes,
+                                synthesize_gain)
+from escontrol.harness import es_config_for, load_scenario, shipped_scenarios
 from escontrol.ode import TimeGrid
-from escontrol.scenario import (GeneralCost, GeneralDynamics, episode_model, run_episode,
+from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics, QuadraticCost,
+                                Scenario, episode_model, open_loop_measurement, run_episode,
                                 run_multi_episode)
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
@@ -161,3 +166,161 @@ def test_overflowing_model_falls_back_without_a_numpy_warning():
         with pytest.raises(IntegrationDivergedError) as served:
             run_episode(scenario, coeffs)
     assert served.value.step_index == bare.value.step_index
+
+
+# --- run_es's measurement: measure(flat, s) -> (J, J_hat) ----------------------
+
+MEASURED_STEPS = (0, 1, 511, 512, 1500)  # noise blocks hold 512 draws
+DELTA = 1e-3
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _measurement_and_reference(scenario):
+    """run_es's measurement of the scenario, and the public episode call whose
+    (J, J_hat) it must return."""
+    def slow_time(s):
+        return scenario.slow_time_for(s, DELTA)
+
+    if scenario.feedback:
+        def reference(flat, s):
+            field = GainField.from_flat(flat, scenario.basis, scenario.state_dim,
+                                        scenario.control_dim,
+                                        feedforward=scenario.feedforward)
+            res = run_multi_episode(scenario, field, slow_time(s), noise_index=s)
+            return res.total_cost, res.measured_total_cost
+
+        return closed_loop_measurement(scenario, DELTA), reference
+
+    def reference(flat, s):
+        coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
+        if len(scenario.initial_conditions) == 1:
+            res = run_episode(scenario, coeffs, slow_time(s), noise_index=s)
+            return res.cost, res.measured_cost
+        res = run_multi_episode(scenario, coeffs, slow_time(s), noise_index=s)
+        return res.total_cost, res.measured_total_cost
+
+    return open_loop_measurement(scenario, DELTA), reference
+
+
+def _n_coefficients(scenario):
+    n = scenario.control_dim * scenario.basis.n_functions
+    if scenario.feedback:
+        n *= scenario.state_dim
+        if scenario.feedforward:
+            n += scenario.control_dim * scenario.basis.n_functions
+    return n
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda name=name: load_scenario(SHIPPED[name]) for name in sorted(SHIPPED)),
+    lambda: dataclasses.replace(feedback_2d_scenario(n_steps=200, m=3), feedback=False),
+    lambda: dataclasses.replace(feedback_2d_scenario(
+        n_steps=200, m=3, initial_conditions=(X0_2D, Y0_2D, Z0_2D)), feedback=False),
+    lambda: feedback_2d_scenario(n_steps=200, m=3, feedforward=True,
+                                 initial_conditions=(X0_2D, Y0_2D, Z0_2D)),
+], ids=[*sorted(SHIPPED), "open_loop_2x2_two_ics", "open_loop_2x2_three_ics",
+        "feedforward_2x2_three_ics"])
+def test_measurement_matches_the_public_episode_functions_bitwise(make, rng, monkeypatch):
+    scenario = make()
+    measurement, reference = _measurement_and_reference(scenario)
+    n = _n_coefficients(scenario)
+    # J's last bits depend on the vector, so take many
+    flats = [np.zeros(n)] + [scale * rng.standard_normal(n)
+                             for scale in (0.1, 0.3, 1.0) for _ in range(4)]
+    model_episodes = []
+    episode = scenario_mod.QuadraticEpisodeModel.episode
+
+    def counted(model, coeffs, x0):
+        model_episodes.append(x0)
+        return episode(model, coeffs, x0)
+
+    monkeypatch.setattr(scenario_mod.QuadraticEpisodeModel, "episode", counted)
+    by_measure = []
+    for s in MEASURED_STEPS:
+        for flat in flats:
+            before = len(model_episodes)
+            measured = measurement.measure(flat, s)
+            by_measure.append(len(model_episodes) - before)
+            assert all(isinstance(v, float) for v in measured)
+            assert _bits(measured) == _bits(reference(flat, s)), (s, flat)
+    # past the first measurement, J comes from the quadratic form alone
+    assert sum(by_measure[1:]) == 0
+
+
+@pytest.mark.parametrize("name", ["example3_tracking", "timevarying_noisy", "feedback_2d"])
+def test_run_es_takes_its_first_measurement_through_the_public_functions(name, monkeypatch):
+    scenario = load_scenario(SHIPPED[name])
+    calls = []
+
+    def counting(public):
+        def wrapper(scn, *args, **kwargs):
+            # the episode model is built inside the first call, never before it
+            calls.append("episode_model" in scn._cache)
+            return public(scn, *args, **kwargs)
+
+        return wrapper
+
+    for public in ("run_episode", "run_multi_episode"):
+        monkeypatch.setattr(scenario_mod, public, counting(getattr(scenario_mod, public)))
+    if scenario.feedback:
+        record = synthesize_gain(scenario, n_iterations=20)[1]
+    else:
+        record = run_es(scenario, es_config_for(scenario), 20)
+    assert calls == [False]
+    assert np.all(np.isfinite(record.costs))
+    assert ("episode_model" in scenario._cache) == \
+        (scenario.dynamics.time_invariant and not scenario.feedback)
+
+
+def test_overflowing_vector_after_the_model_is_cached_fails_as_the_simulation():
+    scenario = scalar_scenario(a=10.0, n_steps=200, m=2)
+    measurement = open_loop_measurement(scenario, DELTA)
+    measurement.measure(np.zeros(4), 0)
+    assert scenario._cache["episode_model"] is not None
+    huge = np.full(4, 1e306)
+    with pytest.raises(IntegrationDivergedError) as bare:
+        simulated_episode(scenario, ControllerCoefficients.from_flat(huge, 1),
+                          scenario.initial_conditions[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationDivergedError) as served:
+            measurement.measure(huge, 3)
+    assert served.value.step_index == bare.value.step_index
+
+
+# the 2x2 simulation itself overflows with numpy warnings before it raises
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_finite_cost_with_an_overflowing_unobserved_state_fails_as_the_simulation():
+    # the cost sees only x_1; x_2 grows by about 16 per step from the control
+    # alone, so a large control overflows x_2 while J stays finite
+    scenario = Scenario(
+        name="unobserved",
+        dynamics=LinearDynamics.constant([[0.0, 0.0], [0.0, 600.0]], [[1.0], [1.0]]),
+        cost=QuadraticCost(c_matrix=[[1.0, 0.0]], p_matrix=2.0, q_matrix=2.0, r_matrix=2.0),
+        grid=TimeGrid(0.0, 1.0, 200),
+        basis=FourierPairsBasis(m=2, horizon=1.0, extension=0.1),
+        initial_conditions=[np.array([1.0, 0.0])],
+    )
+    measurement = open_loop_measurement(scenario, DELTA)
+    small = np.array([0.3, -0.2, 0.1, 0.4])
+    measurement.measure(small, 0)
+    model = scenario._cache["episode_model"]
+    assert model is not None
+    large = np.full(4, 1e70)
+    coeffs = ControllerCoefficients.from_flat(large, 1)
+    x0 = scenario.initial_conditions[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_a = model.hessian @ large
+        _, g, j0 = model.free_response(x0)
+        assert math.isfinite(float(large @ (0.5 * h_a + g)) + j0)
+    with pytest.raises(IntegrationDivergedError) as bare:
+        simulated_episode(scenario, coeffs, x0)
+    with pytest.raises(IntegrationDivergedError) as served:
+        measurement.measure(large, 1)
+    assert served.value.step_index == bare.value.step_index
+    j = run_episode(scenario, ControllerCoefficients.from_flat(small, 1)).cost
+    assert _bits(measurement.measure(small, 2)) == _bits((j, j))

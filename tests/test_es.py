@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import example2_scenario, scalar_scenario, simulated_episode
+from helpers import (cumulative_trapezoid, example2_scenario, finite_diff_gradient,
+                     gradient_flow_reference, scalar_scenario, simulated_episode)
 from escontrol.basis import ControllerCoefficients, CustomSampledBasis
 from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
                               MeasurementInvalidError, OracleDivergedError,
                               RiccatiInstabilityError, ScheduleCollisionError)
 from escontrol.es import (EsConfig, assemble_quadratic_cost, default_phases, es_step,
-                          finite_diff_gradient, gradient_flow_reference,
                           make_frequency_schedule, restricted_optimum, run_es)
-from escontrol.ode import TimeGrid, cumulative_trapezoid, quadrature_trapezoid
+from escontrol.ode import TimeGrid, quadrature_trapezoid
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
                                 episode_cost_fn, episode_model)
 

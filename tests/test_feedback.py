@@ -215,6 +215,14 @@ def test_feedforward_synthesis_needs_an_extra_affinely_independent_start():
     assert field.has_feedforward
 
 
+def test_synthesis_default_step_samples_the_fastest_dither_ten_times():
+    scenario = feedback_2d_scenario(n_steps=50, m=2, es_defaults={
+        "k": 0.1, "alpha": 10.0, "omega0": 1000.0})
+    _, record = synthesize_gain(scenario, n_iterations=1)
+    freqs = record.config.frequencies
+    assert record.config.delta == 2.0 * np.pi / (10.0 * float(freqs.max()))
+
+
 def test_scalar_gain_synthesis_approaches_oracle_gain():
     scenario = scalar_scenario(m=2, extension=1.0, n_steps=200, name="scalar-fb")
     scenario.feedback = True

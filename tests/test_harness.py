@@ -218,6 +218,34 @@ def test_cli_error_writes_machine_readable_record(tmp_path, capsys):
     assert "ScenarioParseError" in stderr
 
 
+def test_cli_error_without_out_goes_to_the_resolved_output_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ESCONTROL_OUTPUT_DIR", str(tmp_path / "envout"))
+    # a scenario that cannot be loaded is named by its file stem
+    assert cli_main(["run", "--scenario", str(tmp_path / "nope.scn")]) == 1
+    record = json.loads((tmp_path / "envout" / "nope-run" / "error.json").read_text())
+    assert record["error"] == "ScenarioParseError"
+    assert cli_main(["compare", "--scenario", str(SHIPPED["feedback_2d"])]) == 1
+    record = json.loads((tmp_path / "envout" / "feedback_2d-compare" / "error.json")
+                        .read_text())
+    assert record["error"] == "ContractViolationError"
+    capsys.readouterr()
+
+
+def test_cli_error_record_keeps_the_iteration_and_step_index(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ESCONTROL_OUTPUT_DIR", str(tmp_path / "envout"))
+    # x' = 800 x over one second overflows RK4 long before the grid ends
+    code = cli_main(["run", "--scenario", str(SHIPPED["example2_scalar"]), "--iters", "5",
+                     "--override", "dynamics.a=800", "--override", "grid.n_steps=500"])
+    assert code == 1
+    out = tmp_path / "envout" / "example2_scalar-open-loop-es"
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "IntegrationDivergedError"
+    assert record["iteration"] == 0
+    assert 0 < record["step_index"] < 500
+    assert "node_index" not in record
+    assert json.loads(capsys.readouterr().err) == record
+
+
 def test_cli_rejects_bad_override(tmp_path):
     with pytest.raises(SystemExit):
         cli_main(["run", "--scenario", str(SHIPPED["example2_scalar"]),

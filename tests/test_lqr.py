@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (example2_scenario, feedback_2d_scenario, packed_riccati_reference,
-                     scalar_scenario)
+                     refined, scalar_scenario)
 from escontrol.basis import ControllerCoefficients
 from escontrol.errors import ContractViolationError, RiccatiInstabilityError
 from escontrol.harness import load_scenario, shipped_scenarios
@@ -83,7 +83,7 @@ def test_refinement_consistency_of_s0():
     for scenario in (example2_scenario(), feedback_2d_scenario(n_steps=1000)):
         coarse = scenario_oracle(scenario).s_matrices[0]
         fine = solve_riccati(scenario.dynamics, scenario.cost,
-                             scenario.grid.refined()).s_matrices[0]
+                             refined(scenario.grid)).s_matrices[0]
         drift = np.abs(fine - coarse).max() / np.abs(fine).max()
         assert drift < 1e-6
 
@@ -242,3 +242,25 @@ def test_first_indefinite_node_matches_the_per_node_check(failing):
         mats[-1 if failing != 19 else 0] -= 1e-9 * np.eye(2)  # inside the tolerance
     got = _first_indefinite(mats, -1e-8)
     assert got == _per_node_first_indefinite(mats, -1e-8) == failing
+
+
+@pytest.mark.parametrize("name", ["example3_tracking", "feedback_tracking_demo"])
+def test_tracking_sweep_samples_the_reference_once_per_stage_time(name):
+    scenario = load_scenario(SHIPPED[name])
+    cost, grid = scenario.cost, scenario.grid
+    taus = []
+
+    def recorded(tau):
+        taus.append(tau)
+        return reference(tau)
+
+    reference = cost.reference
+    object.__setattr__(cost, "reference", recorded)
+    solve_riccati(scenario.dynamics, cost, grid)
+    # the sweep's stage times: start, midpoint (k2 and k3) and end of each step
+    sigma = TimeGrid(0.0, grid.span, 2 * grid.n_steps)
+    half = 0.5 * sigma.h
+    stages = {t + d for t in (k * sigma.h for k in range(sigma.n_steps))
+              for d in (0.0, half, sigma.h)}
+    assert len(taus) == 1 + len(stages)  # the terminal value, then one per time
+    assert set(taus[1:]) == {grid.t_end - t for t in stages}

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import cumulative_trapezoid
 from escontrol.basis import ControllerCoefficients, controller_samples
 from escontrol.errors import ContractViolationError, IntegrationDivergedError
 from escontrol.harness import load_scenario, shipped_scenarios
-from escontrol.ode import (TimeGrid, cumulative_trapezoid, integrate_rk4,
-                           integrate_rk4_linear, propagate_linear, quadrature_trapezoid,
-                           rk4_steps)
+from escontrol.ode import (TimeGrid, integrate_rk4, integrate_rk4_linear, propagate_linear,
+                           quadrature_trapezoid, rk4_steps)
 
 
 def test_grid_invariants():
