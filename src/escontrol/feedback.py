@@ -239,25 +239,17 @@ def gain_dither_assignment(omega0: float, m: int, state_dim: int, control_dim: i
     scheduled = make_frequency_schedule(omega0, 2 * m * (p * n_groups + n_ff_rows), ranges)
     bands = scheduled.reshape(p * n_groups + n_ff_rows, 2 * m)
 
-    freqs = np.empty(2 * m * (p * n + n_ff_rows))
+    # one (band, phase) row per gain entry, then per feedforward row; a row's
+    # cos/sin coefficients interleave its band as band[[0, m, 1, m + 1, ...]]
+    rows = [(bands[l * n_groups + q // 2], PHASE_SIN if q % 2 else PHASE_COS)
+            for l in range(p) for q in range(n)]
+    rows += [(bands[p * n_groups + l], PHASE_COS) for l in range(n_ff_rows)]
+    order = np.arange(2 * m).reshape(2, m).T.ravel()
+    freqs = np.empty(2 * m * len(rows))
     phases: list[str] = []
-    idx = 0
-    for l in range(p):
-        for q in range(n):
-            band = bands[l * n_groups + q // 2]
-            phase = PHASE_COS if q % 2 == 0 else PHASE_SIN
-            for f in range(2 * m):
-                pair, is_sin = divmod(f, 2)
-                freqs[idx] = band[pair] if not is_sin else band[m + pair]
-                phases.append(phase)
-                idx += 1
-    for l in range(n_ff_rows):
-        band = bands[p * n_groups + l]
-        for f in range(2 * m):
-            pair, is_sin = divmod(f, 2)
-            freqs[idx] = band[pair] if not is_sin else band[m + pair]
-            phases.append(PHASE_COS)
-            idx += 1
+    for i, (band, phase) in enumerate(rows):
+        freqs[2 * m * i:2 * m * (i + 1)] = band[order]
+        phases += [phase] * (2 * m)
     return freqs, tuple(phases)
 
 

@@ -457,27 +457,22 @@ def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
         _write_oracle_csv(out_dir / "oracle.csv", scenario, riccati)
         extras["oracle_costs_per_initial_condition"] = per_ic
         iterations = None
-    elif mode == "feedback-es":
-        field_, record = synthesize_gain(scenario, n_iterations=spec.n_iterations)
+    else:  # feedback-es / open-loop-es / compare
+        if mode == "feedback-es":
+            field_, record = synthesize_gain(scenario, n_iterations=spec.n_iterations)
+        else:
+            n_iterations = spec.n_iterations or int(
+                scenario.es_defaults.get("n_iterations", 1000))
+            record = run_es(scenario, es_config_for(scenario), n_iterations)
         iterations = record.n_iterations
         j_avg = record.period_averaged_cost()
         slow_final = scenario.slow_time_for(iterations, record.config.delta)
         riccati, oracle_total, per_ic = _oracle_info(scenario, slow_final)
         write_iterations_csv(out_dir / "iterations.csv", record)
         _write_trajectories_csv(out_dir / "trajectory.csv", scenario, record)
-        _write_gains_csv(out_dir / "gains.csv", scenario, field_, riccati)
-        extras["oracle_costs_per_initial_condition"] = per_ic
-        extras["es_config"] = record.config.to_dict()
-    else:  # open-loop-es / compare
-        es_cfg = es_config_for(scenario)
-        iterations = spec.n_iterations or int(scenario.es_defaults.get("n_iterations", 1000))
-        record = run_es(scenario, es_cfg, iterations)
-        j_avg = record.period_averaged_cost()
-        slow_final = scenario.slow_time_for(iterations, es_cfg.delta)
-        riccati, oracle_total, per_ic = _oracle_info(scenario, slow_final)
-        write_iterations_csv(out_dir / "iterations.csv", record)
-        _write_trajectories_csv(out_dir / "trajectory.csv", scenario, record)
-        if mode == "compare" and riccati is not None:
+        if mode == "feedback-es":
+            _write_gains_csv(out_dir / "gains.csv", scenario, field_, riccati)
+        elif mode == "compare" and riccati is not None:
             _write_oracle_csv(out_dir / "oracle.csv", scenario, riccati)
         extras["oracle_costs_per_initial_condition"] = per_ic
         extras["es_config"] = record.config.to_dict()

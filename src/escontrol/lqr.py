@@ -42,8 +42,6 @@ class RiccatiSolution:
     s_matrices: np.ndarray     # (n_steps + 1, n, n)
     gains: np.ndarray          # (n_steps + 1, p, n)
     feedforward: np.ndarray    # (n_steps + 1, n)
-    a_matrix: np.ndarray
-    b_matrix: np.ndarray
     rinv_bt: np.ndarray        # R^-1 B'
     has_reference: bool
     _s_doubled: np.ndarray
@@ -184,8 +182,6 @@ def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
         s_matrices=s_nodes,
         gains=k_doubled[0::2],
         feedforward=v_doubled[0::2],
-        a_matrix=a,
-        b_matrix=b,
         rinv_bt=rinv_bt,
         has_reference=has_reference,
         _s_doubled=s_doubled,

@@ -49,7 +49,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class StateTrajectory:
-    """States sampled at every grid node (n_steps + 1 rows)."""
+    """States at every grid node: n_steps + 1 rows, each a state or a block of them."""
 
     grid: TimeGrid
     states: np.ndarray
@@ -58,7 +58,7 @@ class StateTrajectory:
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
         object.__setattr__(self, "states", states)
-        if states.shape != (self.grid.n_steps + 1, self.dimension):
+        if states.shape[:2] != (self.grid.n_steps + 1, self.dimension):
             raise ContractViolationError(
                 f"expected states of shape {(self.grid.n_steps + 1, self.dimension)}, "
                 f"got {states.shape}"
@@ -149,6 +149,8 @@ def rk4_step_matrices(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
 
 def _apply(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """A f[k] for every row k of f; A is one (d, d) matrix or a stack of them."""
+    if f.ndim == 3:  # f[k] is a (d, cols) block
+        return a @ f
     return f @ a.T if a.ndim == 2 else np.einsum("kij,kj->ki", a, f)
 
 
@@ -157,8 +159,9 @@ def rk4_step_forcing(a_mid: np.ndarray, a_end: np.ndarray,
                      h: float) -> np.ndarray:
     """Per-step RK4 forcing contributions for dx/dt = A(t) x + f(t).
 
-    The f are (n_steps, d); A is an (n_steps, d, d) stack or one constant
-    (d, d) matrix, as in :func:`rk4_step_matrices`.
+    The f are (n_steps, d), or (n_steps, d, cols) for a block of columns; A
+    is an (n_steps, d, d) stack or one constant (d, d) matrix, as in
+    :func:`rk4_step_matrices`.
     """
     w1 = f_start
     w2 = f_mid + (0.5 * h) * _apply(a_mid, w1)
@@ -210,12 +213,14 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
     """Scan x[k+1] = phi[k] x[k] + w[k] over the grid.
 
     ``phi`` is an (n_steps, d, d) stack or one (d, d) matrix shared by every
-    step; ``w`` is (n_steps, d) or None for no forcing.
+    step. The state is (d,) or a (d, cols) block of columns scanned together;
+    ``w`` is (n_steps,) plus the state's shape, or None for no forcing. A
+    non-finite state raises at the earliest failing step of any column.
     """
     n = grid.n_steps
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.shape[0]
-    if dim == 1:
+    if x0.shape == (1,):
         # plain-float scan is several times faster than numpy here
         phis = [float(phi.flat[0])] * n if phi.ndim == 2 else phi.reshape(n).tolist()
         x = float(x0[0])
@@ -235,14 +240,16 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
         x = x0
         xs = [x]
         append = xs.append
-        if w is None:
-            for p in phis:
-                x = p @ x
-                append(x)
-        else:
-            for p, wk in zip(phis, w):
-                x = p @ x + wk
-                append(x)
+        # a blow-up is reported by its step below, as the float scan does
+        with np.errstate(over="ignore", invalid="ignore"):
+            if w is None:
+                for p in phis:
+                    x = p @ x
+                    append(x)
+            else:
+                for p, wk in zip(phis, w):
+                    x = p @ x + wk
+                    append(x)
         states = np.array(xs)
     bad = first_nonfinite_step(states)
     if bad is not None:
@@ -258,7 +265,8 @@ def integrate_rk4_linear(a_samples: np.ndarray, f_samples: np.ndarray | None,
 
     ``a_samples`` has shape (2 n_steps + 1, d, d) (nodes interleaved with
     midpoints); a constant A is given as (d, d) and builds one step matrix
-    for all steps. ``f_samples`` is (2 n_steps + 1, d) or None.
+    for all steps. ``x0`` is (d,) or a (d, cols) block (see
+    :func:`propagate_linear`); ``f_samples`` is (2 n_steps + 1,) plus its shape, or None.
     """
     h = grid.h
     a_samples = np.asarray(a_samples, dtype=float)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -335,24 +336,26 @@ class QuadraticEpisodeModel:
     ``ControllerCoefficients.flat``): x = x_free(x0) + G a, where column
     i = c * n_functions + j of G is the response from rest to basis function
     j on control channel c. The trapezoid cost of those states is then
-    exactly J(a) = 1/2 a'Ha + g(x0)'a + j0(x0). G and H are built once;
-    x_free, g and j0 once per initial condition. Results agree with the
-    step-by-step simulation to rounding, not bitwise.
+    exactly J(a) = 1/2 a'Ha + g(x0)'a + j0(x0). G comes from one scan of all
+    its columns and H is built with it; x_free, g and j0 once per initial
+    condition. Results agree with the step-by-step simulation to rounding,
+    not bitwise.
     """
 
     def __init__(self, scenario: Scenario, slow_time: float):
         dyn, cost, grid = scenario.dynamics, scenario.cost, scenario.grid
         self.grid = grid
         self._cost = cost
+        self._initial_conditions = scenario.initial_conditions
         self._a = np.atleast_2d(np.asarray(dyn.a_fn(slow_time), dtype=float))
         b = np.atleast_2d(np.asarray(dyn.b_fn(slow_time), dtype=float))
         phi_d = scenario.basis_matrix_doubled()
-        rest = np.zeros(scenario.state_dim)
-        columns = [integrate_rk4_linear(self._a, np.outer(phi_d[:, j], b[:, c]), rest,
-                                        grid).states
-                   for c in range(scenario.control_dim) for j in range(phi_d.shape[1])]
-        gain = np.stack(columns, axis=-1)  # (n_steps + 1, state_dim, n_coeffs)
-        self._gain = gain.reshape(-1, gain.shape[-1])
+        # forcing of column c * n_functions + j: phi_j(tau) B[:, c]
+        forcing = (phi_d[:, None, None, :] * b[None, :, :, None]).reshape(
+            phi_d.shape[0], b.shape[0], -1)
+        rest = np.zeros(forcing.shape[1:])
+        gain = integrate_rk4_linear(self._a, forcing, rest, grid).states
+        self._gain = gain.reshape(-1, gain.shape[-1])  # (n_steps + 1) * state_dim rows
         self._phi_nodes = np.ascontiguousarray(phi_d[0::2])
         weights = np.full(grid.n_steps + 1, grid.h)
         weights[[0, -1]] *= 0.5
@@ -369,6 +372,22 @@ class QuadraticEpisodeModel:
                    + np.kron(r, self._phi_nodes.T @ (weights[:, None] * self._phi_nodes)))
         self.hessian = 0.5 * (hessian + hessian.T)
         self._free: dict[bytes, tuple | None] = {}
+
+    @cached_property
+    def max_abs(self) -> float:
+        """The model serves coefficients with max|a| below this bound, which
+        keeps every state x_free + G a and every product of J far from
+        overflow for all the scenario's initial conditions; 0.0 when one of
+        their free responses diverges."""
+        frees = [self.free_response(x0) for x0 in self._initial_conditions]
+        if any(free is None for free in frees):
+            return 0.0
+        # row sums bound every product: |a_i| < 1e100 / scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.max([len(self.hessian), np.abs(self._gain).sum(axis=1).max(),
+                            np.abs(self.hessian).sum(axis=1).max(),
+                            *(np.abs(np.r_[x.ravel(), g, j0]).max() for x, g, j0 in frees)])
+        return 1e100 / scale if scale < math.inf else 0.0
 
     def free_response(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
         """(x_free, g, j0) of initial condition x0; None if x_free diverges."""
@@ -391,19 +410,15 @@ class QuadraticEpisodeModel:
         return self._free[key]
 
     def episode(self, coeffs: ControllerCoefficients, x0: np.ndarray):
-        """(trajectory, node controls, J) of the episode from x0, or None when
-        the model does not give finite states and cost."""
-        free = self.free_response(x0)
-        if free is None:
-            return None
-        x_free, g, j0 = free
+        """(trajectory, node controls, J) of the episode from x0, one of the
+        scenario's initial conditions, or None when max|a| reaches
+        :attr:`max_abs`."""
         a = coeffs.values.ravel()
-        # an overflow is caught by the finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = x_free + (self._gain @ a).reshape(x_free.shape)
-            j = float(a @ (0.5 * (self.hessian @ a) + g)) + j0
-        if not (math.isfinite(j) and np.isfinite(states).all()):
+        if not np.abs(a).max() < self.max_abs:
             return None
+        x_free, g, j0 = self.free_response(x0)
+        states = x_free + (self._gain @ a).reshape(x_free.shape)
+        j = float(a @ (0.5 * (self.hessian @ a) + g)) + j0
         return (StateTrajectory(self.grid, states, states.shape[1]),
                 controller_samples(coeffs, self._phi_nodes), j)
 
@@ -466,8 +481,9 @@ def _open_loop_episode(scenario: Scenario, coeffs: ControllerCoefficients,
 
     A time-invariant linear plant under a quadratic cost is served by its
     exact quadratic model. Every other plant and cost is simulated step by
-    step, and so is any episode whose model result is not finite, so that
-    it fails as the simulation does, with the same step index.
+    step, and so is any episode whose coefficients reach the model's
+    ``max_abs``, so that it fails as the simulation does, with the same
+    step index.
     """
     dyn = scenario.dynamics
     if isinstance(dyn, LinearDynamics) and dyn.time_invariant:
@@ -522,10 +538,10 @@ def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
     run_episode's cost (one initial condition) or run_multi_episode's total.
 
     A frozen linear plant under a quadratic cost is served by its episode
-    model's 1/2 a'Ha + g'a + j0 per initial condition while neither J nor a
-    state x_free + G a can overflow; larger coefficients are rerun as
-    run_episode runs them, and fail with the simulation's error and step
-    index. Other plants and costs are simulated.
+    model's 1/2 a'Ha + g'a + j0 per initial condition while max|a| stays
+    below the model's ``max_abs``; larger coefficients are simulated, as
+    run_episode simulates them, and fail with the simulation's error and
+    step index. Other plants and costs are simulated.
     """
     ics, n_ch = scenario.initial_conditions, scenario.control_dim
 
@@ -538,28 +554,18 @@ def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
         return total([cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
                       for traj, u_nodes in runs])
 
-    def episodes(flat, slow_time):
-        coeffs = ControllerCoefficients.from_flat(flat, n_ch)
-        return total([_open_loop_episode(scenario, coeffs, slow_time, x0)[2] for x0 in ics])
-
     dyn = scenario.dynamics
     model = episode_model(scenario) if getattr(dyn, "time_invariant", False) else None
-    frees = [] if model is None else [model.free_response(x0) for x0 in ics]
-    if model is None or any(free is None for free in frees):
-        return simulated if model is None else episodes
-    hessian = model.hessian
-    # row sums bound every product: |a_i| < 1e100 / scale keeps all far from overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.max([len(hessian), np.abs(model._gain).sum(axis=1).max(),
-                        np.abs(hessian).sum(axis=1).max(),
-                        *(np.abs(np.r_[x.ravel(), g, j0]).max() for x, g, j0 in frees)])
-    max_abs = 1e100 / scale if scale < math.inf else 0.0
+    if model is None:
+        return simulated
+    hessian, max_abs = model.hessian, model.max_abs
+    frees = [model.free_response(x0) for x0 in ics]
 
     def modelled(flat, slow_time):
         if np.abs(flat).max() < max_abs:
             h_a = hessian @ flat
             return total([float(flat @ (0.5 * h_a + g)) + j0 for _, g, j0 in frees])
-        return episodes(flat, slow_time)
+        return simulated(flat, slow_time)
 
     return modelled
 

@@ -155,10 +155,9 @@ def packed_riccati_reference(dynamics, cost, grid, slow_time=0.0):
     v_doubled = y_doubled[:, n * n:] if has_reference else np.zeros((y_doubled.shape[0], n))
     k_doubled = np.einsum("ij,kjl->kil", rinv_bt, s_doubled)
     return RiccatiSolution(grid=grid, s_matrices=s_doubled[0::2], gains=k_doubled[0::2],
-                           feedforward=v_doubled[0::2], a_matrix=a, b_matrix=b,
-                           rinv_bt=rinv_bt, has_reference=has_reference,
-                           _s_doubled=s_doubled, _k_doubled=k_doubled,
-                           _v_doubled=v_doubled)
+                           feedforward=v_doubled[0::2], rinv_bt=rinv_bt,
+                           has_reference=has_reference, _s_doubled=s_doubled,
+                           _k_doubled=k_doubled, _v_doubled=v_doubled)
 
 
 def finite_diff_gradient(cost_fn: Callable[[np.ndarray], float], point,

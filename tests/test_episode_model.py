@@ -17,6 +17,7 @@ import pytest
 
 from helpers import (X0_2D, Y0_2D, Z0_2D, example2_scenario, feedback_2d_scenario,
                      scalar_scenario, simulated_cost_fn, simulated_episode)
+from escontrol import ode
 from escontrol import scenario as scenario_mod
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import IntegrationDivergedError
@@ -166,6 +167,28 @@ def test_overflowing_model_falls_back_without_a_numpy_warning():
         with pytest.raises(IntegrationDivergedError) as served:
             run_episode(scenario, coeffs)
     assert served.value.step_index == bare.value.step_index
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example2_scenario(n_steps=200, m=1),
+    lambda: example2_scenario(n_steps=200, m=10),
+    lambda: dataclasses.replace(feedback_2d_scenario(n_steps=200, m=3), feedback=False),
+], ids=["scalar_m1", "scalar_m10", "open_loop_2x2_two_ics"])
+def test_model_build_makes_one_forced_scan(make, monkeypatch):
+    scenario = make()
+    forced = []
+    scan = ode.propagate_linear
+
+    def counted(phi, w, x0, grid):
+        forced.append(w is not None)
+        return scan(phi, w, x0, grid)
+
+    monkeypatch.setattr(ode, "propagate_linear", counted)
+    model = episode_model(scenario)
+    assert forced == [True]
+    # then one unforced scan per initial condition, on first use
+    assert model.max_abs > 0.0
+    assert forced == [True] + [False] * len(scenario.initial_conditions)
 
 
 # --- run_es's measurement: measure(flat, s) -> (J, J_hat) ----------------------
@@ -324,3 +347,29 @@ def test_finite_cost_with_an_overflowing_unobserved_state_fails_as_the_simulatio
     assert served.value.step_index == bare.value.step_index
     j = run_episode(scenario, ControllerCoefficients.from_flat(small, 1)).cost
     assert _bits(measurement.measure(small, 2)) == _bits((j, j))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example2_scenario(n_steps=200, m=2, noise_std=0.1, seed=3),
+    lambda: dataclasses.replace(feedback_2d_scenario(n_steps=200, m=3, noise_std=0.1),
+                                feedback=False),
+], ids=["example2", "open_loop_2x2_two_ics"])
+def test_vector_at_the_model_bound_is_simulated_on_both_paths(make):
+    scenario = make()
+    n = scenario.control_dim * scenario.basis.n_functions
+    measurement = open_loop_measurement(scenario, DELTA)
+    measurement.measure(np.zeros(n), 0)
+    model = scenario._cache["episode_model"]
+    x0 = scenario.initial_conditions[0]
+    below = np.linspace(-1.0, 1.0, n) * np.nextafter(model.max_abs, 0.0)
+    assert model.episode(ControllerCoefficients.from_flat(below, scenario.control_dim),
+                         x0) is not None
+    _, reference = _measurement_and_reference(scenario)
+    for s, scale in ((1, 1.0), (2, 3.0)):
+        flat = np.linspace(-1.0, 1.0, n) * (scale * model.max_abs)
+        coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
+        assert model.episode(coeffs, x0) is None
+        measured = measurement.measure(flat, s)
+        assert _bits(measured) == _bits(reference(flat, s))
+        # served by the simulation, not by the model
+        assert measured[0] == simulated_cost_fn(scenario)(flat)

@@ -200,3 +200,59 @@ def test_rk4_steps_on_floats_matches_integrate_rk4_bitwise():
     floats = list(rk4_steps(rate, 0.7, grid))
     arrays = integrate_rk4(rate, np.array([0.7]), grid).states[1:, 0]
     assert np.array(floats).tobytes() == arrays.tobytes()
+
+
+def _frozen_plant_block(name, slow_time):
+    """(A, forcing samples, starts, grid): three open-loop episodes of a shipped
+    scenario as one block of columns, plant frozen at slow_time."""
+    a, forcing, x0, grid = _frozen_plant_inputs(name, slow_time)
+    scales = np.array([1.0, -0.3, 2.5])
+    return a, forcing[..., None] * scales, x0[:, None] * scales[::-1], grid
+
+
+def _columns(a, forcing, starts, grid):
+    """The block's columns, each scanned on its own."""
+    return [integrate_rk4_linear(a, None if forcing is None else forcing[..., c],
+                                 starts[:, c], grid).states
+            for c in range(starts.shape[1])]
+
+
+@pytest.mark.parametrize("name, slow_time", SCALAR_SLOW_TIMES)
+def test_block_scan_matches_the_per_column_scans_bitwise(name, slow_time):
+    a, forcing, starts, grid = _frozen_plant_block(name, slow_time)
+    for f in (forcing, None):
+        block = integrate_rk4_linear(a, f, starts, grid).states
+        assert block.shape == (grid.n_steps + 1, 1, starts.shape[1])
+        for c, column in enumerate(_columns(a, f, starts, grid)):
+            assert block[..., c].tobytes() == column.tobytes()
+
+
+def test_block_scan_matches_the_per_column_scans_on_the_2x2_plant():
+    a, _, _, grid = _frozen_plant_inputs("feedback_2d", 0.0)
+    taus = np.linspace(0.0, 1.0, 2 * grid.n_steps + 1)
+    forcing = np.stack([np.sin(3.0 * taus), np.cos(2.0 * taus)], axis=1)
+    forcing = forcing[..., None] * np.array([1.0, -0.3, 2.5])
+    starts = np.array([[1.3, -1.0, 0.0], [-1.1, -0.5, 0.0]])
+    for a_samples in (a, _broadcast(a, grid)):
+        for f in (forcing, None):
+            block = integrate_rk4_linear(a_samples, f, starts, grid).states
+            for c, column in enumerate(_columns(a_samples, f, starts, grid)):
+                assert np.abs(block[..., c] - column).max() <= 1e-13 * np.abs(column).max()
+
+
+@pytest.mark.parametrize("a", [np.array([[200.0]]), np.array([[200.0, 1.0], [-1.0, 150.0]])],
+                         ids=["scalar", "2x2"])
+def test_diverging_block_reports_the_earliest_step_of_its_columns(a):
+    grid = TimeGrid(0.0, 1.0, 100)
+    # the middle column overflows first, the last one not at all
+    starts = np.outer(np.ones(a.shape[0]), [1e250, 1e300, 1e200])
+    steps = []
+    for c in range(2):
+        with pytest.raises(IntegrationDivergedError) as column:
+            integrate_rk4_linear(a, None, starts[:, c], grid)
+        steps.append(column.value.step_index)
+    integrate_rk4_linear(a, None, starts[:, 2], grid)
+    assert steps[1] < steps[0]
+    with pytest.raises(IntegrationDivergedError) as block:
+        integrate_rk4_linear(a, None, starts, grid)
+    assert block.value.step_index == steps[1]
