@@ -127,37 +127,38 @@ def _closed_loops(scenario: Scenario, flat: np.ndarray, feedforward: bool, x0s,
     grid = scenario.grid
     n, dim, p, n_f = grid.n_steps, a.shape[0], b.shape[1], scenario.basis.n_functions
     n_gain = p * dim * n_f
-    phi_d = scenario.basis_matrix_doubled()
-    # as GainField.gain_samples and feedforward_samples
-    k_d = (phi_d @ flat[:n_gain].reshape(p * dim, n_f).T).reshape(-1, p, dim)
-    a_cl = a - b @ k_d
-    phi_step = rk4_step_matrices(a_cl[0:-1:2], a_cl[1::2], a_cl[2::2], grid.h)
-    starts = np.stack([np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s], axis=1)
-    v_nodes = None
+    gain = flat[:n_gain].reshape(p, dim, n_f)  # K(tau)[l, q] = gain[l, q] . phi(tau)
+    phi_nm = scenario.basis_matrix_stages()  # nodes 0..n, then midpoints of steps 0..n-1
+    b_gain = (b @ gain.reshape(p, -1)).reshape(dim * dim, n_f)  # B K(tau) = b_gain . phi(tau)
+    a_cl = (a.ravel() - phi_nm @ b_gain.T).reshape(-1, dim, dim)
+    a_end, a_mid = a_cl[1:n + 1], a_cl[n + 1:]
+    phi_step = rk4_step_matrices(a_cl[:n], a_mid, a_end, grid.h)
+    starts = np.array(x0s, dtype=float).reshape(len(x0s), dim).T
     if feedforward:
-        v_d = phi_d @ flat[n_gain:].reshape(p, n_f).T
-        forcing = v_d @ b.T
-        w = rk4_step_forcing(a_cl[1::2], a_cl[2::2], forcing[0:-1:2],
-                             forcing[1::2], forcing[2::2], grid.h)
-        maps = prefix_transitions(phi_step, w)[:, :dim]
-        starts = np.vstack([starts, np.ones((1, starts.shape[1]))])
-        v_nodes = v_d[0::2]
+        v = phi_nm @ flat[n_gain:].reshape(p, n_f).T  # as GainField.feedforward_samples
+        forcing = v @ b.T
+        w = rk4_step_forcing(a_mid, a_end, forcing[:n], forcing[n + 1:],
+                             forcing[1:n + 1], grid.h)
+        maps, offsets = prefix_transitions(phi_step, w)
+        moved = maps.reshape(n * dim, dim) @ starts + offsets.reshape(n * dim, 1)
     else:
-        maps = prefix_transitions(phi_step)
+        moved = prefix_transitions(phi_step).reshape(n * dim, dim) @ starts
 
     # node-major with one row per episode: states[k, i] is x_i(tau_k)
     n_ep = starts.shape[1]
     states = np.empty((n + 1, n_ep, dim))
-    states[0] = starts[:dim].T
-    states[1:] = (maps.reshape(n * dim, -1) @ starts).reshape(n, dim, n_ep).transpose(0, 2, 1)
-    bad = first_nonfinite_step(states)
-    if bad is not None:
+    states[0] = starts.T
+    states[1:] = moved.reshape(n, dim, n_ep).transpose(0, 2, 1)
+    if not np.isfinite(states).all():
+        bad = first_nonfinite_step(states)
         raise IntegrationDivergedError(f"closed loop became non-finite at step {bad}",
                                        step_index=bad)
 
-    controls = -(states @ k_d[0::2].transpose(0, 2, 1))
-    if v_nodes is not None:
-        controls += v_nodes[:, None, :]
+    gain_t = gain.transpose(1, 0, 2).reshape(dim * p, n_f)  # K' at the nodes, contiguous
+    k_t = (phi_nm[:n + 1] @ gain_t.T).reshape(n + 1, dim, p)
+    controls = -(states * k_t if dim == 1 else states @ k_t)
+    if feedforward:
+        controls += v[:n + 1, None, :]
     return states, controls, cost_of_trajectories(scenario.cost, grid, states, controls)
 
 

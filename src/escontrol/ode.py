@@ -6,6 +6,7 @@ experiments reproduce exactly.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -140,15 +141,18 @@ def rk4_step_matrices(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
     """
     dim = a_start.shape[-1]
     eye = np.eye(dim)
+    mul = np.multiply if dim == 1 else np.matmul  # a 1x1 product is one multiply
     k1 = a_start
-    k2 = a_mid @ (eye + (0.5 * h) * k1)
-    k3 = a_mid @ (eye + (0.5 * h) * k2)
-    k4 = a_end @ (eye + h * k3)
+    k2 = mul(a_mid, eye + (0.5 * h) * k1)
+    k3 = mul(a_mid, eye + (0.5 * h) * k2)
+    k4 = mul(a_end, eye + h * k3)
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _apply(a: np.ndarray, f: np.ndarray) -> np.ndarray:
     """A f[k] for every row k of f; A is one (d, d) matrix or a stack of them."""
+    if a.shape[-1] == 1:  # 1x1: one multiply per entry, as the matrix product
+        return (a if f.ndim == 3 else a[..., 0]) * f
     if f.ndim == 3:  # f[k] is a (d, cols) block
         return a @ f
     return f @ a.T if a.ndim == 2 else np.einsum("kij,kj->ki", a, f)
@@ -170,30 +174,29 @@ def rk4_step_forcing(a_mid: np.ndarray, a_end: np.ndarray,
     return (h / 6.0) * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
 
 
-def prefix_transitions(phi: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+def prefix_transitions(phi: np.ndarray, w: np.ndarray | None = None) -> np.ndarray | tuple:
     """Cumulative maps of the scan x[k+1] = phi[k] x[k] + w[k], for all k at once.
 
     Without forcing, returns ``P`` of shape (n_steps, d, d) with
-    ``x[k+1] = P[k] x[0]``. With forcing the maps are affine and come back
-    as homogeneous (d+1) x (d+1) matrices: ``[x[k+1]; 1] = P[k] [x[0]; 1]``. The prefix
-    products come from recursive doubling (Hillis & Steele 1986):
-    ceil(log2 n_steps) batched matrix products instead of n_steps dependent
-    ones. The products associate differently from a step-by-step loop, so
-    results agree with it to rounding, not bitwise.
+    ``x[k+1] = P[k] x[0]``. With forcing the maps are affine and come back as
+    the pair ``(P, c)``, c of shape (n_steps, d), with ``x[k+1] = P[k] x[0] + c[k]``;
+    two such maps compose as (M2 M1, M2 c1 + c2). The prefix products come
+    from recursive doubling (Hillis & Steele 1986): ceil(log2 n_steps)
+    batched matrix products instead of n_steps dependent ones. The products
+    associate differently from a step-by-step loop, so results agree with it
+    to rounding, not bitwise. For d = 1 every product is one multiply.
     """
-    n, dim = phi.shape[0], phi.shape[-1]
-    if w is None:
-        prod = np.array(phi, dtype=float)
-    else:
-        prod = np.zeros((n, dim + 1, dim + 1))
-        prod[:, :dim, :dim] = phi
-        prod[:, :dim, dim] = w
-        prod[:, dim, dim] = 1.0
+    n = phi.shape[0]
+    mul = np.multiply if phi.shape[-1] == 1 else np.matmul
+    prod = np.array(phi, dtype=float)
+    offset = None if w is None else np.array(w, dtype=float)[..., None]
     shift = 1
     while shift < n:
-        prod[shift:] = prod[shift:] @ prod[:-shift]
+        if offset is not None:
+            offset[shift:] = mul(prod[shift:], offset[:-shift]) + offset[shift:]
+        prod[shift:] = mul(prod[shift:], prod[:-shift])
         shift *= 2
-    return prod
+    return prod if offset is None else (prod, offset[..., 0])
 
 
 def first_nonfinite_step(states: np.ndarray) -> int | None:
@@ -236,7 +239,9 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
                 append(x)
         states = np.array(xs).reshape(n + 1, 1)
     else:
-        phis = [phi] * n if phi.ndim == 2 else phi
+        phis, mul = ([phi] * n if phi.ndim == 2 else phi), operator.matmul
+        if dim == 1:  # a (1, cols) row times Python floats: faster than 1x1 products
+            phis, mul = np.broadcast_to(phi, (n, 1, 1)).ravel().tolist(), operator.mul
         x = x0
         xs = [x]
         append = xs.append
@@ -244,11 +249,11 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             if w is None:
                 for p in phis:
-                    x = p @ x
+                    x = mul(p, x)
                     append(x)
             else:
                 for p, wk in zip(phis, w):
-                    x = p @ x + wk
+                    x = mul(p, x) + wk
                     append(x)
         states = np.array(xs)
     bad = first_nonfinite_step(states)

@@ -257,6 +257,13 @@ class Scenario:
             self._cache["phi_d"] = self.basis.eval_matrix(self.doubled_taus())
         return self._cache["phi_d"]
 
+    def basis_matrix_stages(self) -> np.ndarray:
+        """Basis rows at the n_steps + 1 nodes, then at the n_steps midpoints."""
+        if "phi_nm" not in self._cache:
+            phi_d = self.basis_matrix_doubled()
+            self._cache["phi_nm"] = np.concatenate([phi_d[0::2], phi_d[1::2]])
+        return self._cache["phi_nm"]
+
     def basis_matrix_nodes(self) -> np.ndarray:
         return self.basis_matrix_doubled()[0::2]
 

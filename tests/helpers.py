@@ -160,6 +160,54 @@ def packed_riccati_reference(dynamics, cost, grid, slow_time=0.0):
                            _k_doubled=k_doubled, _v_doubled=v_doubled)
 
 
+def matmul_step_matrices(a_start, a_mid, a_end, h):
+    """RK4 step matrices through matrix products for every d, including 1x1:
+    the reference the elementwise scalar branch of ode.rk4_step_matrices must
+    reproduce bit for bit."""
+    eye = np.eye(a_start.shape[-1])
+    k1 = a_start
+    k2 = a_mid @ (eye + (0.5 * h) * k1)
+    k3 = a_mid @ (eye + (0.5 * h) * k2)
+    k4 = a_end @ (eye + h * k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def matmul_step_forcing(a_mid, a_end, f_start, f_mid, f_end, h):
+    """RK4 step forcing through matrix products, the reference for the scalar
+    branch of ode.rk4_step_forcing (shapes as there)."""
+    def apply(a, f):
+        if f.ndim == 3:
+            return a @ f
+        return f @ a.T if a.ndim == 2 else np.einsum("kij,kj->ki", a, f)
+
+    w1 = f_start
+    w2 = f_mid + (0.5 * h) * apply(a_mid, w1)
+    w3 = f_mid + (0.5 * h) * apply(a_mid, w2)
+    w4 = f_end + h * apply(a_end, w3)
+    return (h / 6.0) * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+
+
+def homogeneous_prefix_transitions(phi, w=None):
+    """Prefix scan of x[k+1] = phi[k] x[k] + w[k] by recursive doubling over
+    homogeneous (d+1) x (d+1) matrices: ``[x[k+1]; 1] = P[k] [x[0]; 1]``
+    (just ``x[k+1] = P[k] x[0]`` without forcing). The reference for the
+    pair-form scan of ode.prefix_transitions, which must match it bit for
+    bit when d = 1."""
+    n, dim = phi.shape[0], phi.shape[-1]
+    if w is None:
+        prod = np.array(phi, dtype=float)
+    else:
+        prod = np.zeros((n, dim + 1, dim + 1))
+        prod[:, :dim, :dim] = phi
+        prod[:, :dim, dim] = w
+        prod[:, dim, dim] = 1.0
+    shift = 1
+    while shift < n:
+        prod[shift:] = prod[shift:] @ prod[:-shift]
+        shift *= 2
+    return prod
+
+
 def finite_diff_gradient(cost_fn: Callable[[np.ndarray], float], point,
                          h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient, one coordinate at a time."""

@@ -314,9 +314,6 @@ def test_overflowing_vector_after_the_model_is_cached_fails_as_the_simulation():
     assert served.value.step_index == bare.value.step_index
 
 
-# the 2x2 simulation itself overflows with numpy warnings before it raises
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_finite_cost_with_an_overflowing_unobserved_state_fails_as_the_simulation():
     # the cost sees only x_1; x_2 grows by about 16 per step from the control
     # alone, so a large control overflows x_2 while J stays finite

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cumulative_trapezoid
+from helpers import (cumulative_trapezoid, homogeneous_prefix_transitions,
+                     matmul_step_forcing, matmul_step_matrices)
 from escontrol.basis import ControllerCoefficients, controller_samples
 from escontrol.errors import ContractViolationError, IntegrationDivergedError
 from escontrol.harness import load_scenario, shipped_scenarios
-from escontrol.ode import (TimeGrid, integrate_rk4, integrate_rk4_linear, propagate_linear,
-                           quadrature_trapezoid, rk4_steps)
+from escontrol.ode import (TimeGrid, integrate_rk4, integrate_rk4_linear, prefix_transitions,
+                           propagate_linear, quadrature_trapezoid, rk4_step_forcing,
+                           rk4_step_matrices, rk4_steps)
 
 
 def test_grid_invariants():
@@ -238,6 +240,32 @@ def test_block_scan_matches_the_per_column_scans_on_the_2x2_plant():
             block = integrate_rk4_linear(a_samples, f, starts, grid).states
             for c, column in enumerate(_columns(a_samples, f, starts, grid)):
                 assert np.abs(block[..., c] - column).max() <= 1e-13 * np.abs(column).max()
+
+
+@pytest.mark.parametrize("name, slow_time", SCALAR_SLOW_TIMES)
+def test_scalar_products_match_the_matrix_products_bitwise(name, slow_time):
+    # d = 1 steps, forcing and scans multiply elementwise; a 1x1 matrix
+    # product is the same single multiply
+    a, forcing, _, grid = _frozen_plant_inputs(name, slow_time)
+    n, h = grid.n_steps, grid.h
+    a_d = a - np.random.default_rng(11).standard_normal((2 * n + 1, 1, 1))
+    stacked, constant = (a_d[0:-1:2], a_d[1::2], a_d[2::2]), (a, a, a)
+    f = (forcing[0:-1:2], forcing[1::2], forcing[2::2])
+    f_block = tuple(fk[..., None] * np.array([1.0, -0.3, 2.5]) for fk in f)
+    for stages in (stacked, constant):
+        assert rk4_step_matrices(*stages, h).tobytes() == \
+            matmul_step_matrices(*stages, h).tobytes()
+        for fs in (f, f_block):
+            assert rk4_step_forcing(*stages[1:], *fs, h).tobytes() == \
+                matmul_step_forcing(*stages[1:], *fs, h).tobytes()
+
+    phi = rk4_step_matrices(*stacked, h)
+    w = rk4_step_forcing(*stacked[1:], *f, h)
+    assert prefix_transitions(phi).tobytes() == homogeneous_prefix_transitions(phi).tobytes()
+    maps, offsets = prefix_transitions(phi, w)
+    homogeneous = homogeneous_prefix_transitions(phi, w)
+    assert maps.tobytes() == homogeneous[:, :1, :1].tobytes()
+    assert offsets.tobytes() == homogeneous[:, :1, 1].tobytes()
 
 
 @pytest.mark.parametrize("a", [np.array([[200.0]]), np.array([[200.0, 1.0], [-1.0, 150.0]])],
