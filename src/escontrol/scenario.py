@@ -19,8 +19,7 @@ from scipy.special import ndtri
 from .basis import Basis, ControllerCoefficients, controller_samples
 from .errors import (ContractViolationError, IntegrationDivergedError,
                      ScenarioValidationError)
-from .ode import (StateTrajectory, TimeGrid, integrate_rk4,
-                  integrate_rk4_linear, quadrature_trapezoid)
+from .ode import StateTrajectory, TimeGrid, integrate_rk4, integrate_rk4_linear
 
 
 @dataclass(frozen=True)
@@ -92,12 +91,13 @@ class QuadraticCost:
     # is not PSD (the 2x2 feedback example ships one); J may then be
     # indefinite in some directions and S(tau) is monitored for blow-up only.
     terminal_indefinite_ok: bool = False
+    # reference samples on the nodes of each grid costed so far; not part of the value
+    _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("c_matrix", "p_matrix", "q_matrix", "r_matrix"):
             object.__setattr__(self, name,
                                np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
-        object.__setattr__(self, "_ref_cache", {})
         q_dim = self.c_matrix.shape[0]
         if self.p_matrix.shape != (q_dim, q_dim) or self.q_matrix.shape != (q_dim, q_dim):
             raise ScenarioValidationError("P and Q must be square with the output dimension")
@@ -117,40 +117,31 @@ class QuadraticCost:
         return self.c_matrix.shape[0]
 
     def reference_samples(self, taus: np.ndarray) -> np.ndarray:
-        """Reference sampled at taus, shape (len(taus), output_dim).
-
-        Samples for a given grid are cached; expression-based references are
-        evaluated vectorized when they support it.
-        """
+        """Reference sampled at taus, shape (len(taus), output_dim): one call on
+        all of taus when its result's shape is unambiguous, else one per tau."""
         taus = np.atleast_1d(taus)
+        n = taus.shape[0]
         if self.reference is None:
-            return np.zeros((taus.shape[0], self.output_dim))
-        key = (taus.shape[0], float(taus[0]), float(taus[-1]))
-        cached = self._ref_cache.get(key)
-        if cached is not None:
-            return cached
-        vals = None
-        try:
-            arr = np.asarray(self.reference(taus), dtype=float)
-            if arr.shape == (self.output_dim, taus.shape[0]):
-                vals = arr.T.copy()
-            elif arr.shape == (taus.shape[0], self.output_dim):
-                vals = arr
-        except Exception:
-            vals = None
-        if vals is None:
-            rows = [np.atleast_1d(np.asarray(self.reference(float(t)), dtype=float))
-                    for t in taus]
-            vals = np.stack(rows, axis=0)
-        self._ref_cache[key] = vals
-        return vals
+            return np.zeros((n, self.output_dim))
+        if n != self.output_dim:  # a square result would not tell nodes from outputs
+            try:
+                arr = np.asarray(self.reference(taus), dtype=float)
+                if arr.shape == (self.output_dim, n):
+                    return arr.T.copy()
+                if arr.shape == (n, self.output_dim):
+                    return arr
+            except Exception:
+                pass
+        rows = [np.atleast_1d(np.asarray(self.reference(float(t)), dtype=float))
+                for t in taus]
+        return np.stack(rows, axis=0)
 
     def reference_nodes(self, grid: TimeGrid) -> np.ndarray:
-        """Reference sampled on the grid nodes; a cache hit builds no node grid."""
-        cached = self._ref_cache.get((grid.n_steps + 1, grid.t_start, grid.t_end))
-        if cached is not None:
-            return cached
-        return self.reference_samples(grid.nodes())
+        """Reference sampled on the grid nodes, kept per grid."""
+        vals = self._nodes.get(grid)
+        if vals is None:
+            vals = self._nodes[grid] = self.reference_samples(grid.nodes())
+        return vals
 
 
 @dataclass(frozen=True)
@@ -293,45 +284,51 @@ class MultiEpisodeResult:
     measured_total_cost: float
 
 
-def cost_of_trajectory(cost: CostSpec, grid: TimeGrid, states: np.ndarray,
-                       controls: np.ndarray) -> float:
-    """Terminal term plus trapezoid quadrature of the running term."""
-    if isinstance(cost, QuadraticCost):
-        err = states @ cost.c_matrix.T
-        if cost.reference is not None:
-            err = err - cost.reference_nodes(grid)
-        running = 0.5 * (np.einsum("ki,ij,kj->k", err, cost.q_matrix, err)
-                         + np.einsum("ki,ij,kj->k", controls, cost.r_matrix, controls))
-        e_t = err[-1]
-        terminal = 0.5 * float(e_t @ cost.p_matrix @ e_t)
-    else:
-        running = np.array([cost.running(states[k], controls[k])
-                            for k in range(states.shape[0])], dtype=float)
-        terminal = float(cost.terminal(states[-1]))
-    return terminal + quadrature_trapezoid(running, grid)
-
-
 def cost_of_trajectories(cost: CostSpec, grid: TimeGrid, states: np.ndarray,
                          controls: np.ndarray) -> np.ndarray:
-    """Costs of a batch of episodes in one pass; same rule as cost_of_trajectory.
+    """Episode costs J: the terminal term plus the trapezoid rule of the
+    running term on the grid nodes, for m episodes in one pass.
 
     ``states`` is (n_steps + 1, m, d) and ``controls`` (n_steps + 1, m, p):
-    node-major, one row of the middle axis per episode. Returns the m costs.
+    node-major, one row of the middle axis per episode. One episode may also
+    come as (n_steps + 1, d) and (n_steps + 1, p). Returns the m costs.
+
+    A 1x1 C multiplies elementwise, and so do Q, R and P when all three are
+    1x1: a 1x1 matrix product is one multiply, so the bits are those of the
+    product. An episode's node terms do not depend on the batch it comes in;
+    its sum over the nodes may, in the last bits, because numpy sums one
+    column pairwise and m > 1 columns node by node.
     """
-    n_nodes, m = states.shape[:2]
-    if not isinstance(cost, QuadraticCost):
-        return np.array([cost_of_trajectory(cost, grid, states[:, i], controls[:, i])
-                         for i in range(m)])
-    err = states.reshape(n_nodes * m, -1) @ cost.c_matrix.T
-    if cost.reference is not None:
-        ref = cost.reference_nodes(grid)
-        err = (err.reshape(n_nodes, m, -1) - ref[:, None, :]).reshape(n_nodes * m, -1)
+    n_nodes, m = states.shape[0], 1 if states.ndim == 2 else states.shape[1]
+    x = states.reshape(n_nodes * m, -1)
     u = controls.reshape(n_nodes * m, -1)
-    running = 0.5 * (np.einsum("ki,ki->k", err @ cost.q_matrix, err)
-                     + np.einsum("ki,ki->k", u @ cost.r_matrix, u)).reshape(n_nodes, m)
-    e_t = err[-m:]
-    terminal = 0.5 * np.einsum("ki,ki->k", e_t @ cost.p_matrix, e_t)
+    if isinstance(cost, QuadraticCost):
+        c, q, r, p = cost.c_matrix, cost.q_matrix, cost.r_matrix, cost.p_matrix
+        err = x * c if c.shape == (1, 1) else x @ c.T
+        if cost.reference is not None:
+            err = (err.reshape(n_nodes, m, -1)
+                   - cost.reference_nodes(grid)[:, None]).reshape(n_nodes * m, -1)
+        e_t = err[-m:]
+        if q.shape == r.shape == (1, 1):  # P has the shape of Q
+            running = 0.5 * (err * q * err + u * r * u)
+            terminal = 0.5 * (e_t * p * e_t)[:, 0]
+        else:
+            running = 0.5 * (np.einsum("ki,ki->k", err @ q, err)
+                             + np.einsum("ki,ki->k", u @ r, u))
+            terminal = 0.5 * np.einsum("ki,ki->k", e_t @ p, e_t)
+    else:
+        running = np.array([cost.running(xk, uk) for xk, uk in zip(x, u)], dtype=float)
+        terminal = np.array([float(cost.terminal(xk)) for xk in x[-m:]])
+    running = running.reshape(n_nodes, m)
     return terminal + grid.h * (running.sum(axis=0) - 0.5 * (running[0] + running[-1]))
+
+
+def cost_of_trajectory(cost: CostSpec, grid: TimeGrid, states: np.ndarray,
+                       controls: np.ndarray) -> float:
+    """J of one episode, states (n_steps + 1, d) and node controls
+    (n_steps + 1, p): :func:`cost_of_trajectories` of that one episode, with
+    the same bits."""
+    return float(cost_of_trajectories(cost, grid, states, controls)[0])
 
 
 class QuadraticEpisodeModel:

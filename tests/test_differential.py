@@ -3,8 +3,10 @@ generated linear-quadratic problems.
 
 The shipped scenarios cover only d <= 2 and p <= 2 with one reference
 shape; these draws reach d, p and the output dimension up to 3, stable and
-unstable plants, with and without feedforward and reference. Hypothesis
-runs derandomized, so every run checks the same draws.
+unstable plants, with and without feedforward and reference. Costs are
+checked against a per-node Python loop that shares no code with the
+batched quadrature. Hypothesis runs derandomized, so every run checks the
+same draws.
 """
 import math
 
@@ -13,11 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escontrol.basis import FourierPairsBasis
+from helpers import quadratic_cost_samples
+from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import IntegrationDivergedError
 from escontrol.feedback import GainField, run_feedback_episodes
 from escontrol.ode import TimeGrid, integrate_rk4
-from escontrol.scenario import LinearDynamics, QuadraticCost, Scenario, cost_of_trajectory
+from escontrol.scenario import (GeneralCost, LinearDynamics, QuadraticCost, Scenario,
+                                cost_of_trajectories, cost_of_trajectory, episode_model,
+                                open_loop_measurement, run_multi_episode)
 
 DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None,
                         database=None)
@@ -125,3 +130,158 @@ def test_batched_closed_loop_matches_stepwise_rk4(problem):
         assert _close(episode.trajectory.states, states)
         assert _close(episode.controls, controls)
         assert math.isclose(episode.cost, cost, rel_tol=1e-12)
+
+
+def _indefinite(rng, n):
+    """A symmetric n x n weight with one negative eigenvalue, the others positive."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    weights = basis @ np.diag(np.r_[-0.5 - rng.random(), 0.5 + rng.random(n - 1)]) @ basis.T
+    return 0.5 * (weights + weights.T)
+
+
+def _reference(rng, n_out):
+    amp, freq, phase = rng.standard_normal((3, n_out))
+    return lambda t: amp * np.sin(4.0 * freq * np.asarray(t)[..., None] + phase)
+
+
+def _per_node_cost(cost, grid, states, controls):
+    """(J, scale) of one episode of a QuadraticCost, by a Python loop over the
+    nodes with explicit trapezoid weights: h inside, h/2 at both ends. The
+    scale is J's sum of absolute terms, the size its rounding is relative to."""
+    h, n = grid.h, grid.n_steps
+    terms = []
+    for k in range(n + 1):
+        tau = grid.t_start + k * h
+        err = cost.c_matrix @ states[k]
+        if cost.reference is not None:
+            err = err - np.atleast_1d(cost.reference(tau))
+        running = 0.5 * (err @ cost.q_matrix @ err + controls[k] @ cost.r_matrix @ controls[k])
+        terms.append((0.5 * h if k in (0, n) else h) * running)
+        if k == n:
+            terms.append(0.5 * (err @ cost.p_matrix @ err))
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+@st.composite
+def costed_episodes(draw):
+    """(QuadraticCost, grid, states (n + 1, m, d), controls (n + 1, m, p)) of one draw."""
+    d = draw(st.integers(1, 3), label="d")
+    p = draw(st.integers(1, 3), label="p")
+    n_out = draw(st.integers(1, 3), label="outputs")
+    indefinite = draw(st.booleans(), label="indefinite P")
+    tracking = draw(st.booleans(), label="reference")
+    n_steps = draw(st.integers(2, 64), label="n_steps")
+    m = draw(st.integers(1, 3), label="episodes")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    cost = QuadraticCost(c_matrix=rng.standard_normal((n_out, d)),
+                         p_matrix=_indefinite(rng, n_out) if indefinite else _psd(rng, n_out),
+                         q_matrix=_psd(rng, n_out), r_matrix=_psd(rng, p, floor=0.5),
+                         reference=_reference(rng, n_out) if tracking else None,
+                         terminal_indefinite_ok=True)
+    grid = TimeGrid(0.0, draw(st.sampled_from([0.5, 1.0, 2.0]), label="horizon"), n_steps)
+    return (cost, grid, rng.standard_normal((n_steps + 1, m, d)),
+            rng.standard_normal((n_steps + 1, m, p)))
+
+
+def _as_general(cost):
+    """The QuadraticCost ``cost`` without a reference, as GeneralCost callables."""
+    def running(x, u):
+        err = cost.c_matrix @ x
+        return 0.5 * (err @ cost.q_matrix @ err + u @ cost.r_matrix @ u)
+
+    def terminal(x):
+        err = cost.c_matrix @ x
+        return 0.5 * (err @ cost.p_matrix @ err)
+
+    return GeneralCost(terminal=terminal, running=running)
+
+
+@DIFFERENTIAL
+@given(costed_episodes())
+def test_cost_of_trajectories_matches_a_per_node_loop(problem):
+    cost, grid, states, controls = problem
+    m = states.shape[1]
+    batch = cost_of_trajectories(cost, grid, states, controls)
+    assert batch.shape == (m,)
+    costs = [(cost, batch)]
+    if cost.reference is None:
+        general = _as_general(cost)
+        costs.append((general, cost_of_trajectories(general, grid, states, controls)))
+    for spec, got in costs:
+        for i in range(m):
+            want, scale = _per_node_cost(cost, grid, states[:, i], controls[:, i])
+            assert abs(got[i] - want) <= 1e-12 * scale
+            single = cost_of_trajectory(spec, grid, states[:, i], controls[:, i])
+            assert abs(single - got[i]) <= 1e-12 * scale
+            if m == 1:  # the same call; m > 1 columns are summed in another order
+                assert single == got[i]
+    if cost.q_matrix.shape == cost.r_matrix.shape == (1, 1) and cost.reference is None:
+        # 1x1 weights multiply elementwise with the bits of the matrix products
+        for i in range(m):
+            assert cost_of_trajectory(cost, grid, states[:, i], controls[:, i]) == \
+                quadratic_cost_samples(cost, grid, states[:, i], controls[:, i])
+
+
+@st.composite
+def open_loop_problems(draw):
+    """An open-loop scenario of a time-invariant linear plant under a
+    QuadraticCost with 1-3 initial conditions, and the flat coefficients of
+    one episode."""
+    d = draw(st.integers(1, 3), label="d")
+    p = draw(st.integers(1, 3), label="p")
+    n_out = draw(st.integers(1, 3), label="outputs")
+    stable = draw(st.booleans(), label="stable A")
+    tracking = draw(st.booleans(), label="reference")
+    n_steps = draw(st.integers(2, 64), label="n_steps")
+    horizon = draw(st.sampled_from([0.5, 1.0, 2.0]), label="horizon")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    a = 0.8 * rng.standard_normal((d, d))
+    a += ((-0.5 if stable else 0.5) - np.linalg.eigvals(a).real.max()) * np.eye(d)
+    scenario = Scenario(
+        name="generated-open-loop",
+        dynamics=LinearDynamics.constant(a, rng.standard_normal((d, p))),
+        cost=QuadraticCost(c_matrix=rng.standard_normal((n_out, d)),
+                           p_matrix=_psd(rng, n_out), q_matrix=_psd(rng, n_out),
+                           r_matrix=_psd(rng, p, floor=0.5),
+                           reference=_reference(rng, n_out) if tracking else None),
+        grid=TimeGrid(0.0, horizon, n_steps),
+        basis=FourierPairsBasis(m=draw(st.integers(1, 3), label="m"), horizon=horizon,
+                                extension=draw(st.sampled_from([0.1, 0.5, 1.0]),
+                                               label="extension")),
+        initial_conditions=list(rng.standard_normal((draw(st.integers(1, 3), label="starts"),
+                                                     d))),
+    )
+    return scenario, 0.5 * rng.standard_normal(p * scenario.basis.n_functions)
+
+
+@DIFFERENTIAL
+@given(open_loop_problems())
+def test_quadratic_episode_model_matches_stepwise_rk4(problem):
+    scenario, flat = problem
+    model = episode_model(scenario)
+    assert model is not None and np.abs(flat).max() < model.max_abs
+    coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
+    a = scenario.dynamics.a_fn(0.0)
+    b = scenario.dynamics.b_fn(0.0)
+
+    def control(tau):
+        return coeffs.values @ _fourier_rows(scenario.basis, tau)
+
+    multi = run_multi_episode(scenario, coeffs)
+    total = 0.0
+    for x0, episode in zip(scenario.initial_conditions, multi.episodes):
+        states = integrate_rk4(lambda tau, x: a @ x + b @ control(tau), x0,
+                               scenario.grid).states
+        controls = np.stack([control(tau) for tau in scenario.grid.nodes()])
+        cost, _ = _per_node_cost(scenario.cost, scenario.grid, states, controls)
+        assert _close(episode.trajectory.states, states, rel=1e-9)
+        assert _close(episode.controls, controls, rel=1e-9)
+        assert math.isclose(episode.cost, cost, rel_tol=1e-9)
+        total += cost
+    assert math.isclose(multi.total_cost, total, rel_tol=1e-9)
+    # the first measurement builds what the scenario caches; the second is
+    # the cost-only path run_es takes from then on
+    measurement = open_loop_measurement(scenario, delta=1e-3)
+    for s in range(2):
+        assert measurement.measure(flat, s) == (multi.total_cost, multi.total_cost)

@@ -189,6 +189,30 @@ def test_cost_of_trajectory_is_pinned_to_its_quadrature_expression(name, rng):
         assert cost_of_trajectory(cost, grid, states, controls) == expected()
 
 
+def test_reference_samples_follow_their_times_and_node_samples_their_grid():
+    cost = QuadraticCost(c_matrix=1.0, p_matrix=1.0, q_matrix=1.0, r_matrix=1.0,
+                         reference=lambda tau: np.asarray(tau) ** 2)
+    for taus in ([0.0, 0.5, 1.0], [0.0, 0.9, 1.0]):  # same length and ends
+        assert np.array_equal(cost.reference_samples(np.array(taus))[:, 0],
+                              np.array(taus) ** 2)
+    grid = TimeGrid(0.0, 1.0, 4)
+    nodes = cost.reference_nodes(grid)
+    assert cost.reference_nodes(TimeGrid(0.0, 1.0, 4)) is nodes
+    assert np.array_equal(nodes[:, 0], grid.nodes() ** 2)
+    wider = TimeGrid(0.0, 2.0, 4)
+    assert np.array_equal(cost.reference_nodes(wider)[:, 0], wider.nodes() ** 2)
+    assert "_nodes" not in repr(cost)
+
+
+def test_reference_with_as_many_outputs_as_nodes_keeps_its_axes():
+    # a (nodes, outputs) result is square here; it must not be read as transposed
+    cost = QuadraticCost(c_matrix=np.eye(3), p_matrix=np.eye(3), q_matrix=np.eye(3),
+                         r_matrix=1.0,
+                         reference=lambda tau: np.asarray(tau)[..., None] * [1.0, 2.0, 3.0])
+    grid = TimeGrid(0.0, 1.0, 2)
+    assert np.array_equal(cost.reference_nodes(grid), grid.nodes()[:, None] * [1.0, 2.0, 3.0])
+
+
 def test_linear_fast_path_matches_general_dynamics_path(rng):
     scenario = example2_scenario(n_steps=256, m=3)
     general = Scenario(
