@@ -188,14 +188,13 @@ def es_step(coeffs, j_hat: float, s: int, config: EsConfig):
     and the step is not applied (skipping silently would desynchronize the
     step index from the dither phases).
     """
-    if not np.isfinite(j_hat):
+    if not math.isfinite(j_hat):
         raise MeasurementInvalidError(f"measured cost at step {s} is {j_hat}")
     wrap = None
     if isinstance(coeffs, ControllerCoefficients):
         wrap = coeffs.n_channels
-        flat = coeffs.flat()
-    else:
-        flat = np.asarray(coeffs, dtype=float)
+        coeffs = coeffs.flat()
+    flat = np.asarray(coeffs, dtype=float)
     if flat.shape[0] != config.n_coeffs:
         raise ContractViolationError(
             f"{flat.shape[0]} coefficients but {config.n_coeffs} scheduled frequencies"

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (ContractViolationError, IntegrationDivergedError,
                      RiccatiInstabilityError)
@@ -50,13 +49,14 @@ class RiccatiSolution:
 
 
 def _pd_inverse_times(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """mat^-1 rhs through a Cholesky factorization, with a condition check."""
+    """mat^-1 rhs for a symmetric positive definite ``mat``, after a check
+    that it is safely positive definite and well conditioned."""
     eigs = np.linalg.eigvalsh(mat)
     if eigs.min() <= 0 or eigs.max() / eigs.min() > 1e12:
         raise ContractViolationError(
             f"matrix is not safely positive definite (eigenvalues {eigs})"
         )
-    return cho_solve(cho_factor(mat, lower=True), rhs)
+    return np.linalg.solve(mat, rhs)
 
 
 def _first_indefinite(mats: np.ndarray, tol: float) -> int | None:

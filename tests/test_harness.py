@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
 import pytest
 import yaml
 
+import escontrol
 from escontrol.cli import main as cli_main
 from escontrol.errors import (ScenarioParseError, ScenarioValidationError)
 from escontrol.es import EsConfig, EsRunRecord
@@ -324,3 +329,35 @@ def test_cli_compare_refuses_a_feedback_scenario(name, tmp_path, capsys):
     assert record["error"] == "ContractViolationError"
     assert "feedback" in record["message"]
     assert not list(out.glob("*.csv"))
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} imported at run time")
+
+sys.meta_path.insert(0, BlockScipy())
+import escontrol, escontrol.harness, escontrol.cli
+from escontrol.harness import ExperimentSpec, run_experiment, shipped_scenarios
+
+paths = {p.stem: p for p in shipped_scenarios()}
+for name in ("timevarying_noisy", "feedback_2d"):
+    summary = run_experiment(ExperimentSpec(scenario_path=str(paths[name]), n_iterations=3,
+                                            out_dir=sys.argv[1] + "/" + name))
+    assert summary.oracle_cost is not None, name
+"""
+
+
+def test_runs_import_no_scipy(tmp_path):
+    # a fresh interpreter that refuses every scipy import runs noise draws
+    # (timevarying_noisy) and the Riccati oracle (both scenarios), so an
+    # import deferred into a function fails here too
+    src = str(Path(escontrol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

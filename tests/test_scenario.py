@@ -14,8 +14,8 @@ from escontrol.errors import ContractViolationError
 from escontrol.harness import load_scenario, shipped_scenarios
 from escontrol.ode import TimeGrid, quadrature_trapezoid
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics,
-                                NoiseModel, QuadraticCost, Scenario, cost_of_trajectory,
-                                run_episode, run_multi_episode)
+                                NoiseModel, QuadraticCost, Scenario, _ndtri,
+                                cost_of_trajectory, run_episode, run_multi_episode)
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
 
@@ -61,6 +61,32 @@ def test_noise_draw_i_is_the_4i_th_uniform_of_the_philox_stream():
     uniforms = np.random.Generator(np.random.Philox(key=42)).random(20)
     for i in range(5):
         assert model.draw(i) == float(0.5 * ndtri(uniforms[4 * i]))
+
+
+def test_ndtri_port_gives_the_bits_of_scipy():
+    # every branch of Cephes ndtri on both sides: the central rational
+    # function (|y - 1/2| < 1/2 - exp(-2)), the tail polynomial for
+    # z = sqrt(-2 log y) < 8 and the one for z >= 8 (y <= exp(-32))
+    rng = np.random.default_rng(20260810)
+    far_upper = 1.0 - np.arange(1, 115) * 2.0**-53  # 1 - y0 <= exp(-32)
+    edge = math.exp(-2)
+    u = np.concatenate([
+        rng.random(100_000),
+        np.exp(-rng.uniform(2.0, 32.0, 20_000)),
+        1.0 - np.exp(-rng.uniform(2.0, 32.0, 20_000)),
+        np.exp(-rng.uniform(32.0, 744.0, 20_000)),
+        far_upper,
+        [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0),
+         1.0 - edge, np.nextafter(1.0 - edge, 0.0), np.nextafter(1.0 - edge, 1.0),
+         0.5, 5e-324, 1.0 - 1e-16],
+    ])
+    x = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+    for branch in (u < edge, u > 1.0 - edge):  # both tails, both polynomials
+        assert (branch & (x < 8.0)).sum() > 1000 and (branch & (x >= 8.0)).sum() > 50
+    port, reference = _ndtri(u), ndtri(u)
+    differ = port.view(np.int64) != reference.view(np.int64)
+    assert not differ.any(), (f"{differ.sum()} of {u.size} draws differ, first at "
+                              f"u = {u[differ][0]!r}")
 
 
 def _fresh_philox_draw(std_dev, seed, index):
