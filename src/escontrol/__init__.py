@@ -8,7 +8,7 @@ from .basis import (ControllerCoefficients, CustomSampledBasis, FourierPairsBasi
                     controller_l2_norm, eval_controller)
 from .errors import (ContractViolationError, EsControlError, IllPosedSynthesisError,
                      IntegrationDivergedError, MeasurementInvalidError,
-                     OracleDivergedError, RiccatiInstabilityError,
+                     RiccatiInstabilityError,
                      ScenarioParseError, ScenarioValidationError,
                      ScheduleCollisionError)
 from .es import (EsConfig, EsRunRecord, assemble_quadratic_cost, es_step,

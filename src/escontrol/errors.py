@@ -41,10 +41,6 @@ class IllPosedSynthesisError(EsControlError, ValueError):
     """Feedback synthesis called with dependent or missing initial conditions."""
 
 
-class OracleDivergedError(EsControlError, RuntimeError):
-    """The gradient-flow reference integration diverged."""
-
-
 class ScenarioError(EsControlError, ValueError):
     """Base class for scenario file problems."""
 

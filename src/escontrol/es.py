@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -155,19 +156,17 @@ class EsConfig:
             return 1
         return int(math.ceil(2.0 * np.pi / (self.delta * float(self.frequencies.min()))))
 
+    # cached_property stores in the instance dict, outside the declared
+    # fields, so equality and repr see the fields alone
+    @cached_property
     def step_gains(self) -> np.ndarray:
-        cached = self.__dict__.get("_step_gains")
-        if cached is None:
-            cached = self.delta * np.sqrt(self.alpha * self.frequencies)
-            object.__setattr__(self, "_step_gains", cached)
-        return cached
+        """delta * sqrt(alpha * w_j) of every coefficient."""
+        return self.delta * np.sqrt(self.alpha * self.frequencies)
 
+    @cached_property
     def cos_mask(self) -> np.ndarray:
-        cached = self.__dict__.get("_cos_mask")
-        if cached is None:
-            cached = np.array([p == PHASE_COS for p in self.phases])
-            object.__setattr__(self, "_cos_mask", cached)
-        return cached
+        """True where a coefficient dithers with cos."""
+        return np.array([p == PHASE_COS for p in self.phases])
 
     def to_dict(self) -> dict:
         return {
@@ -200,8 +199,8 @@ def es_step(coeffs, j_hat: float, s: int, config: EsConfig):
             f"{flat.shape[0]} coefficients but {config.n_coeffs} scheduled frequencies"
         )
     theta = config.frequencies * (s * config.delta) + config.k * j_hat
-    osc = np.where(config.cos_mask(), np.cos(theta), np.sin(theta))
-    new_flat = flat + config.step_gains() * osc
+    osc = np.where(config.cos_mask, np.cos(theta), np.sin(theta))
+    new_flat = flat + config.step_gains * osc
     if wrap is not None:
         return ControllerCoefficients.from_flat(new_flat, wrap)
     return new_flat

@@ -83,13 +83,6 @@ class GainField:
     def has_feedforward(self) -> bool:
         return self.ff_coeffs is not None
 
-    @property
-    def n_coefficients(self) -> int:
-        n = self.gain_coeffs.size
-        if self.ff_coeffs is not None:
-            n += self.ff_coeffs.size
-        return n
-
     def flat(self) -> np.ndarray:
         """Entries row-major (each interleaved per basis order), then V rows."""
         parts = [self.gain_coeffs.ravel()]

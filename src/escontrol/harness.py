@@ -107,6 +107,16 @@ def _require(config: dict, key: str, context: str):
     return config[key]
 
 
+def _integer(value, key: str) -> int:
+    """The integral scenario value at dotted path ``key``: an int, or a float
+    without a fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ScenarioValidationError(f"{key} must be an integer, got {value!r}")
+
+
 def build_scenario(config: dict, name: str | None = None) -> Scenario:
     """Validated Scenario from a parsed scenario-file dictionary."""
     name = name or config.get("name", "scenario")
@@ -144,11 +154,11 @@ def build_scenario(config: dict, name: str | None = None) -> Scenario:
     grid_cfg = _require(config, "grid", "scenario")
     grid = TimeGrid(t_start=float(grid_cfg.get("t_start", 0.0)),
                     t_end=float(_require(grid_cfg, "t_end", "grid")),
-                    n_steps=int(grid_cfg.get("n_steps", 1000)))
+                    n_steps=_integer(grid_cfg.get("n_steps", 1000), "grid.n_steps"))
 
     basis_cfg = _require(config, "basis", "scenario")
     extension = basis_cfg.get("extension", 0.1 * grid.span)
-    basis = FourierPairsBasis(m=int(_require(basis_cfg, "m", "basis")),
+    basis = FourierPairsBasis(m=_integer(_require(basis_cfg, "m", "basis"), "basis.m"),
                               horizon=grid.span, extension=float(extension))
 
     ics_raw = _require(config, "initial_conditions", "scenario")
@@ -156,7 +166,7 @@ def build_scenario(config: dict, name: str | None = None) -> Scenario:
 
     noise_cfg = config.get("noise", {})
     noise = NoiseModel(std_dev=float(noise_cfg.get("std_dev", 0.0)),
-                       seed=int(noise_cfg.get("seed", 0)))
+                       seed=_integer(noise_cfg.get("seed", 0), "noise.seed"))
 
     return Scenario(
         name=name,
@@ -375,7 +385,7 @@ def _write_oracle_csv(path: Path, scenario: Scenario, riccati) -> None:
 def _write_gains_csv(path: Path, scenario: Scenario, field_: GainField,
                      riccati) -> None:
     taus = scenario.grid.nodes()
-    phi = scenario.basis_matrix_nodes()
+    phi = scenario.basis_matrix_stages()[:scenario.grid.n_steps + 1]
     k_samples = field_.gain_samples(phi)
     p, n = field_.control_dim, field_.state_dim
     header = ["tau"] + [f"k_{l + 1}_{q + 1}" for l in range(p) for q in range(n)]

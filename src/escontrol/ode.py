@@ -6,6 +6,7 @@ experiments reproduce exactly.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -129,6 +130,21 @@ def quadrature_trapezoid(samples: Sequence[float], grid: TimeGrid) -> float:
 #   w = h/6 (w1 + 2 w2 + 2 w3 + w4)
 # which is bitwise-deterministic and mathematically identical to feeding the
 # same stage samples through integrate_rk4.
+#
+# A plant frozen within an episode has one A and one B at every stage, and
+# f = B u. Substituting K1 = A into K2..K4 and w1..w3 into w4 gives
+#   K2 = A + h/2 A^2, K3 = A + h/2 A^2 + h^2/4 A^3,
+#   K4 = A + h A^2 + h^2/2 A^3 + h^3/4 A^4,
+#   Phi = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24
+# and, since w2 = fm + h/2 A f0, w3 = fm + h/2 A fm + h^2/4 A^2 f0 and
+# w4 = fe + hA fm + h^2/2 A^2 fm + h^3/4 A^3 f0,
+#   w = h/6 (c0 B u_start + c1 B u_mid + B u_end),
+#   c0 = I + hA + (hA)^2/2 + (hA)^3/4,  c1 = 4I + 2hA + (hA)^2/2.
+# The c act on B from the left: B c0 u would be right only for d = 1.
+# rk4_frozen_step returns Phi and the three gains (h/6) c0 B, (h/6) c1 B and
+# (h/6) B, so a step costs no per-step matrix work at all. The sums associate
+# differently from the stage recursion, so results agree with it to rounding,
+# not bitwise.
 
 
 def rk4_step_matrices(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
@@ -147,6 +163,23 @@ def rk4_step_matrices(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
     k3 = mul(a_mid, eye + (0.5 * h) * k2)
     k4 = mul(a_end, eye + h * k3)
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_frozen_step(a: np.ndarray, b: np.ndarray, h: float) -> tuple:
+    """(Phi, G_start, G_mid, G_end) of RK4 on dx/dt = A x + B u(t) with A
+    (d, d) and B (d, p) constant: x+ = Phi x + G_start u_start + G_mid u_mid
+    + G_end u_end, u sampled at the step's start, midpoint and end (see the
+    derivation above). For 1x1 A and B all four are Python floats.
+    """
+    if a.shape == b.shape == (1, 1):
+        ha, gain, eye, mul = h * float(a[0, 0]), (h / 6.0) * float(b[0, 0]), 1.0, operator.mul
+    else:
+        ha, gain, eye, mul = h * a, (h / 6.0) * b, np.eye(a.shape[0]), np.matmul
+    ha2 = mul(ha, ha)
+    ha3 = mul(ha2, ha)
+    phi = eye + ha + 0.5 * ha2 + ha3 / 6.0 + mul(ha2, ha2) / 24.0
+    return (phi, mul(eye + ha + 0.5 * ha2 + 0.25 * ha3, gain),
+            mul(4.0 * eye + 2.0 * ha + 0.5 * ha2, gain), gain)
 
 
 def _apply(a: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -216,16 +249,18 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
     """Scan x[k+1] = phi[k] x[k] + w[k] over the grid.
 
     ``phi`` is an (n_steps, d, d) stack or one (d, d) matrix shared by every
-    step. The state is (d,) or a (d, cols) block of columns scanned together;
-    ``w`` is (n_steps,) plus the state's shape, or None for no forcing. A
-    non-finite state raises at the earliest failing step of any column.
+    step, which may be a Python float when d = 1. The state is (d,) or a
+    (d, cols) block of columns scanned together; ``w`` is (n_steps,) plus the
+    state's shape, or None for no forcing. A non-finite state raises at the
+    earliest failing step of any column.
     """
     n = grid.n_steps
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dim = x0.shape[0]
+    stacked = np.ndim(phi) == 3
     if x0.shape == (1,):
         # plain-float scan is several times faster than numpy here
-        phis = [float(phi.flat[0])] * n if phi.ndim == 2 else phi.reshape(n).tolist()
+        phis = phi.reshape(n).tolist() if stacked else [float(np.asarray(phi).flat[0])] * n
         x = float(x0[0])
         xs = [x]
         append = xs.append
@@ -237,9 +272,12 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
             for p, wk in zip(phis, w.reshape(n).tolist()):
                 x = p * x + wk
                 append(x)
-        states = np.array(xs).reshape(n + 1, 1)
+        states = np.fromiter(xs, float, n + 1).reshape(n + 1, 1)
+        # a non-finite float stays non-finite through p * x + wk, so a
+        # finite last state means a finite scan
+        bad = None if math.isfinite(x) else first_nonfinite_step(states)
     else:
-        phis, mul = ([phi] * n if phi.ndim == 2 else phi), operator.matmul
+        phis, mul = (phi if stacked else [phi] * n), operator.matmul
         if dim == 1:  # a (1, cols) row times Python floats: faster than 1x1 products
             phis, mul = np.broadcast_to(phi, (n, 1, 1)).ravel().tolist(), operator.mul
         x = x0
@@ -256,7 +294,7 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
                     x = mul(p, x) + wk
                     append(x)
         states = np.array(xs)
-    bad = first_nonfinite_step(states)
+        bad = first_nonfinite_step(states)
     if bad is not None:
         raise IntegrationDivergedError(
             f"state became non-finite at step {bad}", step_index=bad

@@ -18,7 +18,8 @@ import numpy as np
 from .basis import Basis, ControllerCoefficients, controller_samples
 from .errors import (ContractViolationError, IntegrationDivergedError,
                      ScenarioValidationError)
-from .ode import StateTrajectory, TimeGrid, integrate_rk4, integrate_rk4_linear
+from .ode import (StateTrajectory, TimeGrid, integrate_rk4, integrate_rk4_linear,
+                  propagate_linear, rk4_frozen_step)
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,9 @@ class NoiseModel:
         if not np.isfinite(self.std_dev) or self.std_dev < 0:
             raise ScenarioValidationError(f"noise std_dev must be finite and >= 0, "
                                           f"got {self.std_dev}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**128):
+            raise ScenarioValidationError(f"noise.seed must be an integer in Philox's key "
+                                          f"range [0, 2**128), got {self.seed!r}")
 
     def draw(self, index: int) -> float:
         if self.std_dev == 0.0:
@@ -326,18 +330,12 @@ class Scenario:
             self._cache["phi_nm"] = np.concatenate([phi_d[0::2], phi_d[1::2]])
         return self._cache["phi_nm"]
 
-    def basis_matrix_nodes(self) -> np.ndarray:
-        return self.basis_matrix_doubled()[0::2]
-
     def slow_time_for(self, step: int, delta: float) -> float:
         """Slow time of episode ``step``: the batch clock when one exists,
         otherwise the optimizer clock step * delta."""
         if self.batch_period is not None:
             return step * self.batch_period
         return step * delta
-
-    def zero_coefficients(self) -> ControllerCoefficients:
-        return ControllerCoefficients.zeros(self.control_dim, self.basis)
 
 
 @dataclass(frozen=True)
@@ -532,23 +530,33 @@ def episode_model(scenario: Scenario, slow_time: float = 0.0) -> QuadraticEpisod
 def _integrate_open_loop(scenario: Scenario, values: np.ndarray, slow_time: float,
                          x0: np.ndarray):
     """(trajectory, node controls) of one open-loop episode from x0, simulated
-    step by step under the coefficient rows ``values`` (n_channels, n_functions)."""
-    dyn = scenario.dynamics
+    step by step under the coefficient rows ``values`` (n_channels, n_functions).
+
+    A linear plant, frozen at ``slow_time``, takes the closed-form RK4 step
+    of :func:`~escontrol.ode.rk4_frozen_step`, with every control sample from
+    one product with the stage rows (nodes, then midpoints).
+    """
+    dyn, grid = scenario.dynamics, scenario.grid
+    n = grid.n_steps
     if isinstance(dyn, LinearDynamics):
+        u = scenario.basis_matrix_stages() @ values.T
         a = np.atleast_2d(np.asarray(dyn.a_fn(slow_time), dtype=float))
         b = np.atleast_2d(np.asarray(dyn.b_fn(slow_time), dtype=float))
-        u_d = scenario.basis_matrix_doubled() @ values.T
-        forcing = u_d * b if b.shape == (1, 1) else u_d @ b.T
-        traj = integrate_rk4_linear(a, forcing, x0, scenario.grid)
-        return traj, u_d[0::2]
+        phi, g_start, g_mid, g_end = rk4_frozen_step(a, b, grid.h)
+        u_start, u_end, u_mid = u[:n], u[1:n + 1], u[n + 1:]
+        if isinstance(phi, float):
+            w = g_start * u_start + g_mid * u_mid + g_end * u_end
+        else:
+            w = u_start @ g_start.T + u_mid @ g_mid.T + u_end @ g_end.T
+        return propagate_linear(phi, w, x0, grid), u[:n + 1]
     basis = scenario.basis
 
     def derivative(tau, x):
         u = basis.eval_matrix(tau)[0] @ values.T
         return dyn.f(tau, x, u)
 
-    traj = integrate_rk4(derivative, x0, scenario.grid)
-    return traj, scenario.basis_matrix_nodes() @ values.T
+    traj = integrate_rk4(derivative, x0, grid)
+    return traj, scenario.basis_matrix_stages()[:n + 1] @ values.T
 
 
 def _open_loop_episode(scenario: Scenario, coeffs: ControllerCoefficients,

@@ -4,12 +4,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
-from escontrol.errors import (ContractViolationError, MeasurementInvalidError,
-                              OracleDivergedError, RiccatiInstabilityError)
+from escontrol.errors import (ContractViolationError, EsControlError,
+                              MeasurementInvalidError, RiccatiInstabilityError)
 from escontrol.lqr import RiccatiSolution, _pd_inverse_times
 from escontrol.ode import TimeGrid
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
                                 _integrate_open_loop, cost_of_trajectory)
+
+
+class OracleDivergedError(EsControlError, RuntimeError):
+    """The gradient-flow reference integration diverged."""
+
 
 # 2x2 plant and weights of the feedback-synthesis example
 A_2D = [[1.0, 0.25], [0.3, 0.7]]

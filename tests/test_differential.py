@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 from helpers import quadratic_cost_samples
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import IntegrationDivergedError
+from escontrol.es import EsConfig, run_es
 from escontrol.feedback import GainField, run_feedback_episodes
 from escontrol.ode import TimeGrid, integrate_rk4
 from escontrol.scenario import (GeneralCost, LinearDynamics, QuadraticCost, Scenario,
                                 cost_of_trajectories, cost_of_trajectory, episode_model,
-                                open_loop_measurement, run_multi_episode)
+                                open_loop_cost, open_loop_measurement, run_episode,
+                                run_multi_episode)
 
 DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None,
                         database=None)
@@ -285,3 +287,106 @@ def test_quadratic_episode_model_matches_stepwise_rk4(problem):
     measurement = open_loop_measurement(scenario, delta=1e-3)
     for s in range(2):
         assert measurement.measure(flat, s) == (multi.total_cost, multi.total_cost)
+
+
+@st.composite
+def drifting_problems(draw):
+    """An open-loop scenario of a drifting linear plant, A(t) and B(t), under
+    a QuadraticCost with 1-3 initial conditions; the flat coefficients and
+    the slow time of one episode; and whether the plant diverges. A
+    diverging plant's A is scaled by DIVERGING_SCALE, so that each step
+    amplifies by about (h |A|)^4 / 24 > 1e150."""
+    d = draw(st.integers(1, 3), label="d")
+    p = draw(st.integers(1, 3), label="p")
+    n_out = draw(st.integers(1, 3), label="outputs")
+    tracking = draw(st.booleans(), label="reference")
+    diverging = draw(st.booleans(), label="diverging plant")
+    n_steps = draw(st.integers(2, 64), label="n_steps")
+    horizon = draw(st.sampled_from([0.5, 1.0, 2.0]), label="horizon")
+    slow_time = draw(st.floats(0.0, 5000.0), label="slow time")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    scale = DIVERGING_SCALE if diverging else 1.0
+    a0, a1 = 0.8 * rng.standard_normal((2, d, d))
+    b0, b1 = rng.standard_normal((2, d, p))
+    rate = rng.uniform(1e-3, 1.0)
+    scenario = Scenario(
+        name="generated-drifting",
+        dynamics=LinearDynamics(a_fn=lambda t: scale * (a0 + math.sin(rate * t) * a1),
+                                b_fn=lambda t: b0 + math.cos(rate * t) * b1,
+                                state_dim=d, control_dim=p),
+        cost=QuadraticCost(c_matrix=rng.standard_normal((n_out, d)),
+                           p_matrix=_psd(rng, n_out), q_matrix=_psd(rng, n_out),
+                           r_matrix=_psd(rng, p, floor=0.5),
+                           reference=_reference(rng, n_out) if tracking else None),
+        grid=TimeGrid(0.0, horizon, n_steps),
+        basis=FourierPairsBasis(m=draw(st.integers(1, 3), label="m"), horizon=horizon,
+                                extension=draw(st.sampled_from([0.1, 0.5, 1.0]),
+                                               label="extension")),
+        initial_conditions=list(rng.standard_normal((draw(st.integers(1, 3), label="starts"),
+                                                     d))),
+    )
+    flat = 0.5 * rng.standard_normal(p * scenario.basis.n_functions)
+    return scenario, flat, slow_time, diverging
+
+
+def _stepwise_open_loop(scenario, coeffs, slow_time):
+    """(states, node controls, J) of every initial condition in order, up to
+    and including the first that diverges, which gives its step index in
+    place of the triple: step-by-step generic RK4 with A and B frozen at
+    slow_time and the control summed at every stage time."""
+    a = scenario.dynamics.a_fn(slow_time)
+    b = scenario.dynamics.b_fn(slow_time)
+
+    def control(tau):
+        return coeffs.values @ _fourier_rows(scenario.basis, tau)
+
+    controls = np.stack([control(tau) for tau in scenario.grid.nodes()])
+    episodes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x0 in scenario.initial_conditions:
+            try:
+                states = integrate_rk4(lambda tau, x: a @ x + b @ control(tau), x0,
+                                       scenario.grid).states
+            except IntegrationDivergedError as exc:
+                episodes.append(exc.step_index)
+                break
+            cost, _ = _per_node_cost(scenario.cost, scenario.grid, states, controls)
+            episodes.append((states, controls, cost))
+    return episodes
+
+
+@DIFFERENTIAL
+@given(drifting_problems())
+def test_drifting_episodes_match_stepwise_rk4_of_the_frozen_plant(problem):
+    scenario, flat, slow_time, diverging = problem
+    coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
+    expected = _stepwise_open_loop(scenario, coeffs, slow_time)
+    if diverging:
+        failed_step = expected[-1]
+        assert isinstance(failed_step, int), "a diverging draw stayed finite"
+        for episodes in (lambda: run_multi_episode(scenario, coeffs, slow_time),
+                         lambda: open_loop_cost(scenario)(flat, slow_time)):
+            with pytest.raises(IntegrationDivergedError) as exc:
+                episodes()
+            assert exc.value.step_index == failed_step
+        # run_es measures its first episode at slow time 0 and adds the iteration
+        at_start = _stepwise_open_loop(scenario, coeffs, 0.0)[-1]
+        config = EsConfig.build(k=0.1, alpha=1.0, omega0=100.0, n_coeffs=flat.size)
+        with pytest.raises(IntegrationDivergedError) as exc:
+            run_es(scenario, config, 1, initial_coeffs=flat)
+        assert exc.value.iteration == 0
+        assert exc.value.step_index == at_start
+        return
+    multi = run_multi_episode(scenario, coeffs, slow_time)
+    for episode, (states, controls, cost) in zip(multi.episodes, expected, strict=True):
+        assert _close(episode.trajectory.states, states)
+        assert _close(episode.controls, controls)
+        assert math.isclose(episode.cost, cost, rel_tol=1e-12)
+    assert math.isclose(multi.total_cost, sum(cost for _, _, cost in expected),
+                        rel_tol=1e-12)
+    # a drifting plant is simulated on every path, with the same bits, and
+    # never gets a cached model
+    assert open_loop_cost(scenario)(flat, slow_time) == multi.total_cost
+    assert run_episode(scenario, coeffs, slow_time).cost == multi.episodes[0].cost
+    assert "episode_model" not in scenario._cache

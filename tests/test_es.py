@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cumulative_trapezoid, example2_scenario, finite_diff_gradient,
-                     gradient_flow_reference, scalar_scenario, simulated_episode)
+from helpers import (OracleDivergedError, cumulative_trapezoid, example2_scenario,
+                     finite_diff_gradient, gradient_flow_reference, scalar_scenario,
+                     simulated_episode)
 from escontrol.basis import ControllerCoefficients, CustomSampledBasis
 from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
-                              MeasurementInvalidError, OracleDivergedError,
-                              RiccatiInstabilityError, ScheduleCollisionError)
+                              MeasurementInvalidError, RiccatiInstabilityError,
+                              ScheduleCollisionError)
 from escontrol.es import (EsConfig, assemble_quadratic_cost, default_phases, es_step,
                           make_frequency_schedule, restricted_optimum, run_es)
 from escontrol.ode import TimeGrid, quadrature_trapezoid
@@ -143,6 +145,30 @@ def test_es_step_matches_update_law_exactly(a, j_hat, s):
         expected = a[j] + delta * math.sqrt(alpha * freqs[j]) * osc
         assert out[j] == pytest.approx(expected, abs=1e-12)
         assert abs(out[j] - a[j]) <= delta * math.sqrt(alpha * freqs[j]) + 1e-15
+
+
+def test_filled_config_caches_are_not_part_of_the_value():
+    cfg = EsConfig.build(k=0.3, alpha=17.0, omega0=250.0, n_coeffs=6)
+    fresh = dataclasses.replace(cfg)
+    flat = np.linspace(-1.0, 1.0, 6)
+    stepped = es_step(flat, 0.7, 11, cfg)  # fills cfg's caches
+    assert "step_gains" in vars(cfg) and "step_gains" not in vars(fresh)
+    assert cfg.step_gains is cfg.step_gains
+    assert cfg == fresh and repr(cfg) == repr(fresh)
+
+    def hashed(config):  # the frequency array makes an EsConfig unhashable
+        try:
+            return hash(config)
+        except TypeError as exc:
+            return type(exc)
+
+    assert hashed(cfg) == hashed(fresh)
+    # the cached gains give the bits of the update law computed afresh
+    theta = cfg.frequencies * (11 * cfg.delta) + cfg.k * 0.7
+    osc = np.where([p == "cos" for p in cfg.phases], np.cos(theta), np.sin(theta))
+    expected = flat + cfg.delta * np.sqrt(cfg.alpha * cfg.frequencies) * osc
+    assert stepped.tobytes() == expected.tobytes()
+    assert es_step(flat, 0.7, 11, cfg).tobytes() == expected.tobytes()
 
 
 # --- run_es ------------------------------------------------------------------

@@ -110,7 +110,7 @@ def test_batched_closed_loop_matches_stepwise_simulation(name, rng):
     phi_d = scenario.basis.eval_matrix(scenario.doubled_taus())
     a = np.atleast_2d(scenario.dynamics.a_fn(0.0))
     b = np.atleast_2d(scenario.dynamics.b_fn(0.0))
-    n_coeffs = GainField.zeros(scenario.basis, n, p, scenario.feedforward).n_coefficients
+    n_coeffs = GainField.zeros(scenario.basis, n, p, scenario.feedforward).flat().size
     for _ in range(5):
         field = GainField.from_flat(0.5 * rng.standard_normal(n_coeffs), scenario.basis,
                                     n, p, feedforward=scenario.feedforward)
@@ -230,7 +230,7 @@ def test_scalar_gain_synthesis_approaches_oracle_gain():
     sol = scenario_oracle(scenario)
     field, record = synthesize_gain(scenario, n_iterations=8000)
 
-    phi = scenario.basis_matrix_nodes()
+    phi = scenario.basis_matrix_stages()[:scenario.grid.n_steps + 1]
     k_es = field.gain_samples(phi)[:, 0, 0]
     k_star = sol.gains[:, 0, 0]
     proj = project_gains(sol, scenario.basis, scenario.grid)

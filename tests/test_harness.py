@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import escontrol
+from escontrol.basis import ControllerCoefficients
 from escontrol.cli import main as cli_main
 from escontrol.errors import (ScenarioParseError, ScenarioValidationError)
 from escontrol.es import EsConfig, EsRunRecord
@@ -84,7 +85,7 @@ def test_round_trip_every_shipped_scenario(tmp_path):
         save_scenario(scenario, out)
         again = load_scenario(out)
         assert normalize_config(scenario.raw_config) == normalize_config(again.raw_config)
-        coeffs = scenario.zero_coefficients()
+        coeffs = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
         if not scenario.feedback:
             assert run_episode(scenario, coeffs).cost == \
                 run_episode(again, coeffs).cost
@@ -249,6 +250,39 @@ def test_cli_error_record_keeps_the_iteration_and_step_index(tmp_path, monkeypat
     assert 0 < record["step_index"] < 500
     assert "node_index" not in record
     assert json.loads(capsys.readouterr().err) == record
+
+
+@pytest.mark.parametrize("name, override, key", [
+    ("timevarying_noisy", "noise.seed=-3", "noise.seed"),
+    ("example2_scalar", "noise.seed=-3", "noise.seed"),  # refused without noise too
+    ("timevarying_noisy", f"noise.seed={2**128}", "noise.seed"),
+    ("timevarying_noisy", "noise.seed=abc", "noise.seed"),
+    ("example2_scalar", "basis.m=2.5", "basis.m"),
+    ("example2_scalar", "grid.n_steps=250.5", "grid.n_steps"),
+    ("example2_scalar", "grid.n_steps=1e9", "grid.n_steps"),  # YAML reads a string
+])
+def test_cli_malformed_value_fails_through_the_error_handler(name, override, key, tmp_path,
+                                                             capsys):
+    out = tmp_path / "out"
+    code = cli_main(["run", "--scenario", str(SHIPPED[name]), "--iters", "3",
+                     "--out", str(out), "--override", override])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ScenarioValidationError"
+    assert key in record["message"]
+    assert json.loads(capsys.readouterr().err) == record
+    assert not (out / "summary.json").exists()
+
+
+def test_integral_float_values_load_as_integers():
+    config = yaml.safe_load(SHIPPED["example2_scalar"].read_text())
+    config["grid"]["n_steps"] = 200.0
+    config["basis"]["m"] = 3.0
+    config["noise"] = {"std_dev": 0.1, "seed": 7.0}
+    scenario = build_scenario(config)
+    assert (scenario.grid.n_steps, scenario.basis.m, scenario.noise.seed) == (200, 3, 7)
+    assert all(type(v) is int for v in (scenario.grid.n_steps, scenario.basis.m,
+                                        scenario.noise.seed))
 
 
 def test_cli_rejects_bad_override(tmp_path):

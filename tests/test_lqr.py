@@ -148,7 +148,8 @@ def test_tracking_oracle_beats_sampled_controllers(rng):
     assert not np.all(sol.feedforward == 0.0)
     _, _, j_star = simulate_optimal(scenario.dynamics, scenario.cost,
                                     scenario.grid, np.array([2.0]), sol)
-    assert run_episode(scenario, scenario.zero_coefficients()).cost > j_star
+    zeros = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
+    assert run_episode(scenario, zeros).cost > j_star
     for _ in range(25):
         coeffs = ControllerCoefficients(rng.standard_normal((1, 8)) * 2.0)
         assert run_episode(scenario, coeffs).cost >= j_star - 1e-8

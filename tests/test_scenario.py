@@ -10,7 +10,7 @@ from scipy.special import ndtri
 from helpers import (A_2D, B_2D, P_2D, Q_2D, R_2D, X0_2D, Y0_2D,
                      example2_scenario, quadratic_cost_samples, scalar_scenario)
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
-from escontrol.errors import ContractViolationError
+from escontrol.errors import ContractViolationError, ScenarioValidationError
 from escontrol.harness import load_scenario, shipped_scenarios
 from escontrol.ode import TimeGrid, quadrature_trapezoid
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics,
@@ -22,7 +22,7 @@ SHIPPED = {p.stem: p for p in shipped_scenarios()}
 
 def test_zero_control_constant_state():
     scenario = scalar_scenario(a=0.0, b=1.0, x0=2.0)
-    res = run_episode(scenario, scenario.zero_coefficients())
+    res = run_episode(scenario, ControllerCoefficients.zeros(scenario.control_dim, scenario.basis))
     assert np.allclose(res.trajectory.states, 2.0)
     # J = x(1)^2 + int (x^2 + u^2) = 4 + 4
     assert res.cost == pytest.approx(8.0, abs=1e-6)
@@ -30,14 +30,15 @@ def test_zero_control_constant_state():
 
 def test_example2_free_response_cost():
     scenario = example2_scenario()
-    res = run_episode(scenario, scenario.zero_coefficients())
+    res = run_episode(scenario, ControllerCoefficients.zeros(scenario.control_dim, scenario.basis))
     e2 = math.e**2
     assert res.cost == pytest.approx(4 * e2 + 2 * (e2 - 1), abs=1e-4)
 
 
 def test_noiseless_measurement_is_exact():
     scenario = example2_scenario(noise_std=0.0)
-    res = run_episode(scenario, scenario.zero_coefficients(), noise_index=5)
+    zeros = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
+    res = run_episode(scenario, zeros, noise_index=5)
     assert res.measured_cost == res.cost
 
 
@@ -110,6 +111,15 @@ def test_block_draws_equal_one_generator_per_draw():
         assert second.draw(index) == _fresh_philox_draw(1.25, 20260810, index)
 
 
+def test_noise_seed_must_lie_in_the_philox_key_range():
+    for seed in (-3, 2**128, 2.5, "7"):
+        with pytest.raises(ScenarioValidationError, match="noise.seed"):
+            NoiseModel(0.5, seed)
+    widest = NoiseModel(0.5, 2**128 - 1)
+    assert widest.draw(0) == _fresh_philox_draw(0.5, 2**128 - 1, 0)
+    assert NoiseModel(0.5, np.uint64(42)).draw(3) == NoiseModel(0.5, 42).draw(3)
+
+
 def test_block_cache_is_not_part_of_the_noise_model_value():
     model = NoiseModel(0.5, 42)
     clean = NoiseModel(0.5, 42)
@@ -122,7 +132,7 @@ def test_block_cache_is_not_part_of_the_noise_model_value():
 
 def test_measured_cost_uses_stream_position():
     scenario = example2_scenario(noise_std=0.5, seed=9)
-    coeffs = scenario.zero_coefficients()
+    coeffs = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
     r0 = run_episode(scenario, coeffs, noise_index=0)
     r1 = run_episode(scenario, coeffs, noise_index=1)
     assert r0.cost == r1.cost
@@ -132,7 +142,7 @@ def test_measured_cost_uses_stream_position():
 
 def test_multi_episode_singleton_matches_run_episode():
     scenario = example2_scenario()
-    coeffs = scenario.zero_coefficients()
+    coeffs = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
     single = run_episode(scenario, coeffs)
     multi = run_multi_episode(scenario, coeffs)
     assert multi.total_cost == single.cost
@@ -142,7 +152,7 @@ def test_multi_episode_singleton_matches_run_episode():
 def test_multi_episode_duplicated_initial_condition_doubles_cost():
     scenario = example2_scenario()
     scenario.initial_conditions = [np.array([2.0]), np.array([2.0])]
-    coeffs = scenario.zero_coefficients()
+    coeffs = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
     multi = run_multi_episode(scenario, coeffs)
     single = run_episode(scenario, coeffs)
     assert multi.total_cost == pytest.approx(2.0 * single.cost, rel=1e-12)
@@ -159,7 +169,8 @@ def test_multi_episode_free_response_matches_matrix_exponential():
         basis=FourierPairsBasis(m=10, horizon=1.0, extension=0.1),
         initial_conditions=[np.array(X0_2D), np.array(Y0_2D)],
     )
-    multi = run_multi_episode(scenario, scenario.zero_coefficients())
+    multi = run_multi_episode(scenario,
+                              ControllerCoefficients.zeros(scenario.control_dim, scenario.basis))
 
     a = np.array(A_2D)
     expected = 0.0
