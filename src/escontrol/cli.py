@@ -19,10 +19,9 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
-from .errors import EsControlError
-from .harness import ExperimentSpec, output_dir, run_experiment, shipped_scenarios
+from .errors import EsControlError, ScenarioParseError
+from .harness import (ExperimentSpec, output_dir, read_scenario_config, run_experiment,
+                      shipped_scenarios)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_iters: bool):
@@ -69,11 +68,9 @@ def _list_scenarios(extra_dir: str | None) -> int:
     if extra_dir:
         paths.extend(sorted(Path(extra_dir).glob("*.scn")))
     for path in paths:
-        description = ""
         try:
-            cfg = yaml.safe_load(path.read_text())
-            description = (cfg or {}).get("description", "")
-        except Exception:
+            description = read_scenario_config(path).get("description", "")
+        except ScenarioParseError:
             description = "(unreadable)"
         print(f"{path.stem:28s} {path}  {description}")
     return 0

@@ -161,7 +161,13 @@ def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
             s_doubled, v_doubled = _riccati_sweep(a, m, ctqc, cost, grid, s_terminal,
                                                   v_terminal)
     except Exception as exc:
-        raise RiccatiInstabilityError(f"backward Riccati integration failed: {exc}") from exc
+        # sweep step k lands on half-step node 2 n - 1 - k, counted in tau; the
+        # grid node at or below it is the first one the sweep did not reach
+        step = getattr(exc, "step_index", None)
+        raise RiccatiInstabilityError(
+            f"backward Riccati integration failed: {exc}",
+            node_index=None if step is None else (2 * grid.n_steps - 1 - step) // 2,
+        ) from exc
     s_doubled = 0.5 * (s_doubled + np.transpose(s_doubled, (0, 2, 1)))
     if v_doubled is None:
         v_doubled = np.zeros((s_doubled.shape[0], n))

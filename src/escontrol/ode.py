@@ -165,14 +165,17 @@ def rk4_step_matrices(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_frozen_step(a: np.ndarray, b: np.ndarray, h: float) -> tuple:
+def rk4_frozen_step(a: np.ndarray | float, b: np.ndarray | float, h: float) -> tuple:
     """(Phi, G_start, G_mid, G_end) of RK4 on dx/dt = A x + B u(t) with A
     (d, d) and B (d, p) constant: x+ = Phi x + G_start u_start + G_mid u_mid
     + G_end u_end, u sampled at the step's start, midpoint and end (see the
-    derivation above). For 1x1 A and B all four are Python floats.
+    derivation above). A scalar plant's A and B may come as Python floats;
+    for those, and for 1x1 A and B, all four are Python floats.
     """
-    if a.shape == b.shape == (1, 1):
-        ha, gain, eye, mul = h * float(a[0, 0]), (h / 6.0) * float(b[0, 0]), 1.0, operator.mul
+    if not isinstance(a, float) and a.shape == b.shape == (1, 1):
+        a, b = float(a[0, 0]), float(b[0, 0])
+    if isinstance(a, float):
+        ha, gain, eye, mul = h * a, (h / 6.0) * b, 1.0, operator.mul
     else:
         ha, gain, eye, mul = h * a, (h / 6.0) * b, np.eye(a.shape[0]), np.matmul
     ha2 = mul(ha, ha)
@@ -244,6 +247,43 @@ def first_nonfinite_step(states: np.ndarray) -> int | None:
     return max(int(np.argmin(finite)) - 1, 0)
 
 
+def _raise_if_diverged(states: np.ndarray) -> None:
+    bad = first_nonfinite_step(states)
+    if bad is not None:
+        raise IntegrationDivergedError(
+            f"state became non-finite at step {bad}", step_index=bad
+        )
+
+
+def scalar_scan(phi, w: list | None, x: float, n: int) -> list:
+    """States x[0..n] of the scalar scan x[k+1] = phi[k] x[k] + w[k], as
+    Python floats, which is several times faster than NumPy on this loop.
+
+    ``phi`` is one float shared by every step or a list of n floats; ``w``
+    is a list of n floats, or None for no forcing. A non-finite state raises
+    IntegrationDivergedError at its step.
+    """
+    xs = [x]
+    append = xs.append
+    if w is None:
+        for p in [phi] * n if isinstance(phi, float) else phi:
+            x = p * x
+            append(x)
+    elif isinstance(phi, float):
+        for wk in w:
+            x = phi * x + wk
+            append(x)
+    else:
+        for p, wk in zip(phi, w):
+            x = p * x + wk
+            append(x)
+    # a non-finite float stays non-finite through p * x + wk, so a finite
+    # last state means a finite scan
+    if not math.isfinite(x):
+        _raise_if_diverged(np.array(xs))
+    return xs
+
+
 def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
                      grid: TimeGrid) -> StateTrajectory:
     """Scan x[k+1] = phi[k] x[k] + w[k] over the grid.
@@ -259,46 +299,28 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
     dim = x0.shape[0]
     stacked = np.ndim(phi) == 3
     if x0.shape == (1,):
-        # plain-float scan is several times faster than numpy here
-        phis = phi.reshape(n).tolist() if stacked else [float(np.asarray(phi).flat[0])] * n
-        x = float(x0[0])
-        xs = [x]
-        append = xs.append
+        xs = scalar_scan(phi.reshape(n).tolist() if stacked else float(np.asarray(phi).flat[0]),
+                         None if w is None else w.reshape(n).tolist(), float(x0[0]), n)
+        return StateTrajectory(grid=grid, states=np.fromiter(xs, float, n + 1).reshape(n + 1, 1),
+                               dimension=1)
+    phis, mul = (phi if stacked else [phi] * n), operator.matmul
+    if dim == 1:  # a (1, cols) row times Python floats: faster than 1x1 products
+        phis, mul = np.broadcast_to(phi, (n, 1, 1)).ravel().tolist(), operator.mul
+    x = x0
+    xs = [x]
+    append = xs.append
+    # a blow-up is reported by its step below, as the float scan does
+    with np.errstate(over="ignore", invalid="ignore"):
         if w is None:
             for p in phis:
-                x = p * x
+                x = mul(p, x)
                 append(x)
         else:
-            for p, wk in zip(phis, w.reshape(n).tolist()):
-                x = p * x + wk
+            for p, wk in zip(phis, w):
+                x = mul(p, x) + wk
                 append(x)
-        states = np.fromiter(xs, float, n + 1).reshape(n + 1, 1)
-        # a non-finite float stays non-finite through p * x + wk, so a
-        # finite last state means a finite scan
-        bad = None if math.isfinite(x) else first_nonfinite_step(states)
-    else:
-        phis, mul = (phi if stacked else [phi] * n), operator.matmul
-        if dim == 1:  # a (1, cols) row times Python floats: faster than 1x1 products
-            phis, mul = np.broadcast_to(phi, (n, 1, 1)).ravel().tolist(), operator.mul
-        x = x0
-        xs = [x]
-        append = xs.append
-        # a blow-up is reported by its step below, as the float scan does
-        with np.errstate(over="ignore", invalid="ignore"):
-            if w is None:
-                for p in phis:
-                    x = mul(p, x)
-                    append(x)
-            else:
-                for p, wk in zip(phis, w):
-                    x = mul(p, x) + wk
-                    append(x)
-        states = np.array(xs)
-        bad = first_nonfinite_step(states)
-    if bad is not None:
-        raise IntegrationDivergedError(
-            f"state became non-finite at step {bad}", step_index=bad
-        )
+    states = np.array(xs)
+    _raise_if_diverged(states)
     return StateTrajectory(grid=grid, states=states, dimension=dim)
 
 

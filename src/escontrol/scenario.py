@@ -19,7 +19,7 @@ from .basis import Basis, ControllerCoefficients, controller_samples
 from .errors import (ContractViolationError, IntegrationDivergedError,
                      ScenarioValidationError)
 from .ode import (StateTrajectory, TimeGrid, integrate_rk4, integrate_rk4_linear,
-                  propagate_linear, rk4_frozen_step)
+                  propagate_linear, rk4_frozen_step, scalar_scan)
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ class NoiseModel:
 
     def __post_init__(self):
         if not np.isfinite(self.std_dev) or self.std_dev < 0:
-            raise ScenarioValidationError(f"noise std_dev must be finite and >= 0, "
+            raise ScenarioValidationError(f"noise.std_dev must be finite and >= 0, "
                                           f"got {self.std_dev}")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**128):
             raise ScenarioValidationError(f"noise.seed must be an integer in Philox's key "
@@ -617,6 +617,52 @@ def run_multi_episode(scenario: Scenario, coeffs, slow_time: float = 0.0,
                               measured_total_cost=total + scenario.noise.draw(noise_index))
 
 
+def _scalar_episode_costs(scenario: Scenario) -> Callable[[np.ndarray, float], list] | None:
+    """J(flat, slow_time) of each initial condition's open-loop episode, for
+    a scalar linear plant (1x1 A and B) under a quadratic cost with 1x1
+    weights; None for any other plant or cost.
+
+    The episode is simulated on flat float arrays: the same control product
+    with the stage rows, the closed-form RK4 step of
+    :func:`~escontrol.ode.rk4_frozen_step` on Python floats and the same
+    float scan, then the 1x1 operations of :func:`cost_of_trajectories` in
+    the same order. So each J has the bits of :func:`cost_of_trajectory` on
+    :func:`_integrate_open_loop`'s trajectory, without the 2-D wrappers
+    around them.
+    """
+    dyn, cost, grid = scenario.dynamics, scenario.cost, scenario.grid
+    if not (isinstance(dyn, LinearDynamics) and dyn.state_dim == dyn.control_dim == 1
+            and isinstance(cost, QuadraticCost)
+            and cost.c_matrix.shape == cost.r_matrix.shape == (1, 1)):
+        return None
+    n, h = grid.n_steps, grid.h
+    stages = scenario.basis_matrix_stages()
+    # P and Q are square with C's rows, so 1x1 too
+    c, q, r, p = (m.item() for m in (cost.c_matrix, cost.q_matrix, cost.r_matrix,
+                                     cost.p_matrix))
+    reference = None if cost.reference is None else cost.reference_nodes(grid)[:, 0]
+    starts = [x0.item() for x0 in scenario.initial_conditions]
+
+    def episode_costs(flat, slow_time):
+        u = (stages @ flat.reshape(1, -1).T).ravel()
+        phi, g_start, g_mid, g_end = rk4_frozen_step(
+            np.asarray(dyn.a_fn(slow_time), dtype=float).item(),
+            np.asarray(dyn.b_fn(slow_time), dtype=float).item(), h)
+        w = (g_start * u[:n] + g_mid * u[n + 1:] + g_end * u[1:n + 1]).tolist()
+        u = u[:n + 1]
+        costs = []
+        for x0 in starts:
+            err = np.fromiter(scalar_scan(phi, w, x0, n), float, n + 1) * c
+            if reference is not None:
+                err = err - reference
+            running = 0.5 * (err * q * err + u * r * u)
+            costs.append(float(0.5 * (err[-1] * p * err[-1])
+                               + h * (running.sum() - 0.5 * (running[0] + running[-1]))))
+        return costs
+
+    return episode_costs
+
+
 def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
     """Noise-free J(flat, slow_time) of the open-loop episodes, to the bit
     run_episode's cost (one initial condition) or run_multi_episode's total.
@@ -625,14 +671,19 @@ def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
     model's 1/2 a'Ha + g'a + j0 per initial condition while max|a| stays
     below the model's ``max_abs``; larger coefficients are simulated, as
     run_episode simulates them, and fail with the simulation's error and
-    step index. Other plants and costs are simulated.
+    step index. Other plants and costs are simulated; a scalar plant under
+    1x1 weights by :func:`_scalar_episode_costs`, with the same bits.
     """
     ics, n_ch = scenario.initial_conditions, scenario.control_dim
 
     def total(costs):
         return costs[0] if len(ics) == 1 else float(sum(costs))
 
+    scalar_costs = _scalar_episode_costs(scenario)
+
     def simulated(flat, slow_time):
+        if scalar_costs is not None:
+            return total(scalar_costs(flat, slow_time))
         runs = (_integrate_open_loop(scenario, flat.reshape(n_ch, -1), slow_time, x0)
                 for x0 in ics)
         return total([cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)

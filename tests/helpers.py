@@ -147,9 +147,12 @@ def packed_riccati_reference(dynamics, cost, grid, slow_time=0.0):
         k4 = derivative(t + h, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
+            # step k ends at sigma = (k + 1) h: half-step node 2 n - k - 1 in
+            # tau, on or above grid node (2 n - k - 1) // 2
             raise RiccatiInstabilityError(
                 "backward Riccati integration failed: "
-                f"state became non-finite at step {k} (t = {t})"
+                f"state became non-finite at step {k} (t = {t})",
+                node_index=(sigma_grid.n_steps - k - 1) // 2,
             )
         states[k + 1] = x
         t = sigma_grid.t_start + (k + 1) * h

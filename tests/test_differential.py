@@ -8,6 +8,7 @@ checked against a per-node Python loop that shares no code with the
 batched quadrature. Hypothesis runs derandomized, so every run checks the
 same draws.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -15,13 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import quadratic_cost_samples
+from helpers import packed_riccati_reference, quadratic_cost_samples
+from escontrol import scenario as scenario_module
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
-from escontrol.errors import IntegrationDivergedError
+from escontrol.errors import IntegrationDivergedError, RiccatiInstabilityError
 from escontrol.es import EsConfig, run_es
 from escontrol.feedback import GainField, run_feedback_episodes
+from escontrol.harness import load_scenario, read_scenario_config, shipped_scenarios
+from escontrol.lqr import solve_riccati
 from escontrol.ode import TimeGrid, integrate_rk4
-from escontrol.scenario import (GeneralCost, LinearDynamics, QuadraticCost, Scenario,
+from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics, QuadraticCost,
+                                Scenario, _integrate_open_loop, _scalar_episode_costs,
                                 cost_of_trajectories, cost_of_trajectory, episode_model,
                                 open_loop_cost, open_loop_measurement, run_episode,
                                 run_multi_episode)
@@ -390,3 +395,198 @@ def test_drifting_episodes_match_stepwise_rk4_of_the_frozen_plant(problem):
     assert open_loop_cost(scenario)(flat, slow_time) == multi.total_cost
     assert run_episode(scenario, coeffs, slow_time).cost == multi.episodes[0].cost
     assert "episode_model" not in scenario._cache
+
+
+SHIPPED = {p.stem: p for p in shipped_scenarios()}
+SCALAR_OPEN_LOOP = ("example1_integrator", "example2_scalar", "example2_scalar_periodic",
+                    "example3_tracking", "timevarying_noisy")
+
+
+@st.composite
+def scalar_open_loop_problems(draw):
+    """A shipped scalar open-loop scenario, as shipped or with a drifting A
+    or B, one or two initial conditions, or a diverging A(t); the flat
+    coefficients and the slow time of one episode; and whether it diverges."""
+    name = draw(st.sampled_from(SCALAR_OPEN_LOOP), label="scenario")
+    variant = draw(st.sampled_from(["shipped", "drifting a", "drifting b", "two starts",
+                                    "diverging"]), label="variant")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    dynamics = read_scenario_config(SHIPPED[name])["dynamics"]
+    overrides = {
+        "shipped": {},
+        "drifting a": {"dynamics.a": f"({dynamics['a']}) + t/1000"},
+        "drifting b": {"dynamics.b": f"({dynamics['b']}) * (1 + 0.25*sin(t/300))"},
+        "two starts": {"initial_conditions": "[[1.5], [-0.7]]"},
+        # each step amplifies by about (h |A|)^4 / 24 > 1e150
+        "diverging": {"dynamics.a": "1e45 * (1 + t/1000)"},
+    }[variant]
+    scenario = load_scenario(SHIPPED[name], overrides)
+    flat = rng.uniform(0.1, 10.0) * rng.standard_normal(scenario.basis.n_functions)
+    return scenario, flat, draw(st.floats(0.0, 5000.0), label="slow time"), \
+        variant == "diverging"
+
+
+@DIFFERENTIAL
+@given(scalar_open_loop_problems())
+def test_scalar_episode_costs_give_the_bits_of_the_simulated_trajectory(problem):
+    scenario, flat, slow_time, diverging = problem
+    scalar_costs = _scalar_episode_costs(scenario)
+    assert scalar_costs is not None
+    values = flat.reshape(1, -1)
+    if diverging:
+        with pytest.raises(IntegrationDivergedError) as simulated:
+            _integrate_open_loop(scenario, values, slow_time, scenario.initial_conditions[0])
+        for costs in (lambda: scalar_costs(flat, slow_time),
+                      lambda: open_loop_cost(scenario)(flat, slow_time)):
+            with pytest.raises(IntegrationDivergedError) as exc:
+                costs()
+            assert exc.value.step_index == simulated.value.step_index
+        return
+    expected = []
+    for x0 in scenario.initial_conditions:
+        traj, u_nodes = _integrate_open_loop(scenario, values, slow_time, x0)
+        expected.append(cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes))
+    assert scalar_costs(flat, slow_time) == expected
+    if not scenario.dynamics.time_invariant:  # served by the scalar costs
+        total = open_loop_cost(scenario)(flat, slow_time)
+        assert total == (expected[0] if len(expected) == 1 else float(sum(expected)))
+    # the first measurement runs the episode, the second takes the cost-only path
+    measurement = open_loop_measurement(scenario, delta=1e-3)
+    s = int(slow_time)
+    assert measurement.measure(flat, s) == measurement.measure(flat, s)
+
+
+def _counting_integrations(monkeypatch):
+    """A list that gets one entry per _integrate_open_loop call from now on."""
+    calls = []
+    original = scenario_module._integrate_open_loop
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scenario_module, "_integrate_open_loop", counted)
+    return calls
+
+
+def _drifting_scenario(d, p, general_dynamics=False, general_cost=False):
+    """A drifting plant with d states and p controls under a quadratic cost
+    (GeneralDynamics or GeneralCost on request) and one initial condition."""
+    def a_fn(t):
+        return (-1.0 - 1e-3 * t) * np.eye(d)
+
+    def b_fn(t):
+        return np.ones((d, p)) * (1.0 + 1e-3 * t)
+
+    if general_dynamics:
+        dynamics = GeneralDynamics(f=lambda tau, x, u: a_fn(0.0) @ x + b_fn(0.0) @ u,
+                                   state_dim=d, control_dim=p)
+    else:
+        dynamics = LinearDynamics(a_fn=a_fn, b_fn=b_fn, state_dim=d, control_dim=p)
+    cost = QuadraticCost(c_matrix=np.eye(d), p_matrix=np.eye(d), q_matrix=np.eye(d),
+                         r_matrix=np.eye(p))
+    if general_cost:
+        cost = _as_general(cost)
+    return Scenario(name="dispatch", dynamics=dynamics, cost=cost,
+                    grid=TimeGrid(0.0, 1.0, 40),
+                    basis=FourierPairsBasis(m=2, horizon=1.0, extension=0.5),
+                    initial_conditions=[np.ones(d)])
+
+
+@pytest.mark.parametrize("d, p, general_dynamics, general_cost, scalar", [
+    (1, 1, False, False, True),
+    (2, 1, False, False, False),
+    (1, 2, False, False, False),
+    (3, 3, False, False, False),
+    (1, 1, True, False, False),
+    (1, 1, False, True, False),
+])
+def test_only_scalar_linear_quadratic_episodes_take_the_scalar_costs(
+        d, p, general_dynamics, general_cost, scalar, monkeypatch):
+    scenario = _drifting_scenario(d, p, general_dynamics, general_cost)
+    assert (_scalar_episode_costs(scenario) is not None) == scalar
+    calls = _counting_integrations(monkeypatch)
+    flat = np.linspace(-1.0, 1.0, p * scenario.basis.n_functions)
+    open_loop_cost(scenario)(flat, 250.0)
+    assert len(calls) == (0 if scalar else 1)
+
+
+def test_a_drifting_plant_never_gets_a_cached_episode_model():
+    scenario = load_scenario(SHIPPED["timevarying_noisy"])
+    flat = np.linspace(-0.5, 0.5, scenario.basis.n_functions)
+    measurement = open_loop_measurement(scenario, delta=1e-3)
+    for s in range(3):
+        measurement.measure(flat, s)
+    run_episode(scenario, ControllerCoefficients.from_flat(flat, 1), slow_time=900.0)
+    early, late = episode_model(scenario, 0.0), episode_model(scenario, 4000.0)
+    assert early is not late and not np.array_equal(early.hessian, late.hessian)
+    assert "episode_model" not in scenario._cache
+
+
+def test_a_replaced_scenario_never_reuses_the_original_model():
+    original = load_scenario(SHIPPED["example2_scalar"])
+    model = episode_model(original)
+    assert original._cache["episode_model"] is model
+    steeper = dataclasses.replace(original, dynamics=LinearDynamics.constant(2.0, 1.0))
+    assert "episode_model" not in steeper._cache
+    replaced_model = episode_model(steeper)
+    assert replaced_model is not model and steeper._cache["episode_model"] is replaced_model
+    assert original._cache["episode_model"] is model
+    flat = np.linspace(-0.5, 0.5, steeper.basis.n_functions)
+    served = open_loop_cost(steeper)(flat, 0.0)
+    simulated = _scalar_episode_costs(steeper)(flat, 0.0)[0]
+    assert math.isclose(served, simulated, rel_tol=1e-9)
+    assert not math.isclose(served, open_loop_cost(original)(flat, 0.0), rel_tol=1e-3)
+
+
+@st.composite
+def riccati_problems(draw):
+    """(dynamics, cost, grid, diverging) of one draw: d, p and outputs up to
+    3, with or without a tracking reference. A diverging draw's terminal
+    weight is -1e8 times a positive definite one, which drives S to -inf
+    within the first steps of the backward sweep. S is never checked for
+    definiteness, which the packed solve does not do, and which coarse
+    grids (RK4 does not keep S semidefinite) would trip."""
+    d = draw(st.integers(1, 3), label="d")
+    p = draw(st.integers(1, 3), label="p")
+    n_out = draw(st.integers(1, 3), label="outputs")
+    stable = draw(st.booleans(), label="stable A")
+    tracking = draw(st.booleans(), label="reference")
+    diverging = draw(st.booleans(), label="diverging")
+    n_steps = draw(st.integers(2, 64), label="n_steps")
+    horizon = draw(st.sampled_from([0.5, 1.0, 2.0]), label="horizon")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    a = 0.8 * rng.standard_normal((d, d))
+    a += ((-0.5 if stable else 0.5) - np.linalg.eigvals(a).real.max()) * np.eye(d)
+    terminal = _psd(rng, n_out, floor=0.5) * (-1e8 if diverging else 1.0)
+    cost = QuadraticCost(c_matrix=rng.standard_normal((n_out, d)), p_matrix=terminal,
+                         q_matrix=_psd(rng, n_out), r_matrix=_psd(rng, p, floor=0.5),
+                         reference=_reference(rng, n_out) if tracking else None,
+                         terminal_indefinite_ok=True)
+    return (LinearDynamics.constant(a, rng.standard_normal((d, p))), cost,
+            TimeGrid(0.0, horizon, n_steps), diverging)
+
+
+@DIFFERENTIAL
+@given(riccati_problems())
+def test_riccati_sweep_matches_the_packed_rk4_solve_on_generated_problems(problem):
+    dynamics, cost, grid, diverging = problem
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            expected = packed_riccati_reference(dynamics, cost, grid)
+        except RiccatiInstabilityError as exc:
+            expected = exc
+    assert isinstance(expected, RiccatiInstabilityError) or not diverging, \
+        "a diverging draw stayed finite"
+    if isinstance(expected, RiccatiInstabilityError):  # coarse grids can blow up too
+        with pytest.raises(RiccatiInstabilityError) as got:
+            solve_riccati(dynamics, cost, grid)
+        assert str(got.value) == str(expected)
+        assert got.value.node_index == expected.node_index is not None
+        return
+    solution = solve_riccati(dynamics, cost, grid)
+    for name in ("s_matrices", "gains", "feedforward", "_s_doubled", "_k_doubled",
+                 "_v_doubled"):
+        got, want = getattr(solution, name), getattr(expected, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name

@@ -260,6 +260,20 @@ def test_cli_error_record_keeps_the_iteration_and_step_index(tmp_path, monkeypat
     ("example2_scalar", "basis.m=2.5", "basis.m"),
     ("example2_scalar", "grid.n_steps=250.5", "grid.n_steps"),
     ("example2_scalar", "grid.n_steps=1e9", "grid.n_steps"),  # YAML reads a string
+    ("example2_scalar", "grid.n_steps=1", "grid.n_steps"),
+    ("example2_scalar", "basis.m=0", "basis.m"),
+    ("example2_scalar", "es.alpha=abc", "es.alpha"),
+    ("example2_scalar", "es.k=.nan", "es.k"),
+    ("example2_scalar", "es.omega0=.inf", "es.omega0"),
+    ("feedback_2d", "es.k=abc", "es.k"),
+    ("example2_scalar", "grid.t_start=[0.0]", "grid.t_start"),
+    ("example2_scalar", "grid.t_end=abc", "grid.t_end"),
+    ("example2_scalar", "grid.t_end=0.0", "grid.t_end"),
+    ("example2_scalar", "basis.extension=abc", "basis.extension"),
+    ("example2_scalar", "basis.extension=-0.5", "basis.extension"),
+    ("timevarying_noisy", "noise.std_dev=abc", "noise.std_dev"),
+    ("timevarying_noisy", "noise.std_dev=-0.5", "noise.std_dev"),
+    ("timevarying_noisy", "batch_period=abc", "batch_period"),
 ])
 def test_cli_malformed_value_fails_through_the_error_handler(name, override, key, tmp_path,
                                                              capsys):
@@ -272,6 +286,37 @@ def test_cli_malformed_value_fails_through_the_error_handler(name, override, key
     assert key in record["message"]
     assert json.loads(capsys.readouterr().err) == record
     assert not (out / "summary.json").exists()
+
+
+def test_cli_unparsable_override_fails_through_the_error_handler(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli_main(["run", "--scenario", str(SHIPPED["example2_scalar"]), "--iters", "3",
+                     "--out", str(out), "--override", "es.alpha=[1"])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ScenarioParseError"
+    assert "es.alpha" in record["message"]
+    assert json.loads(capsys.readouterr().err) == record
+
+
+def test_float_syntax_strings_load_as_numbers():
+    config = yaml.safe_load(SHIPPED["timevarying_noisy"].read_text())
+    config["es"]["alpha"] = "2e1"  # YAML 1.1 reads 2e1 as a string
+    config["grid"]["t_end"] = 1
+    scenario = build_scenario(config)
+    assert scenario.es_defaults["alpha"] == 20.0
+    assert type(scenario.grid.t_end) is float and scenario.grid.t_end == 1.0
+    assert es_config_for(scenario).alpha == 20.0
+
+
+def test_cli_lists_an_unreadable_scenario_file(tmp_path, capsys):
+    (tmp_path / "broken.scn").write_text("name: [unclosed\n")
+    (tmp_path / "listed.scn").write_text("- not\n- a mapping\n")
+    assert cli_main(["list-scenarios", "--dir", str(tmp_path)]) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["broken"].endswith("(unreadable)")
+    assert lines["listed"].endswith("(unreadable)")
+    assert "drifting noisy scalar plant" in lines["timevarying_noisy"]
 
 
 def test_integral_float_values_load_as_integers():
