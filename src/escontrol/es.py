@@ -208,13 +208,16 @@ def es_step(coeffs, j_hat: float, s: int, config: EsConfig):
 
 @dataclass(frozen=True)
 class EsRunRecord:
-    """Everything recorded along one ES run (s = 0 .. n_iterations)."""
+    """The iterates one ES run kept: row 0, then every row after the first
+    ``dropped_rows``. A run keeps all of s = 0 .. n_iterations unless it
+    streamed its rows out (see :func:`run_es`)."""
 
     scenario_id: str
     config: EsConfig
-    coefficients: np.ndarray   # (n_iterations + 1, n_coeffs)
+    coefficients: np.ndarray   # (kept rows, n_coeffs)
     costs: np.ndarray          # J(s), the cost measured under coefficients(s)
     measured_costs: np.ndarray
+    dropped_rows: int = 0      # rows 1 .. dropped_rows were not kept
 
     def __post_init__(self):
         if not (self.coefficients.shape[0] == self.costs.shape[0]
@@ -223,14 +226,11 @@ class EsRunRecord:
 
     @property
     def n_iterations(self) -> int:
-        return self.coefficients.shape[0] - 1
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.coefficients.shape[0]) * self.config.delta
+        return self.coefficients.shape[0] - 1 + self.dropped_rows
 
     def final_window(self) -> int:
         """Rows in the convergence-statistic window (one slowest-dither period)."""
-        return min(self.config.slowest_period_steps(), self.coefficients.shape[0])
+        return min(self.config.slowest_period_steps(), self.n_iterations + 1)
 
     def period_averaged_cost(self) -> float:
         """Mean J over the last slowest-dither period; raw J oscillates
@@ -243,8 +243,54 @@ class EsRunRecord:
         return self.coefficients[-self.final_window():].mean(axis=0)
 
 
+# a streaming run hands its rows on in blocks of this many rows. Each block
+# switches between the ES loop and the writer, and the switches cost cache
+# refills: on 20 000-iteration example3_tracking runs (2-core x86-64 host),
+# 64-row blocks took about 7% longer than writing after the loop, 1 024-row
+# blocks as long. A block of 1 024 rows of 84 floats is 0.7 MB.
+_ROW_BLOCK = 1024
+
+
+def _row_blocks(measure, config: EsConfig, flat: np.ndarray, n_iterations: int,
+                block_rows: int):
+    """The ES loop. Yields its rows as blocks ``(start, coefficients, costs,
+    measured_costs)`` of ``block_rows`` rows from iteration ``start`` on (the
+    last block may be shorter): views of one buffer, valid until the next
+    block is asked for. When iteration s raises an EsControlError, the block
+    of the rows before s comes first, then the error, with ``iteration`` = s."""
+    coeffs = np.empty((block_rows, flat.shape[0]))
+    costs = np.empty(block_rows)
+    measured = np.empty(block_rows)
+    start = i = 0
+    failure = None
+    for s in range(n_iterations + 1):
+        if i == block_rows:
+            yield start, coeffs, costs, measured
+            start, i = s, 0
+        coeffs[i] = flat
+        try:
+            j, j_hat = measure(flat, s)
+            costs[i] = j
+            measured[i] = j_hat
+            if s < n_iterations:
+                flat = es_step(flat, j_hat, s, config)
+        except EsControlError as exc:  # raised below, once the rows before s are out
+            failure = exc
+            break
+        i += 1
+    if i:
+        yield start, coeffs[:i], costs[:i], measured[:i]
+    if failure is not None:
+        wrapped = type(failure)(f"ES iteration s={start + i}: {failure}")
+        # keep the error's context (step_index, node_index) and add the iteration
+        wrapped.__dict__.update(vars(failure))
+        wrapped.iteration = start + i
+        raise wrapped from failure
+
+
 def run_es(cost_source, config: EsConfig, n_iterations: int,
-           initial_coeffs=None, scenario_id: str = "") -> EsRunRecord:
+           initial_coeffs=None, scenario_id: str = "",
+           consume_rows: Callable | None = None) -> EsRunRecord:
     """Alternate cost measurement and es_step, recording every iterate.
 
     An iteration needs only (J, J_hat), from one ``measure(flat, s)`` chosen
@@ -254,6 +300,13 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
     of an object (such as :func:`~escontrol.feedback.closed_loop_measurement`),
     or a plain noise-free callable of the flat coefficients. Coefficients
     start at zero unless given.
+
+    With ``consume_rows``, the rows stream out instead: the loop runs inside
+    ``consume_rows(config, blocks)``, which must exhaust the iterator
+    ``blocks`` of row blocks (see :func:`_row_blocks`; a failing iteration
+    raises from it once the rows before it are out). The record then keeps
+    only row 0 and the final window, which is all that its period averages
+    and the last iterate need.
     """
     if n_iterations < 1:
         raise ContractViolationError(f"n_iterations must be >= 1, got {n_iterations}")
@@ -275,29 +328,34 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
     else:
         flat = np.asarray(initial_coeffs, dtype=float).copy()
 
-    n_coeffs = flat.shape[0]
-    coeff_hist = np.empty((n_iterations + 1, n_coeffs))
-    costs = np.empty(n_iterations + 1)
-    measured = np.empty(n_iterations + 1)
-    for s in range(n_iterations + 1):
-        coeff_hist[s] = flat
-        try:
-            j, j_hat = measure(flat, s)
-            costs[s] = j
-            measured[s] = j_hat
-            if s < n_iterations:
-                flat = es_step(flat, j_hat, s, config)
-        except EsControlError as exc:
-            try:
-                wrapped = type(exc)(f"ES iteration s={s}: {exc}")
-            except TypeError:
-                raise
-            # keep the error's context (step_index, node_index) and add the iteration
-            wrapped.__dict__.update(vars(exc))
-            wrapped.iteration = s
-            raise wrapped from exc
-    return EsRunRecord(scenario_id=scenario_id, config=config,
-                       coefficients=coeff_hist, costs=costs, measured_costs=measured)
+    if consume_rows is None:  # every row, in one block
+        [(_, *rows)] = _row_blocks(measure, config, flat, n_iterations, n_iterations + 1)
+        return EsRunRecord(scenario_id, config, *rows)
+
+    window = min(config.slowest_period_steps(), n_iterations)
+    first: list = []
+    tail = [np.empty((window, flat.shape[0])), np.empty(window), np.empty(window)]
+    finished = False
+
+    def blocks():
+        nonlocal finished
+        for block in _row_blocks(measure, config, flat, n_iterations, _ROW_BLOCK):
+            start, *arrays = block
+            if start == 0:
+                first.extend(a[:1].copy() for a in arrays)
+            for kept, rows in zip(tail, arrays):
+                n = min(rows.shape[0], window)
+                kept[:window - n] = kept[n:]
+                kept[window - n:] = rows[rows.shape[0] - n:]
+            yield block
+        finished = True
+
+    consume_rows(config, blocks())
+    if not finished:
+        raise ContractViolationError("consume_rows returned before the run ended")
+    return EsRunRecord(scenario_id, config,
+                       *(np.concatenate(pair) for pair in zip(first, tail)),
+                       dropped_rows=n_iterations - window)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ rows get fresh bands appended above the gain bands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -275,12 +275,14 @@ def _check_initial_conditions(scenario: Scenario):
 
 
 def synthesize_gain(scenario: Scenario, config: EsConfig | None = None,
-                    n_iterations: int | None = None) -> tuple[GainField, EsRunRecord]:
+                    n_iterations: int | None = None,
+                    consume_rows: Callable | None = None) -> tuple[GainField, EsRunRecord]:
     """ES over all gain-field coefficients against the summed multi-episode cost.
 
     Returns the converged field (coefficients averaged over the last
-    slowest-dither period, removing the residual dither ripple) and the
-    full run record.
+    slowest-dither period, removing the residual dither ripple) and the run
+    record: the full one, or row 0 and the final window when the rows
+    stream to ``consume_rows`` (see :func:`~escontrol.es.run_es`).
     """
     if not isinstance(scenario.dynamics, LinearDynamics) or \
             not isinstance(scenario.cost, QuadraticCost):
@@ -304,7 +306,7 @@ def synthesize_gain(scenario: Scenario, config: EsConfig | None = None,
         n_iterations = int(es.get("n_iterations", 1000))
 
     record = run_es(closed_loop_measurement(scenario, config.delta), config, n_iterations,
-                    scenario_id=scenario.name)
+                    scenario_id=scenario.name, consume_rows=consume_rows)
     return gain_field(scenario, record.period_averaged_coefficients()), record
 
 

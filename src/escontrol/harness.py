@@ -16,6 +16,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -61,10 +62,11 @@ def compile_expression(expr: str, var: str) -> Callable[[float], float]:
     return fn
 
 
-def _matrix_fn(value, var: str):
-    """A scenario matrix entry: number, expression string, or nested lists."""
+def _matrix_fn(value, var: str, key: str):
+    """The scenario matrix at dotted path ``key``: number, expression string,
+    or nested lists."""
     if isinstance(value, (int, float)):
-        const = np.array([[float(value)]])
+        const = np.array([[_number(value, key)]])
         return (lambda t: const), const.shape, True
     if isinstance(value, str):
         f = compile_expression(value, var)
@@ -76,11 +78,12 @@ def _matrix_fn(value, var: str):
     shape = (len(rows), len(rows[0]))
     if any(len(r) != shape[1] for r in rows):
         raise ScenarioParseError("matrix rows have inconsistent lengths")
-    if all(isinstance(x, (int, float)) for r in rows for x in r):
-        const = np.array(rows, dtype=float)
+    if not any(isinstance(x, str) for r in rows for x in r):
+        const = _float_array(rows, key)
         return (lambda t: const), shape, True
-    fns = [[compile_expression(x, var) if isinstance(x, str) else (lambda t, v=float(x): v)
-            for x in r] for r in rows]
+    fns = [[compile_expression(x, var) if isinstance(x, str)
+            else (lambda t, v=_number(x, f"{key}[{i}][{j}]"): v)
+            for j, x in enumerate(r)] for i, r in enumerate(rows)]
 
     def fn(t):
         return np.array([[float(f(t)) for f in row] for row in fns])
@@ -94,7 +97,7 @@ def _reference_fn(value):
         return None
     entries = value if isinstance(value, list) else [value]
     fns = [compile_expression(x, "tau") if isinstance(x, str)
-           else (lambda tau, v=float(x): v) for x in entries]
+           else (lambda tau, v=_number(x, "cost.reference"): v) for x in entries]
 
     def fn(tau):
         return np.array([f(tau) for f in fns], dtype=float)
@@ -133,18 +136,57 @@ def _number(value, key: str) -> float:
     raise ScenarioValidationError(f"{key} must be a finite number, got {value!r}")
 
 
+def _float_array(value, key: str) -> np.ndarray:
+    """The scenario number or nested list of numbers at dotted path ``key``,
+    as a float array; every entry is read as :func:`_number` reads it."""
+    def numbers(item, path):
+        if isinstance(item, list):
+            return [numbers(x, f"{path}[{i}]") for i, x in enumerate(item)]
+        return _number(item, path)
+
+    nested = numbers(value, key)
+    try:
+        array = np.array(nested, dtype=float)
+    except ValueError as exc:  # ragged nesting
+        raise ScenarioValidationError(f"{key} rows have inconsistent lengths") from exc
+    if array.size == 0:
+        raise ScenarioValidationError(f"{key} must not be empty")
+    return array
+
+
+def _section(config: dict, key: str, required: bool = True) -> dict:
+    """The mapping at top-level ``key`` of a scenario ({} if optional and absent)."""
+    value = _require(config, key, "scenario") if required else config.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioValidationError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
+def _es_section(config: dict) -> dict:
+    """The es section with its typed entries converted and checked."""
+    es = dict(_section(config, "es", required=False))
+    for key in ("k", "alpha", "omega0", "delta"):
+        if key in es:
+            es[key] = _number(es[key], f"es.{key}")
+    if es.get("delta", 0.0) < 0:
+        raise ScenarioValidationError(f"es.delta must be >= 0, got {es['delta']}")
+    if "n_iterations" in es:
+        es["n_iterations"] = _integer(es["n_iterations"], "es.n_iterations", low=1)
+    return es
+
+
 def build_scenario(config: dict, name: str | None = None) -> Scenario:
     """Validated Scenario from a parsed scenario-file dictionary."""
     name = name or config.get("name", "scenario")
-    dyn_cfg = _require(config, "dynamics", "scenario")
+    dyn_cfg = _section(config, "dynamics")
     kind = dyn_cfg.get("kind", "linear")
     if kind != "linear":
         raise ScenarioValidationError(
             f"scenario files only declare linear dynamics, got kind={kind!r}; "
             "general dynamics are constructed through the API"
         )
-    a_fn, a_shape, a_const = _matrix_fn(_require(dyn_cfg, "a", "dynamics"), "t")
-    b_fn, b_shape, b_const = _matrix_fn(_require(dyn_cfg, "b", "dynamics"), "t")
+    a_fn, a_shape, a_const = _matrix_fn(_require(dyn_cfg, "a", "dynamics"), "t", "dynamics.a")
+    b_fn, b_shape, b_const = _matrix_fn(_require(dyn_cfg, "b", "dynamics"), "t", "dynamics.b")
     if a_shape[0] != a_shape[1]:
         raise ScenarioValidationError(f"A must be square, got {a_shape}")
     if b_shape[0] != a_shape[0]:
@@ -157,17 +199,18 @@ def build_scenario(config: dict, name: str | None = None) -> Scenario:
         dynamics = LinearDynamics(a_fn=a_fn, b_fn=b_fn,
                                   state_dim=a_shape[0], control_dim=b_shape[1])
 
-    cost_cfg = _require(config, "cost", "scenario")
+    cost_cfg = _section(config, "cost")
     cost = QuadraticCost(
-        c_matrix=np.atleast_2d(cost_cfg.get("c", np.eye(a_shape[0]).tolist())),
-        p_matrix=np.atleast_2d(_require(cost_cfg, "p", "cost")),
-        q_matrix=np.atleast_2d(_require(cost_cfg, "q", "cost")),
-        r_matrix=np.atleast_2d(_require(cost_cfg, "r", "cost")),
+        c_matrix=np.atleast_2d(_float_array(cost_cfg.get("c", np.eye(a_shape[0]).tolist()),
+                                            "cost.c")),
+        p_matrix=np.atleast_2d(_float_array(_require(cost_cfg, "p", "cost"), "cost.p")),
+        q_matrix=np.atleast_2d(_float_array(_require(cost_cfg, "q", "cost"), "cost.q")),
+        r_matrix=np.atleast_2d(_float_array(_require(cost_cfg, "r", "cost"), "cost.r")),
         reference=_reference_fn(cost_cfg.get("reference")),
         terminal_indefinite_ok=bool(cost_cfg.get("allow_indefinite_terminal", False)),
     )
 
-    grid_cfg = _require(config, "grid", "scenario")
+    grid_cfg = _section(config, "grid")
     t_start = _number(grid_cfg.get("t_start", 0.0), "grid.t_start")
     t_end = _number(_require(grid_cfg, "t_end", "grid"), "grid.t_end")
     if not t_end > t_start:
@@ -176,7 +219,7 @@ def build_scenario(config: dict, name: str | None = None) -> Scenario:
     grid = TimeGrid(t_start=t_start, t_end=t_end,
                     n_steps=_integer(grid_cfg.get("n_steps", 1000), "grid.n_steps", low=2))
 
-    basis_cfg = _require(config, "basis", "scenario")
+    basis_cfg = _section(config, "basis")
     extension = _number(basis_cfg.get("extension", 0.1 * grid.span), "basis.extension")
     if extension < 0:
         raise ScenarioValidationError(f"basis.extension must be >= 0, got {extension}")
@@ -184,16 +227,17 @@ def build_scenario(config: dict, name: str | None = None) -> Scenario:
                               horizon=grid.span, extension=extension)
 
     ics_raw = _require(config, "initial_conditions", "scenario")
-    ics = [np.atleast_1d(np.asarray(x, dtype=float)) for x in ics_raw]
+    if not isinstance(ics_raw, list):
+        raise ScenarioValidationError(
+            f"initial_conditions must be a list of states, got {ics_raw!r}")
+    ics = [np.atleast_1d(_float_array(x, f"initial_conditions[{i}]"))
+           for i, x in enumerate(ics_raw)]
 
-    noise_cfg = config.get("noise", {})
+    noise_cfg = _section(config, "noise", required=False)
     noise = NoiseModel(std_dev=_number(noise_cfg.get("std_dev", 0.0), "noise.std_dev"),
                        seed=_integer(noise_cfg.get("seed", 0), "noise.seed"))
 
-    es = dict(config.get("es", {}))
-    for key in ("k", "alpha", "omega0"):
-        if key in es:
-            es[key] = _number(es[key], f"es.{key}")
+    es = _es_section(config)
     batch_period = config.get("batch_period")
 
     return Scenario(
@@ -266,7 +310,8 @@ def load_scenario(path, overrides: dict[str, str] | None = None,
     if overrides:
         config = apply_overrides(config, overrides)
     if seed is not None:
-        config.setdefault("noise", {})["seed"] = int(seed)
+        config.setdefault("noise", {})
+        _section(config, "noise")["seed"] = int(seed)
     try:
         return build_scenario(config, name=config.get("name", path.stem))
     except ScenarioValidationError as exc:
@@ -365,25 +410,16 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
             fh.write(line + "\n")
 
 
-# iterations.csv rows are gathered into float blocks of this many rows, so
-# that writing holds no second copy of the coefficient history (on a
-# 6 001 x 84 write, 64 rows added at most 0.2 MB to the peak RSS, 1 024 rows
-# 1.3 MB)
-_ROW_BLOCK = 64
-
-
-def write_iterations_csv(path: Path, record: EsRunRecord) -> None:
-    """One row per iteration: s, t = s*delta, J, J_hat, then coefficients
-    (channel-major, interleaved cos/sin per pair)."""
-    n_rows, n_coeffs = record.coefficients.shape
-    header = ["s", "t", "J", "J_hat"] + [f"c_{i:03d}" for i in range(n_coeffs)]
-    times = record.times()
+def write_iterations_csv(path: Path, config: EsConfig, blocks) -> None:
+    """Write an ES run's row blocks (see :func:`~escontrol.es.run_es`) as
+    they come, one row per iteration: s, t = s*delta, J, J_hat, then the
+    coefficients (channel-major, interleaved cos/sin per pair)."""
+    header = ["s", "t", "J", "J_hat"] + [f"c_{i:03d}" for i in range(config.n_coeffs)]
 
     def rows():
-        for start in range(0, n_rows, _ROW_BLOCK):
-            part = slice(start, start + _ROW_BLOCK)
-            block = np.column_stack((times[part], record.costs[part],
-                                     record.measured_costs[part], record.coefficients[part]))
+        for start, coeffs, costs, measured in blocks:
+            times = np.arange(start, start + costs.shape[0]) * config.delta
+            block = np.column_stack((times, costs, measured, coeffs))
             for s, values in enumerate(block, start):
                 yield (s,), values
 
@@ -400,21 +436,20 @@ def _write_trajectories_csv(path: Path, scenario: Scenario, record: EsRunRecord)
               + [f"x_{i}" for i in range(scenario.state_dim)]
               + [f"u_{i}" for i in range(scenario.control_dim)])
 
-    def episode_rows(phase: str, s: int):
+    def episode_rows(phase: str, s: int, flat: np.ndarray):
         t = scenario.slow_time_for(s, record.config.delta)
         if scenario.feedback:
-            res = run_feedback_episode(scenario, gain_field(scenario, record.coefficients[s]),
+            res = run_feedback_episode(scenario, gain_field(scenario, flat),
                                        scenario.initial_conditions[0], slow_time=t)
         else:
-            coeffs = ControllerCoefficients.from_flat(record.coefficients[s],
-                                                      scenario.control_dim)
+            coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
             res = run_episode(scenario, coeffs, slow_time=t, noise_index=s)
         for values in np.column_stack((taus, res.trajectory.states, res.controls)):
             yield (phase, s), values
 
     def rows():
-        yield from episode_rows("first", 0)
-        yield from episode_rows("last", record.n_iterations)
+        yield from episode_rows("first", 0, record.coefficients[0])
+        yield from episode_rows("last", record.n_iterations, record.coefficients[-1])
 
     write_csv(path, header, rows())
 
@@ -473,9 +508,10 @@ def _oracle_info(scenario: Scenario, slow_time: float):
 def run_experiment(spec: ExperimentSpec) -> RunSummary:
     """Dispatch one experiment and write its artifact files.
 
-    Artifacts: iterations.csv (ES modes), trajectory.csv (open-loop modes),
-    gains.csv (feedback mode), oracle.csv (oracle/compare modes) and
-    summary.json always. An EsControlError raised once the scenario is
+    Artifacts: iterations.csv (ES modes; written while the run goes, so a
+    failing run leaves the rows before the failing iteration),
+    trajectory.csv (open-loop modes), gains.csv (feedback mode), oracle.csv
+    (oracle/compare modes) and summary.json always. An EsControlError raised once the scenario is
     built carries ``out_dir``, the experiment's resolved output directory.
     """
     started = time.perf_counter()
@@ -517,17 +553,18 @@ def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
         extras["oracle_costs_per_initial_condition"] = per_ic
         iterations = None
     else:  # feedback-es / open-loop-es / compare
+        stream = partial(write_iterations_csv, out_dir / "iterations.csv")
         if mode == "feedback-es":
-            field_, record = synthesize_gain(scenario, n_iterations=spec.n_iterations)
+            field_, record = synthesize_gain(scenario, n_iterations=spec.n_iterations,
+                                             consume_rows=stream)
         else:
-            n_iterations = spec.n_iterations or int(
-                scenario.es_defaults.get("n_iterations", 1000))
-            record = run_es(scenario, es_config_for(scenario), n_iterations)
+            n_iterations = spec.n_iterations or scenario.es_defaults.get("n_iterations", 1000)
+            record = run_es(scenario, es_config_for(scenario), n_iterations,
+                            consume_rows=stream)
         iterations = record.n_iterations
         j_avg = record.period_averaged_cost()
         slow_final = scenario.slow_time_for(iterations, record.config.delta)
         riccati, oracle_total, per_ic = _oracle_info(scenario, slow_final)
-        write_iterations_csv(out_dir / "iterations.csv", record)
         _write_trajectories_csv(out_dir / "trajectory.csv", scenario, record)
         if mode == "feedback-es":
             _write_gains_csv(out_dir / "gains.csv", scenario, field_, riccati)

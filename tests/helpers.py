@@ -2,10 +2,12 @@
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import (ContractViolationError, EsControlError,
                               MeasurementInvalidError, RiccatiInstabilityError)
+from escontrol.harness import write_csv
 from escontrol.lqr import RiccatiSolution, _pd_inverse_times
 from escontrol.ode import TimeGrid
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
@@ -166,6 +168,36 @@ def packed_riccati_reference(dynamics, cost, grid, slow_time=0.0):
                            feedforward=v_doubled[0::2], rinv_bt=rinv_bt,
                            has_reference=has_reference, _s_doubled=s_doubled,
                            _k_doubled=k_doubled, _v_doubled=v_doubled)
+
+
+def fresh_philox_draw(std_dev, seed, index):
+    """Noise draw ``index`` from its own Philox generator, advanced by
+    ``index`` counter blocks: the per-draw definition that NoiseModel's block
+    generation must reproduce bit for bit."""
+    bit_gen = np.random.Philox(key=seed)
+    bit_gen.advance(index)
+    u = np.random.Generator(bit_gen).random()
+    return float(std_dev * ndtri(min(max(u, 5e-324), 1.0 - 1e-16)))
+
+
+def reference_iterations_csv(path, record):
+    """iterations.csv written from a whole in-memory EsRunRecord, in float
+    blocks of 64 rows: the reference that the streaming
+    harness.write_iterations_csv must match byte for byte."""
+    assert record.dropped_rows == 0, "the reference writer needs every row"
+    n_rows, n_coeffs = record.coefficients.shape
+    header = ["s", "t", "J", "J_hat"] + [f"c_{i:03d}" for i in range(n_coeffs)]
+    times = np.arange(n_rows) * record.config.delta
+
+    def rows():
+        for start in range(0, n_rows, 64):
+            part = slice(start, start + 64)
+            block = np.column_stack((times[part], record.costs[part],
+                                     record.measured_costs[part], record.coefficients[part]))
+            for s, values in enumerate(block, start):
+                yield (s,), values
+
+    write_csv(path, header, rows())
 
 
 def matmul_step_matrices(a_start, a_mid, a_end, h):

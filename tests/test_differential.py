@@ -6,9 +6,12 @@ shape; these draws reach d, p and the output dimension up to 3, stable and
 unstable plants, with and without feedforward and reference. Costs are
 checked against a per-node Python loop that shares no code with the
 batched quadrature. Hypothesis runs derandomized, so every run checks the
-same draws.
+same draws. Streamed run records are checked against the full in-memory
+record on every shipped scenario, and block noise draws against one Philox
+generator per draw.
 """
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,17 +19,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import packed_riccati_reference, quadratic_cost_samples
+from helpers import (fresh_philox_draw, packed_riccati_reference, quadratic_cost_samples,
+                     reference_iterations_csv)
+from escontrol import es as es_module
+from escontrol import feedback as feedback_module
+from escontrol import harness
 from escontrol import scenario as scenario_module
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import IntegrationDivergedError, RiccatiInstabilityError
 from escontrol.es import EsConfig, run_es
 from escontrol.feedback import GainField, run_feedback_episodes
-from escontrol.harness import load_scenario, read_scenario_config, shipped_scenarios
+from escontrol.harness import (ExperimentSpec, load_scenario, read_scenario_config,
+                               run_experiment, shipped_scenarios)
 from escontrol.lqr import solve_riccati
 from escontrol.ode import TimeGrid, integrate_rk4
-from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics, QuadraticCost,
-                                Scenario, _integrate_open_loop, _scalar_episode_costs,
+from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics, NoiseModel,
+                                QuadraticCost, Scenario, _integrate_open_loop, _scalar_episode_costs,
                                 cost_of_trajectories, cost_of_trajectory, episode_model,
                                 open_loop_cost, open_loop_measurement, run_episode,
                                 run_multi_episode)
@@ -590,3 +598,69 @@ def test_riccati_sweep_matches_the_packed_rk4_solve_on_generated_problems(proble
                  "_v_doubled"):
         got, want = getattr(solution, name), getattr(expected, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+# --- streamed run records ---------------------------------------------------
+
+
+def _artifacts(out):
+    """The bytes of every file in an output directory, with summary.json
+    parsed and its wall time dropped."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "summary.json":
+            summary = json.loads(path.read_text())
+            del summary["wall_time_s"]
+            files[path.name] = summary
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+# lengths shorter than the 18-row final window, and on either side of a block
+# edge of the streamed run, cut to 64 rows so that short runs cross edges
+@pytest.mark.parametrize("n_iterations", [1, 17, 63, 64, 65, 200])
+@pytest.mark.parametrize("path", shipped_scenarios(), ids=lambda path: path.stem)
+def test_streamed_artifacts_equal_the_reference_writers_on_the_full_record(
+        path, n_iterations, tmp_path, monkeypatch):
+    spec = ExperimentSpec(scenario_path=str(path), n_iterations=n_iterations)
+    monkeypatch.setattr(es_module, "_ROW_BLOCK", 64)
+    run_experiment(dataclasses.replace(spec, out_dir=str(tmp_path / "streamed")))
+
+    # the same run on the full in-memory record, iterations.csv from the
+    # reference writer
+    full = tmp_path / "full"
+    run_es = es_module.run_es
+
+    def in_memory(*args, consume_rows, **kwargs):
+        record = run_es(*args, **kwargs)
+        assert record.dropped_rows == 0
+        reference_iterations_csv(full / "iterations.csv", record)
+        return record
+
+    monkeypatch.setattr(harness, "run_es", in_memory)
+    monkeypatch.setattr(feedback_module, "run_es", in_memory)
+    run_experiment(dataclasses.replace(spec, out_dir=str(full)))
+
+    streamed, expected = _artifacts(tmp_path / "streamed"), _artifacts(full)
+    assert "iterations.csv" in expected and list(streamed) == list(expected)
+    for name in expected:
+        assert streamed[name] == expected[name], name
+
+
+# --- noise draws ------------------------------------------------------------
+
+
+def test_noise_draws_at_block_edges_equal_one_philox_generator_per_draw():
+    assert NoiseModel._BLOCK == 512
+    edges = [0, 511, 512, 513, 1023, 1024]
+    for order in (edges, edges[::-1], [1024, 0, 513, 1023, 511, 512]):
+        model = NoiseModel(0.5, 20260810)
+        assert [model.draw(i).hex() for i in order] == \
+            [fresh_philox_draw(0.5, 20260810, i).hex() for i in order]
+    # two models on one seed keep their blocks apart, interleaved either way
+    first, second = NoiseModel(0.5, 42), NoiseModel(1.25, 42)
+    for i, j in zip(edges, edges[::-1]):
+        assert first.draw(i).hex() == fresh_philox_draw(0.5, 42, i).hex()
+        assert second.draw(j).hex() == fresh_philox_draw(1.25, 42, j).hex()
+        assert second.draw(i).hex() == fresh_philox_draw(1.25, 42, i).hex()

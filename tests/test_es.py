@@ -13,7 +13,7 @@ from escontrol.basis import ControllerCoefficients, CustomSampledBasis
 from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
                               MeasurementInvalidError, RiccatiInstabilityError,
                               ScheduleCollisionError)
-from escontrol.es import (EsConfig, assemble_quadratic_cost, default_phases, es_step,
+from escontrol.es import (_ROW_BLOCK, EsConfig, assemble_quadratic_cost, default_phases, es_step,
                           make_frequency_schedule, restricted_optimum, run_es)
 from escontrol.ode import TimeGrid, quadrature_trapezoid
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
@@ -248,6 +248,40 @@ def test_run_es_keeps_the_riccati_node_index():
         run_es(Source(), cfg, 5)
     assert wrapped.value.node_index == 7
     assert wrapped.value.iteration == 2
+
+
+@pytest.mark.parametrize("n_iterations", [1, 17, 18, _ROW_BLOCK - 1, _ROW_BLOCK,
+                                          _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 5])
+def test_run_es_streams_every_row_and_keeps_row_0_and_the_final_window(n_iterations):
+    scenario = example2_scenario(n_steps=128, m=1)
+    cfg = EsConfig.build(k=0.2, alpha=20.0, omega0=500.0, n_coeffs=2)  # an 18-row window
+    full = run_es(scenario, cfg, n_iterations)
+    blocks = []
+
+    def consume(config, row_blocks):
+        assert config is cfg
+        # a block is valid until the next one is asked for
+        blocks.extend([start] + [a.copy() for a in arrays] for start, *arrays in row_blocks)
+
+    kept = run_es(scenario, cfg, n_iterations, consume_rows=consume)
+    assert [block[0] for block in blocks] == list(range(0, n_iterations + 1, _ROW_BLOCK))
+    window = full.final_window()
+    assert kept.n_iterations == n_iterations and kept.final_window() == window
+    for i, name in enumerate(("coefficients", "costs", "measured_costs"), 1):
+        rows = getattr(full, name)
+        assert np.concatenate([block[i] for block in blocks]).tobytes() == rows.tobytes()
+        expected = rows if window == n_iterations + 1 else np.concatenate([rows[:1],
+                                                                            rows[-window:]])
+        assert getattr(kept, name).tobytes() == expected.tobytes(), name
+    assert kept.period_averaged_cost() == full.period_averaged_cost()
+    assert kept.period_averaged_coefficients().tobytes() == \
+        full.period_averaged_coefficients().tobytes()
+
+
+def test_run_es_refuses_a_row_consumer_that_stops_early():
+    cfg = EsConfig.build(k=1.0, alpha=1.0, omega0=50.0, n_coeffs=1)
+    with pytest.raises(ContractViolationError, match="before the run ended"):
+        run_es(lambda c: 1.0, cfg, 100, consume_rows=lambda config, blocks: next(blocks))
 
 
 def test_run_es_vector_valued_controller_converges():

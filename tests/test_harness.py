@@ -11,10 +11,11 @@ import pytest
 import yaml
 
 import escontrol
+from helpers import reference_iterations_csv
 from escontrol.basis import ControllerCoefficients
 from escontrol.cli import main as cli_main
 from escontrol.errors import (ScenarioParseError, ScenarioValidationError)
-from escontrol.es import EsConfig, EsRunRecord
+from escontrol.es import EsConfig, EsRunRecord, run_es
 from escontrol.harness import (ExperimentSpec, apply_overrides, build_scenario,
                                es_config_for, load_scenario, normalize_config,
                                run_experiment, save_scenario, shipped_scenarios,
@@ -252,6 +253,30 @@ def test_cli_error_record_keeps_the_iteration_and_step_index(tmp_path, monkeypat
     assert json.loads(capsys.readouterr().err) == record
 
 
+def test_cli_failing_run_leaves_the_rows_before_the_failing_iteration(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the plant turns to x' = 801 x at slow time 0.03, about iteration 100,
+    # past the first block of 64 rows; RK4 overflows on 500 steps from there on
+    monkeypatch.setattr(escontrol.es, "_ROW_BLOCK", 64)
+    overrides = {"dynamics.a": "1 + 800 * (t > 0.03)", "grid.n_steps": "500"}
+    out = tmp_path / "out"
+    code = cli_main(["run", "--scenario", str(SHIPPED["example2_scalar"]), "--iters", "300",
+                     "--out", str(out)]
+                    + [f"--override={key}={value}" for key, value in overrides.items()])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "IntegrationDivergedError"
+    s = record["iteration"]
+    assert 64 < s < 300
+    assert json.loads(capsys.readouterr().err) == record
+    assert not (out / "summary.json").exists()
+    # the header and rows 0 .. s - 1 of the reference writer's output
+    scenario = load_scenario(SHIPPED["example2_scalar"], overrides)
+    reference_iterations_csv(tmp_path / "reference.csv",
+                             run_es(scenario, es_config_for(scenario), s - 1))
+    assert (out / "iterations.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name, override, key", [
     ("timevarying_noisy", "noise.seed=-3", "noise.seed"),
     ("example2_scalar", "noise.seed=-3", "noise.seed"),  # refused without noise too
@@ -274,6 +299,19 @@ def test_cli_error_record_keeps_the_iteration_and_step_index(tmp_path, monkeypat
     ("timevarying_noisy", "noise.std_dev=abc", "noise.std_dev"),
     ("timevarying_noisy", "noise.std_dev=-0.5", "noise.std_dev"),
     ("timevarying_noisy", "batch_period=abc", "batch_period"),
+    ("example2_scalar", "grid=5", "grid"),
+    ("example2_scalar", "es=5", "es"),
+    ("example2_scalar", "noise=[0.5]", "noise"),
+    ("example2_scalar", "initial_conditions=abc", "initial_conditions"),
+    ("example2_scalar", "initial_conditions=[[1.0, abc]]", "initial_conditions[0][1]"),
+    ("example2_scalar", "cost.q=abc", "cost.q"),
+    ("feedback_2d", "cost.p=[[4.0, 3.0], [3.0]]", "cost.p"),
+    ("example2_scalar", "dynamics.a=[[1.0, null]]", "dynamics.a[0][1]"),
+    ("example2_scalar", "dynamics.b=.nan", "dynamics.b"),
+    ("example2_scalar", "es.delta=abc", "es.delta"),
+    ("example2_scalar", "es.delta=-0.001", "es.delta"),
+    ("example2_scalar", "es.n_iterations=abc", "es.n_iterations"),
+    ("example2_scalar", "es.n_iterations=2.5", "es.n_iterations"),
 ])
 def test_cli_malformed_value_fails_through_the_error_handler(name, override, key, tmp_path,
                                                              capsys):
@@ -286,6 +324,18 @@ def test_cli_malformed_value_fails_through_the_error_handler(name, override, key
     assert key in record["message"]
     assert json.loads(capsys.readouterr().err) == record
     assert not (out / "summary.json").exists()
+
+
+def test_cli_seed_over_a_malformed_noise_section_fails_through_the_error_handler(tmp_path,
+                                                                                 capsys):
+    out = tmp_path / "out"
+    code = cli_main(["run", "--scenario", str(SHIPPED["example2_scalar"]), "--seed", "3",
+                     "--out", str(out), "--override", "noise=5"])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ScenarioValidationError"
+    assert "noise must be a mapping" in record["message"]
+    assert json.loads(capsys.readouterr().err) == record
 
 
 def test_cli_unparsable_override_fails_through_the_error_handler(tmp_path, capsys):
@@ -377,12 +427,18 @@ def test_write_csv_is_byte_identical_to_the_per_cell_writer(tmp_path, rng):
     coeffs = _awkward_floats(rng, (n_rows, n_coeffs))
     costs, measured = _awkward_floats(rng, (2, n_rows))
     record = EsRunRecord("awkward", cfg, coeffs, costs, measured)
-    write_iterations_csv(tmp_path / "new.csv", record)
+    reference_iterations_csv(tmp_path / "new.csv", record)
     header = ["s", "t", "J", "J_hat"] + [f"c_{i:03d}" for i in range(n_coeffs)]
-    times = record.times()
+    times = np.arange(n_rows) * cfg.delta
     _per_cell_csv(tmp_path / "old.csv", header,
                   ([s, times[s], costs[s], measured[s], *coeffs[s]] for s in range(n_rows)))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # the streaming writer, fed the same rows in blocks of any length
+    for size in (1, 63, 64, 65, n_rows):
+        blocks = ((start, coeffs[start:start + size], costs[start:start + size],
+                   measured[start:start + size]) for start in range(0, n_rows, size))
+        write_iterations_csv(tmp_path / "streamed.csv", cfg, blocks)
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     # trajectory layout: phase and s, then tau, states and controls
     block = _awkward_floats(rng, (300, 5))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import ndtri
 
-from helpers import (A_2D, B_2D, P_2D, Q_2D, R_2D, X0_2D, Y0_2D,
+from helpers import (A_2D, B_2D, P_2D, Q_2D, R_2D, X0_2D, Y0_2D, fresh_philox_draw,
                      example2_scenario, quadratic_cost_samples, scalar_scenario)
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import ContractViolationError, ScenarioValidationError
@@ -90,25 +90,16 @@ def test_ndtri_port_gives_the_bits_of_scipy():
                               f"u = {u[differ][0]!r}")
 
 
-def _fresh_philox_draw(std_dev, seed, index):
-    """Draw ``index`` from its own Philox generator: the definition that
-    block generation must reproduce."""
-    bit_gen = np.random.Philox(key=seed)
-    bit_gen.advance(index)
-    u = np.random.Generator(bit_gen).random()
-    return float(std_dev * ndtri(min(max(u, 5e-324), 1.0 - 1e-16)))
-
-
 def test_block_draws_equal_one_generator_per_draw():
     block = NoiseModel._BLOCK
     edges = [0, 1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 3 * block + 5]
     shuffled = [2 * block, 3, block, 10**6, block - 1, 0, 10**6 - 1, 10**6 + block, 7]
     first, second = NoiseModel(0.5, 42), NoiseModel(1.25, 20260810)
     for index in edges + shuffled:
-        assert first.draw(index) == _fresh_philox_draw(0.5, 42, index)
+        assert first.draw(index) == fresh_philox_draw(0.5, 42, index)
     for index in shuffled:  # two streams interleaved
-        assert first.draw(index) == _fresh_philox_draw(0.5, 42, index)
-        assert second.draw(index) == _fresh_philox_draw(1.25, 20260810, index)
+        assert first.draw(index) == fresh_philox_draw(0.5, 42, index)
+        assert second.draw(index) == fresh_philox_draw(1.25, 20260810, index)
 
 
 def test_noise_seed_must_lie_in_the_philox_key_range():
@@ -116,7 +107,7 @@ def test_noise_seed_must_lie_in_the_philox_key_range():
         with pytest.raises(ScenarioValidationError, match="noise.seed"):
             NoiseModel(0.5, seed)
     widest = NoiseModel(0.5, 2**128 - 1)
-    assert widest.draw(0) == _fresh_philox_draw(0.5, 2**128 - 1, 0)
+    assert widest.draw(0) == fresh_philox_draw(0.5, 2**128 - 1, 0)
     assert NoiseModel(0.5, np.uint64(42)).draw(3) == NoiseModel(0.5, 42).draw(3)
 
 
