@@ -122,10 +122,6 @@ class ControllerCoefficients:
             raise ContractViolationError("controller coefficients must be finite")
 
     @classmethod
-    def zeros(cls, n_channels: int, basis: Basis) -> "ControllerCoefficients":
-        return cls(np.zeros((n_channels, basis.n_functions)))
-
-    @classmethod
     def from_flat(cls, flat, n_channels: int) -> "ControllerCoefficients":
         flat = np.asarray(flat, dtype=float)
         return cls(flat.reshape(n_channels, -1))

@@ -339,7 +339,8 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
 
     def blocks():
         nonlocal finished
-        for block in _row_blocks(measure, config, flat, n_iterations, _ROW_BLOCK):
+        for block in _row_blocks(measure, config, flat, n_iterations,
+                                 min(_ROW_BLOCK, n_iterations + 1)):
             start, *arrays = block
             if start == 0:
                 first.extend(a[:1].copy() for a in arrays)

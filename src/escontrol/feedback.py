@@ -27,7 +27,7 @@ from .es import (EsConfig, EsRunRecord, PHASE_COS, PHASE_SIN, default_delta,
                  make_frequency_schedule, run_es)
 from .lqr import RiccatiSolution
 from .ode import (StateTrajectory, TimeGrid, first_nonfinite_step, prefix_transitions,
-                  rk4_step_forcing, rk4_step_matrices)
+                  rk4_linear_steps)
 from .scenario import (EpisodeMeasurement, EpisodeResult, LinearDynamics, QuadraticCost,
                        Scenario, cost_of_trajectories)
 
@@ -60,13 +60,6 @@ class GainField:
                 )
         if not np.all(np.isfinite(gain)):
             raise ContractViolationError("gain coefficients must be finite")
-
-    @classmethod
-    def zeros(cls, basis: Basis, state_dim: int, control_dim: int,
-              feedforward: bool = False) -> "GainField":
-        ff = np.zeros((control_dim, basis.n_functions)) if feedforward else None
-        return cls(basis, state_dim, control_dim,
-                   np.zeros((control_dim, state_dim, basis.n_functions)), ff)
 
     @classmethod
     def from_flat(cls, flat, basis: Basis, state_dim: int, control_dim: int,
@@ -124,18 +117,16 @@ def _closed_loops(scenario: Scenario, flat: np.ndarray, feedforward: bool, x0s,
     phi_nm = scenario.basis_matrix_stages()  # nodes 0..n, then midpoints of steps 0..n-1
     b_gain = (b @ gain.reshape(p, -1)).reshape(dim * dim, n_f)  # B K(tau) = b_gain . phi(tau)
     a_cl = (a.ravel() - phi_nm @ b_gain.T).reshape(-1, dim, dim)
-    a_end, a_mid = a_cl[1:n + 1], a_cl[n + 1:]
-    phi_step = rk4_step_matrices(a_cl[:n], a_mid, a_end, grid.h)
     starts = np.array(x0s, dtype=float).reshape(len(x0s), dim).T
-    if feedforward:
-        v = phi_nm @ flat[n_gain:].reshape(p, n_f).T  # as GainField.feedforward_samples
-        forcing = v @ b.T
-        w = rk4_step_forcing(a_mid, a_end, forcing[:n], forcing[n + 1:],
-                             forcing[1:n + 1], grid.h)
-        maps, offsets = prefix_transitions(phi_step, w)
-        moved = maps.reshape(n * dim, dim) @ starts + offsets.reshape(n * dim, 1)
-    else:
-        moved = prefix_transitions(phi_step).reshape(n * dim, dim) @ starts
+    v = phi_nm @ flat[n_gain:].reshape(p, n_f).T if feedforward else None  # V(tau)
+    # a blow-up is reported by its step below, as the open-loop scan does
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_step, w = rk4_linear_steps(a_cl, None if v is None else v @ b.T, grid)
+        if w is None:
+            moved = prefix_transitions(phi_step).reshape(n * dim, dim) @ starts
+        else:
+            maps, offsets = prefix_transitions(phi_step, w)
+            moved = maps.reshape(n * dim, dim) @ starts + offsets.reshape(n * dim, 1)
 
     # node-major with one row per episode: states[k, i] is x_i(tau_k)
     n_ep = starts.shape[1]

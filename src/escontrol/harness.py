@@ -26,7 +26,7 @@ import yaml
 from .basis import ControllerCoefficients, FourierPairsBasis
 from .errors import (ContractViolationError, EsControlError, ScenarioParseError,
                      ScenarioValidationError)
-from .es import EsConfig, EsRunRecord, run_es
+from .es import PHASE_COS, PHASE_SIN, EsConfig, EsRunRecord, run_es
 from .feedback import GainField, synthesize_gain
 from .lqr import oracle_costs, scenario_oracle
 from .ode import TimeGrid
@@ -172,7 +172,22 @@ def _es_section(config: dict) -> dict:
         raise ScenarioValidationError(f"es.delta must be >= 0, got {es['delta']}")
     if "n_iterations" in es:
         es["n_iterations"] = _integer(es["n_iterations"], "es.n_iterations", low=1)
+    if "ranges" in es:
+        rows = _float_array(es["ranges"], "es.ranges")
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ScenarioValidationError(
+                f"es.ranges must be a list of [low, high, count] triples, got {es['ranges']!r}")
+        es["ranges"] = [(low, high, _integer(count, f"es.ranges[{i}][2]", low=1))
+                        for i, (low, high, count) in enumerate(rows.tolist())]
     return es
+
+
+def _flag(section: dict, path: str) -> bool:
+    """The boolean at dotted path ``path``, whose last key is in ``section``; false if absent."""
+    value = section.get(path.rsplit(".", 1)[-1], False)
+    if not isinstance(value, bool):
+        raise ScenarioValidationError(f"{path} must be true or false, got {value!r}")
+    return value
 
 
 def build_scenario(config: dict, name: str | None = None) -> Scenario:
@@ -207,7 +222,7 @@ def build_scenario(config: dict, name: str | None = None) -> Scenario:
         q_matrix=np.atleast_2d(_float_array(_require(cost_cfg, "q", "cost"), "cost.q")),
         r_matrix=np.atleast_2d(_float_array(_require(cost_cfg, "r", "cost"), "cost.r")),
         reference=_reference_fn(cost_cfg.get("reference")),
-        terminal_indefinite_ok=bool(cost_cfg.get("allow_indefinite_terminal", False)),
+        terminal_indefinite_ok=_flag(cost_cfg, "cost.allow_indefinite_terminal"),
     )
 
     grid_cfg = _section(config, "grid")
@@ -249,8 +264,8 @@ def build_scenario(config: dict, name: str | None = None) -> Scenario:
         initial_conditions=ics,
         noise=noise,
         batch_period=None if batch_period is None else _number(batch_period, "batch_period"),
-        feedback=bool(config.get("feedback", False)),
-        feedforward=bool(config.get("feedforward", False)),
+        feedback=_flag(config, "feedback"),
+        feedforward=_flag(config, "feedforward"),
         es_defaults=es,
         raw_config=normalize_config(config, name),
     )
@@ -387,13 +402,14 @@ def es_config_for(scenario: Scenario) -> EsConfig:
                 f"scenario {scenario.name!r} has no tuned es.{key}"
             )
     n_coeffs = scenario.control_dim * scenario.basis.n_functions
-    ranges = es.get("ranges")
-    if ranges is not None:
-        ranges = [tuple(r) for r in ranges]
+    phases = es.get("phases")
+    if phases is not None and not (isinstance(phases, list) and len(phases) == n_coeffs
+                                   and all(p in (PHASE_COS, PHASE_SIN) for p in phases)):
+        raise ScenarioValidationError(f"es.phases must list one {PHASE_COS!r} or {PHASE_SIN!r} "
+                                      f"per coefficient ({n_coeffs}), got {phases!r}")
     return EsConfig.build(k=float(es["k"]), alpha=float(es["alpha"]),
                           omega0=float(es["omega0"]), n_coeffs=n_coeffs,
-                          ranges=ranges, delta=es.get("delta"),
-                          phases=es.get("phases"))
+                          ranges=es.get("ranges"), delta=es.get("delta"), phases=phases)
 
 
 def write_csv(path: Path, header: Sequence[str], rows) -> None:

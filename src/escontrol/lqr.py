@@ -9,8 +9,8 @@ Riccati equation
 
 is integrated backward by reusing the forward RK4 integrator in reversed
 time sigma = T - tau, on a half-step grid so the forward pass later has
-exact gain samples at its RK4 stage midpoints. The tracking feedforward
-solves
+exact gain samples at its RK4 stage midpoints (kept as the grid nodes,
+then the midpoints: the stage layout). The tracking feedforward solves
 
     -dv/dtau = (A - B K)' v + C'Q r(tau),   v(T) = C'P r(T)
 
@@ -35,7 +35,8 @@ _PSD_TOL = -1e-8
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """S, K and v sampled on the grid nodes (plus stage midpoints internally)."""
+    """S, K and v sampled on the grid nodes; the private fields hold them at
+    the RK4 stage times, the nodes and then the midpoints."""
 
     grid: TimeGrid
     s_matrices: np.ndarray     # (n_steps + 1, n, n)
@@ -43,9 +44,9 @@ class RiccatiSolution:
     feedforward: np.ndarray    # (n_steps + 1, n)
     rinv_bt: np.ndarray        # R^-1 B'
     has_reference: bool
-    _s_doubled: np.ndarray
-    _k_doubled: np.ndarray
-    _v_doubled: np.ndarray
+    _s_stages: np.ndarray
+    _k_stages: np.ndarray
+    _v_stages: np.ndarray
 
 
 def _pd_inverse_times(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -133,9 +134,8 @@ def _riccati_sweep(a, m, ctqc, cost: QuadraticCost, grid: TimeGrid, s_end, v_end
             f"state became non-finite at step {bad} (t = {bad * sigma_grid.h})",
             step_index=bad,
         )
-    s_doubled = np.array(s_list).reshape(-1, n, n)[::-1]
-    v_doubled = None if v_list is None else np.array(v_list).reshape(-1, n)[::-1]
-    return s_doubled, v_doubled
+    return (np.array(s_list).reshape(-1, n, n)[::-1],
+            None if v_list is None else np.array(v_list).reshape(-1, n)[::-1])
 
 
 def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
@@ -158,8 +158,7 @@ def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
     try:
         # a blow-up is reported by the step it happens at, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            s_doubled, v_doubled = _riccati_sweep(a, m, ctqc, cost, grid, s_terminal,
-                                                  v_terminal)
+            s_half, v_half = _riccati_sweep(a, m, ctqc, cost, grid, s_terminal, v_terminal)
     except Exception as exc:
         # sweep step k lands on half-step node 2 n - 1 - k, counted in tau; the
         # grid node at or below it is the first one the sweep did not reach
@@ -168,12 +167,14 @@ def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
             f"backward Riccati integration failed: {exc}",
             node_index=None if step is None else (2 * grid.n_steps - 1 - step) // 2,
         ) from exc
-    s_doubled = 0.5 * (s_doubled + np.transpose(s_doubled, (0, 2, 1)))
-    if v_doubled is None:
-        v_doubled = np.zeros((s_doubled.shape[0], n))
-    k_doubled = np.einsum("ij,kjl->kil", rinv_bt, s_doubled)
+    # half-step node 2 k is grid node k, 2 k + 1 the midpoint of step k
+    stages = np.r_[0:2 * grid.n_steps + 1:2, 1:2 * grid.n_steps:2]
+    s_stages = (0.5 * (s_half + np.transpose(s_half, (0, 2, 1))))[stages]
+    v_stages = np.zeros((stages.size, n)) if v_half is None else v_half[stages]
+    k_stages = np.einsum("ij,kjl->kil", rinv_bt, s_stages)
 
-    s_nodes = s_doubled[0::2]
+    nodes = slice(grid.n_steps + 1)
+    s_nodes = s_stages[nodes]
     if not np.all(np.isfinite(s_nodes)):
         bad = int(np.argmax(~np.isfinite(s_nodes).reshape(s_nodes.shape[0], -1).all(axis=1)))
         raise RiccatiInstabilityError(f"S blew up at node {bad}", node_index=bad)
@@ -186,13 +187,13 @@ def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
     return RiccatiSolution(
         grid=grid,
         s_matrices=s_nodes,
-        gains=k_doubled[0::2],
-        feedforward=v_doubled[0::2],
+        gains=k_stages[nodes],
+        feedforward=v_stages[nodes],
         rinv_bt=rinv_bt,
         has_reference=has_reference,
-        _s_doubled=s_doubled,
-        _k_doubled=k_doubled,
-        _v_doubled=v_doubled,
+        _s_stages=s_stages,
+        _k_stages=k_stages,
+        _v_stages=v_stages,
     )
 
 
@@ -204,10 +205,10 @@ def simulate_optimal(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGr
         raise ContractViolationError("riccati solution was computed on a different grid")
     a = np.atleast_2d(np.asarray(dynamics.a_fn(slow_time), dtype=float))
     b = np.atleast_2d(np.asarray(dynamics.b_fn(slow_time), dtype=float))
-    a_cl = a - np.einsum("ij,kjl->kil", b, riccati._k_doubled)
+    a_cl = a - np.einsum("ij,kjl->kil", b, riccati._k_stages)
     forcing = None
     if riccati.has_reference:
-        feed = np.einsum("ij,kj->ki", riccati.rinv_bt, riccati._v_doubled)
+        feed = np.einsum("ij,kj->ki", riccati.rinv_bt, riccati._v_stages)
         forcing = feed @ b.T
     traj = integrate_rk4_linear(a_cl, forcing, x0, grid)
     u_nodes = -np.einsum("kij,kj->ki", riccati.gains, traj.states)

@@ -289,7 +289,7 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
     """Scan x[k+1] = phi[k] x[k] + w[k] over the grid.
 
     ``phi`` is an (n_steps, d, d) stack or one (d, d) matrix shared by every
-    step, which may be a Python float when d = 1. The state is (d,) or a
+    step, which may be a Python float for a (1,) state. The state is (d,) or a
     (d, cols) block of columns scanned together; ``w`` is (n_steps,) plus the
     state's shape, or None for no forcing. A non-finite state raises at the
     earliest failing step of any column.
@@ -303,9 +303,7 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
                          None if w is None else w.reshape(n).tolist(), float(x0[0]), n)
         return StateTrajectory(grid=grid, states=np.fromiter(xs, float, n + 1).reshape(n + 1, 1),
                                dimension=1)
-    phis, mul = (phi if stacked else [phi] * n), operator.matmul
-    if dim == 1:  # a (1, cols) row times Python floats: faster than 1x1 products
-        phis, mul = np.broadcast_to(phi, (n, 1, 1)).ravel().tolist(), operator.mul
+    phis = phi if stacked else [phi] * n
     x = x0
     xs = [x]
     append = xs.append
@@ -313,36 +311,41 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         if w is None:
             for p in phis:
-                x = mul(p, x)
+                x = p @ x
                 append(x)
         else:
             for p, wk in zip(phis, w):
-                x = mul(p, x) + wk
+                x = p @ x + wk
                 append(x)
     states = np.array(xs)
     _raise_if_diverged(states)
     return StateTrajectory(grid=grid, states=states, dimension=dim)
 
 
-def integrate_rk4_linear(a_samples: np.ndarray, f_samples: np.ndarray | None,
-                         x0, grid: TimeGrid) -> StateTrajectory:
-    """RK4 for dx/dt = A(t) x + f(t) with A, f pre-sampled on the doubled grid.
+def rk4_linear_steps(a_samples: np.ndarray, f_samples: np.ndarray | None,
+                     grid: TimeGrid) -> tuple:
+    """(Phi, w) of the RK4 steps x[k+1] = Phi[k] x[k] + w[k] of dx/dt = A(t) x + f(t).
 
-    ``a_samples`` has shape (2 n_steps + 1, d, d) (nodes interleaved with
-    midpoints); a constant A is given as (d, d) and builds one step matrix
-    for all steps. ``x0`` is (d,) or a (d, cols) block (see
-    :func:`propagate_linear`); ``f_samples`` is (2 n_steps + 1,) plus its shape, or None.
+    A and f come sampled at the RK4 stage times, the n_steps + 1 grid nodes
+    and then the n_steps midpoints (as ``Scenario.basis_matrix_stages``):
+    ``a_samples`` (2 n_steps + 1, d, d), or one constant (d, d) A that builds
+    one step matrix for all steps, and ``f_samples`` (2 n_steps + 1,) plus
+    the state's shape, or None for w = None.
     """
-    h = grid.h
-    a_samples = np.asarray(a_samples, dtype=float)
+    n, h = grid.n_steps, grid.h
     if a_samples.ndim == 2:
         a_start = a_mid = a_end = a_samples
     else:
-        a_start, a_mid, a_end = a_samples[0:-1:2], a_samples[1::2], a_samples[2::2]
-    phi = rk4_step_matrices(a_start, a_mid, a_end, h)
-    w = None
-    if f_samples is not None:
-        f_samples = np.asarray(f_samples, dtype=float)
-        w = rk4_step_forcing(a_mid, a_end, f_samples[0:-1:2], f_samples[1::2],
-                             f_samples[2::2], h)
-    return propagate_linear(phi, w, x0, grid)
+        a_start, a_mid, a_end = a_samples[:n], a_samples[n + 1:], a_samples[1:n + 1]
+    w = None if f_samples is None else rk4_step_forcing(
+        a_mid, a_end, f_samples[:n], f_samples[n + 1:], f_samples[1:n + 1], h)
+    return rk4_step_matrices(a_start, a_mid, a_end, h), w
+
+
+def integrate_rk4_linear(a_samples: np.ndarray, f_samples: np.ndarray | None,
+                         x0, grid: TimeGrid) -> StateTrajectory:
+    """RK4 for dx/dt = A(t) x + f(t): the steps of :func:`rk4_linear_steps`
+    scanned from ``x0``, (d,) or a (d, cols) block (see :func:`propagate_linear`)."""
+    a_samples = np.asarray(a_samples, dtype=float)
+    f_samples = None if f_samples is None else np.asarray(f_samples, dtype=float)
+    return propagate_linear(*rk4_linear_steps(a_samples, f_samples, grid), x0, grid)

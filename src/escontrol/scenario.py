@@ -309,25 +309,13 @@ class Scenario:
     def control_dim(self) -> int:
         return self.dynamics.control_dim
 
-    def doubled_taus(self) -> np.ndarray:
-        """Grid nodes interleaved with midpoints (RK4 stage times)."""
-        if "taus_d" not in self._cache:
-            taus = np.empty(2 * self.grid.n_steps + 1)
-            taus[0::2] = self.grid.nodes()
-            taus[1::2] = self.grid.midpoints()
-            self._cache["taus_d"] = taus
-        return self._cache["taus_d"]
-
-    def basis_matrix_doubled(self) -> np.ndarray:
-        if "phi_d" not in self._cache:
-            self._cache["phi_d"] = self.basis.eval_matrix(self.doubled_taus())
-        return self._cache["phi_d"]
-
     def basis_matrix_stages(self) -> np.ndarray:
-        """Basis rows at the n_steps + 1 nodes, then at the n_steps midpoints."""
+        """Basis rows at the RK4 stage times: the n_steps + 1 nodes, then the
+        n_steps midpoints."""
         if "phi_nm" not in self._cache:
-            phi_d = self.basis_matrix_doubled()
-            self._cache["phi_nm"] = np.concatenate([phi_d[0::2], phi_d[1::2]])
+            grid = self.grid
+            self._cache["phi_nm"] = self.basis.eval_matrix(
+                np.concatenate([grid.nodes(), grid.midpoints()]))
         return self._cache["phi_nm"]
 
     def slow_time_for(self, step: int, delta: float) -> float:
@@ -422,14 +410,14 @@ class QuadraticEpisodeModel:
         self._initial_conditions = scenario.initial_conditions
         self._a = np.atleast_2d(np.asarray(dyn.a_fn(slow_time), dtype=float))
         b = np.atleast_2d(np.asarray(dyn.b_fn(slow_time), dtype=float))
-        phi_d = scenario.basis_matrix_doubled()
+        stages = scenario.basis_matrix_stages()
         # forcing of column c * n_functions + j: phi_j(tau) B[:, c]
-        forcing = (phi_d[:, None, None, :] * b[None, :, :, None]).reshape(
-            phi_d.shape[0], b.shape[0], -1)
+        forcing = (stages[:, None, None, :] * b[None, :, :, None]).reshape(
+            stages.shape[0], b.shape[0], -1)
         rest = np.zeros(forcing.shape[1:])
         gain = integrate_rk4_linear(self._a, forcing, rest, grid).states
         self._gain = gain.reshape(-1, gain.shape[-1])  # (n_steps + 1) * state_dim rows
-        self._phi_nodes = np.ascontiguousarray(phi_d[0::2])
+        self._phi_nodes = stages[:grid.n_steps + 1]
         weights = np.full(grid.n_steps + 1, grid.h)
         weights[[0, -1]] *= 0.5
         # x'Mx sees only the symmetric part of M, which also keeps H symmetric

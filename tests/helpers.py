@@ -7,6 +7,7 @@ from scipy.special import ndtri
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import (ContractViolationError, EsControlError,
                               MeasurementInvalidError, RiccatiInstabilityError)
+from escontrol.feedback import GainField
 from escontrol.harness import write_csv
 from escontrol.lqr import RiccatiSolution, _pd_inverse_times
 from escontrol.ode import TimeGrid
@@ -66,6 +67,18 @@ def feedback_2d_scenario(n_steps=500, m=10, extension=0.1, noise_std=0.0, seed=0
         feedforward=feedforward,
         es_defaults=es_defaults or {},
     )
+
+
+def zero_coefficients(n_channels, basis):
+    """All-zero open-loop coefficients: n_channels rows of the basis."""
+    return ControllerCoefficients(np.zeros((n_channels, basis.n_functions)))
+
+
+def zero_gain_field(basis, state_dim, control_dim, feedforward=False):
+    """The all-zero gain field, with an all-zero feedforward if asked for."""
+    ff = np.zeros((control_dim, basis.n_functions)) if feedforward else None
+    return GainField(basis, state_dim, control_dim,
+                     np.zeros((control_dim, state_dim, basis.n_functions)), ff)
 
 
 def quadratic_cost_samples(cost, grid, states, controls):
@@ -164,10 +177,14 @@ def packed_riccati_reference(dynamics, cost, grid, slow_time=0.0):
     s_doubled = 0.5 * (s_doubled + np.transpose(s_doubled, (0, 2, 1)))
     v_doubled = y_doubled[:, n * n:] if has_reference else np.zeros((y_doubled.shape[0], n))
     k_doubled = np.einsum("ij,kjl->kil", rinv_bt, s_doubled)
+
+    def stages(doubled):  # the grid nodes, then the midpoints
+        return np.concatenate([doubled[0::2], doubled[1::2]])
+
     return RiccatiSolution(grid=grid, s_matrices=s_doubled[0::2], gains=k_doubled[0::2],
                            feedforward=v_doubled[0::2], rinv_bt=rinv_bt,
-                           has_reference=has_reference, _s_doubled=s_doubled,
-                           _k_doubled=k_doubled, _v_doubled=v_doubled)
+                           has_reference=has_reference, _s_stages=stages(s_doubled),
+                           _k_stages=stages(k_doubled), _v_stages=stages(v_doubled))
 
 
 def fresh_philox_draw(std_dev, seed, index):

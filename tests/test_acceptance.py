@@ -257,6 +257,7 @@ def feedback_synthesis():
             "elapsed": elapsed, "gap": gap}
 
 
+@pytest.mark.slow
 def test_criterion_6_training_initial_conditions(feedback_synthesis):
     fs = feedback_synthesis
     gaps = [fs["gap"]([1.3, -1.1]), fs["gap"]([-1.0, -0.5])]
@@ -274,6 +275,7 @@ def test_criterion_6_training_initial_conditions(feedback_synthesis):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_held_out_initial_conditions(feedback_synthesis):
     fs = feedback_synthesis
     z_gap = fs["gap"]([-2.0, 3.0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import zero_coefficients
 from escontrol.basis import (ControllerCoefficients, CustomSampledBasis,
                              FourierPairsBasis, controller_l2_norm, eval_controller)
 from escontrol.errors import ContractViolationError
@@ -15,7 +16,7 @@ coeff_floats = st.floats(-5.0, 5.0)
 
 def test_zero_coefficients_give_zero_control():
     basis = FourierPairsBasis(m=3, horizon=1.0, extension=0.1)
-    coeffs = ControllerCoefficients.zeros(2, basis)
+    coeffs = zero_coefficients(2, basis)
     for tau in (0.0, 0.37, 1.0):
         assert np.all(eval_controller(coeffs, basis, tau) == 0.0)
 
@@ -42,7 +43,7 @@ def test_four_term_sum_matches_direct_substitution():
 
 def test_tau_outside_horizon_rejected():
     basis = FourierPairsBasis(m=1, horizon=1.0, extension=0.1)
-    coeffs = ControllerCoefficients.zeros(1, basis)
+    coeffs = zero_coefficients(1, basis)
     with pytest.raises(ContractViolationError):
         eval_controller(coeffs, basis, -0.2)
     with pytest.raises(ContractViolationError):
@@ -90,7 +91,7 @@ def test_extension_breaks_periodicity():
 def test_l2_norm_zero_and_cosine():
     grid = TimeGrid(0.0, 1.0, 1000)
     basis = FourierPairsBasis(m=1, horizon=1.0, extension=0.0)
-    zero = ControllerCoefficients.zeros(1, basis)
+    zero = zero_coefficients(1, basis)
     assert controller_l2_norm(zero, basis, grid) == 0.0
     # u(tau) = cos(2 pi tau): integral of cos^2 over one period is 1/2
     coeffs = ControllerCoefficients(np.array([[1.0, 0.0]]))
@@ -111,7 +112,7 @@ def test_l2_norm_homogeneous(c):
 
 def test_l2_norm_requires_matching_grid():
     basis = FourierPairsBasis(m=1, horizon=1.0, extension=0.0)
-    coeffs = ControllerCoefficients.zeros(1, basis)
+    coeffs = zero_coefficients(1, basis)
     with pytest.raises(ContractViolationError):
         controller_l2_norm(coeffs, basis, TimeGrid(0.0, 2.0, 100))
 

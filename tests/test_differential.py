@@ -5,8 +5,10 @@ The shipped scenarios cover only d <= 2 and p <= 2 with one reference
 shape; these draws reach d, p and the output dimension up to 3, stable and
 unstable plants, with and without feedforward and reference. Costs are
 checked against a per-node Python loop that shares no code with the
-batched quadrature. Hypothesis runs derandomized, so every run checks the
-same draws. Streamed run records are checked against the full in-memory
+batched quadrature. The episode model's quadratic form is checked against
+probing the simulated cost, and the constant-A RK4 step map against the
+stacked one. Hypothesis runs derandomized, so every run checks the same
+draws. Streamed run records are checked against the full in-memory
 record on every shipped scenario, and block noise draws against one Philox
 generator per draw.
 """
@@ -20,19 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (fresh_philox_draw, packed_riccati_reference, quadratic_cost_samples,
-                     reference_iterations_csv)
+                     reference_iterations_csv, simulated_cost_fn)
 from escontrol import es as es_module
 from escontrol import feedback as feedback_module
 from escontrol import harness
 from escontrol import scenario as scenario_module
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import IntegrationDivergedError, RiccatiInstabilityError
-from escontrol.es import EsConfig, run_es
+from escontrol.es import EsConfig, assemble_quadratic_cost, restricted_optimum, run_es
 from escontrol.feedback import GainField, run_feedback_episodes
 from escontrol.harness import (ExperimentSpec, load_scenario, read_scenario_config,
                                run_experiment, shipped_scenarios)
 from escontrol.lqr import solve_riccati
-from escontrol.ode import TimeGrid, integrate_rk4
+from escontrol.ode import TimeGrid, integrate_rk4, integrate_rk4_linear
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics, NoiseModel,
                                 QuadraticCost, Scenario, _integrate_open_loop, _scalar_episode_costs,
                                 cost_of_trajectories, cost_of_trajectory, episode_model,
@@ -302,6 +304,25 @@ def test_quadratic_episode_model_matches_stepwise_rk4(problem):
         assert measurement.measure(flat, s) == (multi.total_cost, multi.total_cost)
 
 
+@DIFFERENTIAL
+@given(open_loop_problems())
+def test_restricted_optimum_model_form_matches_probing_the_simulated_cost(problem):
+    # the model's H, g and j0 come from its forcing response G; probing the
+    # step-by-step simulation recovers them without it
+    scenario, _ = problem
+    c_star, j_star, model = restricted_optimum(scenario)
+    probed = assemble_quadratic_cost(simulated_cost_fn(scenario), c_star.size)
+    scale = max(1.0, abs(probed.j0), np.abs(probed.hessian).max(),
+                np.abs(probed.gradient0).max())
+    for got, want in ((model.hessian, probed.hessian), (model.gradient0, probed.gradient0),
+                      (model.j0, probed.j0)):
+        assert np.abs(np.asarray(got) - want).max() <= 1e-9 * scale
+    assert np.array_equal(model.hessian, model.hessian.T)
+    # J at the minimizer is first-order insensitive to H's conditioning
+    assert math.isclose(j_star, probed(c_star), rel_tol=1e-9, abs_tol=1e-9 * scale)
+    assert j_star <= probed(probed.minimizer()) + 1e-9 * scale
+
+
 @st.composite
 def drifting_problems(draw):
     """An open-loop scenario of a drifting linear plant, A(t) and B(t), under
@@ -548,6 +569,48 @@ def test_a_replaced_scenario_never_reuses_the_original_model():
 
 
 @st.composite
+def step_map_problems(draw):
+    """(A, stage samples of the forcing or None, start, grid, diverging) of
+    one draw: d up to 3, a start of shape (d,) or a (d, cols) block. The
+    forcing samples are random, so both sides read the same values whatever
+    their stage order. A diverging A is scaled by DIVERGING_SCALE."""
+    d = draw(st.integers(1, 3), label="d")
+    cols = draw(st.sampled_from([None, 1, 3]), label="block columns")
+    forced = draw(st.booleans(), label="forcing")
+    diverging = draw(st.booleans(), label="diverging plant")
+    n_steps = draw(st.integers(2, 64), label="n_steps")
+    grid = TimeGrid(0.0, draw(st.sampled_from([0.5, 1.0, 2.0]), label="horizon"), n_steps)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = (DIVERGING_SCALE if diverging else 1.0) * rng.standard_normal((d, d))
+    shape = (d,) if cols is None else (d, cols)
+    forcing = rng.standard_normal((2 * n_steps + 1,) + shape) if forced else None
+    return a, forcing, rng.standard_normal(shape), grid, diverging
+
+
+@DIFFERENTIAL
+@given(step_map_problems())
+def test_constant_a_step_map_matches_the_stacked_one_on_generated_plants(problem):
+    a, forcing, x0, grid, diverging = problem
+    stacked_a = np.broadcast_to(a, (2 * grid.n_steps + 1,) + a.shape)
+    runs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a_samples in (a, stacked_a):
+            try:
+                runs.append(integrate_rk4_linear(a_samples, forcing, x0, grid).states)
+            except IntegrationDivergedError as exc:
+                runs.append(exc.step_index)
+    constant, stacked = runs
+    if isinstance(constant, int) or isinstance(stacked, int):
+        assert all(isinstance(run, int) for run in runs) and constant == stacked
+        return
+    assert not diverging, "a diverging draw stayed finite"
+    if a.shape == (1, 1):  # every product is one multiply
+        assert constant.tobytes() == stacked.tobytes()
+    else:
+        assert np.abs(constant - stacked).max() <= 1e-13 * np.abs(stacked).max()
+
+
+@st.composite
 def riccati_problems(draw):
     """(dynamics, cost, grid, diverging) of one draw: d, p and outputs up to
     3, with or without a tracking reference. A diverging draw's terminal
@@ -594,8 +657,8 @@ def test_riccati_sweep_matches_the_packed_rk4_solve_on_generated_problems(proble
         assert got.value.node_index == expected.node_index is not None
         return
     solution = solve_riccati(dynamics, cost, grid)
-    for name in ("s_matrices", "gains", "feedforward", "_s_doubled", "_k_doubled",
-                 "_v_doubled"):
+    for name in ("s_matrices", "gains", "feedforward", "_s_stages", "_k_stages",
+                 "_v_stages"):
         got, want = getattr(solution, name), getattr(expected, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,19 @@ def test_run_es_streams_every_row_and_keeps_row_0_and_the_final_window(n_iterati
     assert kept.period_averaged_cost() == full.period_averaged_cost()
     assert kept.period_averaged_coefficients().tobytes() == \
         full.period_averaged_coefficients().tobytes()
+
+
+def test_run_es_sizes_its_row_buffers_to_a_run_shorter_than_a_block():
+    # 11 rows of 80 coefficients, where a block of _ROW_BLOCK rows is 0.66 MB
+    cfg = EsConfig.build(k=1.0, alpha=1.0, omega0=50.0, n_coeffs=80)
+    tracemalloc.start()
+    try:
+        run_es(lambda c: float(c @ c), cfg, 10,
+               consume_rows=lambda config, blocks: list(blocks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _ROW_BLOCK * 80 * 8 / 8
 
 
 def test_run_es_refuses_a_row_consumer_that_stops_early():

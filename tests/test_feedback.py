@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import (X0_2D, Y0_2D, feedback_2d_scenario, quadratic_cost_samples,
-                     scalar_scenario)
+                     scalar_scenario, zero_gain_field)
 from escontrol.basis import FourierPairsBasis
 from escontrol.errors import (ContractViolationError, IllPosedSynthesisError,
                               IntegrationDivergedError)
@@ -21,7 +21,7 @@ from escontrol.scenario import cost_of_trajectory, run_multi_episode
 
 def test_eval_gain_zeros_and_single_entry():
     basis = FourierPairsBasis(m=2, horizon=1.0, extension=0.1)
-    zero = GainField.zeros(basis, state_dim=2, control_dim=2)
+    zero = zero_gain_field(basis, state_dim=2, control_dim=2)
     assert np.all(eval_gain(zero, 0.3) == 0.0)
 
     coeffs = np.zeros((2, 2, 4))
@@ -64,14 +64,14 @@ def test_eval_gain_superposition(rng):
 
 def test_eval_gain_out_of_range():
     basis = FourierPairsBasis(m=1, horizon=1.0, extension=0.1)
-    field = GainField.zeros(basis, 2, 2)
+    field = zero_gain_field(basis, 2, 2)
     with pytest.raises(ContractViolationError):
         eval_gain(field, 1.2)
 
 
 def test_zero_field_reproduces_free_response():
     scenario = feedback_2d_scenario(n_steps=800)
-    zero = GainField.zeros(scenario.basis, 2, 2)
+    zero = zero_gain_field(scenario.basis, 2, 2)
     res = run_feedback_episode(scenario, zero, np.array(X0_2D))
     a = np.array(scenario.dynamics.a_fn(0.0))
     states = np.stack([expm(a * t) @ np.array(X0_2D) for t in scenario.grid.nodes()])
@@ -107,22 +107,26 @@ def test_batched_closed_loop_matches_stepwise_simulation(name, rng):
     # with the gain evaluated by direct summation over the basis
     scenario = load_scenario(scenarios_dir() / f"{name}.scn")
     p, n = scenario.control_dim, scenario.state_dim
-    phi_d = scenario.basis.eval_matrix(scenario.doubled_taus())
+    grid = scenario.grid
+    n_steps = grid.n_steps
+    # basis rows at the RK4 stage times: the nodes, then the midpoints
+    phi_s = scenario.basis.eval_matrix(np.concatenate([grid.nodes(), grid.midpoints()]))
     a = np.atleast_2d(scenario.dynamics.a_fn(0.0))
     b = np.atleast_2d(scenario.dynamics.b_fn(0.0))
-    n_coeffs = GainField.zeros(scenario.basis, n, p, scenario.feedforward).flat().size
+    n_coeffs = zero_gain_field(scenario.basis, n, p, scenario.feedforward).flat().size
     for _ in range(5):
         field = GainField.from_flat(0.5 * rng.standard_normal(n_coeffs), scenario.basis,
                                     n, p, feedforward=scenario.feedforward)
-        k_d = np.einsum("pnf,tf->tpn", field.gain_coeffs, phi_d)
-        v_d = phi_d @ field.ff_coeffs.T if field.has_feedforward else np.zeros((len(phi_d), p))
-        forcing = v_d @ b.T if field.has_feedforward else None
-        a_cl = a - np.einsum("ij,tjl->til", b, k_d)
+        k_s = np.einsum("pnf,tf->tpn", field.gain_coeffs, phi_s)
+        v_s = phi_s @ field.ff_coeffs.T if field.has_feedforward else np.zeros((len(phi_s), p))
+        forcing = v_s @ b.T if field.has_feedforward else None
+        a_cl = a - np.einsum("ij,tjl->til", b, k_s)
         episodes = run_feedback_episodes(scenario, field, scenario.initial_conditions)
         assert len(episodes) == len(scenario.initial_conditions)
         for x0, episode in zip(scenario.initial_conditions, episodes):
-            states = integrate_rk4_linear(a_cl, forcing, x0, scenario.grid).states
-            controls = -np.einsum("tij,tj->ti", k_d[0::2], states) + v_d[0::2]
+            states = integrate_rk4_linear(a_cl, forcing, x0, grid).states
+            nodes = slice(n_steps + 1)
+            controls = -np.einsum("tij,tj->ti", k_s[nodes], states) + v_s[nodes]
             cost = cost_of_trajectory(scenario.cost, scenario.grid, states, controls)
             scale = np.abs(states).max()
             assert np.abs(episode.trajectory.states - states).max() <= 1e-12 * scale
@@ -135,8 +139,9 @@ def test_closed_loop_divergence_reports_step_index():
     scenario = scalar_scenario(m=1, extension=1.0, n_steps=100, name="blow-up")
     field = GainField(scenario.basis, 1, 1, np.array([[[-3000.0, 0.0]]]))
     x0 = scenario.initial_conditions[0]
-    k_d = -3000.0 * np.cos(np.pi * scenario.doubled_taus())
-    a_cl = (1.0 - k_d)[:, None, None]
+    grid = scenario.grid
+    k_s = -3000.0 * np.cos(np.pi * np.concatenate([grid.nodes(), grid.midpoints()]))
+    a_cl = (1.0 - k_s)[:, None, None]
 
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationDivergedError) as stepwise:
@@ -149,7 +154,7 @@ def test_closed_loop_divergence_reports_step_index():
 
 def test_multi_episode_dispatches_gain_fields():
     scenario = feedback_2d_scenario(n_steps=300, noise_std=0.25, seed=5)
-    zero = GainField.zeros(scenario.basis, 2, 2)
+    zero = zero_gain_field(scenario.basis, 2, 2)
     multi = run_multi_episode(scenario, zero, noise_index=3)
     direct = sum(run_feedback_episode(scenario, zero, x0).cost
                  for x0 in scenario.initial_conditions)

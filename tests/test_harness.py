@@ -11,11 +11,12 @@ import pytest
 import yaml
 
 import escontrol
-from helpers import reference_iterations_csv
-from escontrol.basis import ControllerCoefficients
+from helpers import reference_iterations_csv, zero_coefficients
 from escontrol.cli import main as cli_main
-from escontrol.errors import (ScenarioParseError, ScenarioValidationError)
-from escontrol.es import EsConfig, EsRunRecord, run_es
+from escontrol.errors import (IntegrationDivergedError, ScenarioParseError,
+                              ScenarioValidationError)
+from escontrol.es import EsConfig, EsRunRecord, es_step, run_es
+from escontrol.feedback import closed_loop_measurement, synthesize_gain
 from escontrol.harness import (ExperimentSpec, apply_overrides, build_scenario,
                                es_config_for, load_scenario, normalize_config,
                                run_experiment, save_scenario, shipped_scenarios,
@@ -86,7 +87,7 @@ def test_round_trip_every_shipped_scenario(tmp_path):
         save_scenario(scenario, out)
         again = load_scenario(out)
         assert normalize_config(scenario.raw_config) == normalize_config(again.raw_config)
-        coeffs = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
+        coeffs = zero_coefficients(scenario.control_dim, scenario.basis)
         if not scenario.feedback:
             assert run_episode(scenario, coeffs).cost == \
                 run_episode(again, coeffs).cost
@@ -277,6 +278,37 @@ def test_cli_failing_run_leaves_the_rows_before_the_failing_iteration(tmp_path, 
     assert (out / "iterations.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+def test_cli_diverging_closed_loop_keeps_the_iteration_and_the_step_index(tmp_path, capsys,
+                                                                         monkeypatch):
+    # the plant turns to x' = 2001 x at slow time 0.025, iteration 150 of the
+    # gain synthesis, past the first block of 64 rows; from there on the
+    # closed loop overflows halfway through its 250 steps
+    monkeypatch.setattr(escontrol.es, "_ROW_BLOCK", 64)
+    overrides = {"dynamics.a": "1 + 2000 * (t > 0.025)"}
+    out = tmp_path / "out"
+    code = cli_main(["run", "--scenario", str(SHIPPED["feedback_tracking_demo"]),
+                     "--iters", "300", "--out", str(out)]
+                    + [f"--override={key}={value}" for key, value in overrides.items()])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "IntegrationDivergedError"
+    s = record["iteration"]
+    assert 64 < s < 300
+    assert json.loads(capsys.readouterr().err) == record
+    assert not (out / "summary.json").exists()
+    # the header and rows 0 .. s - 1 of the reference writer's output
+    scenario = load_scenario(SHIPPED["feedback_tracking_demo"], overrides)
+    _, before = synthesize_gain(scenario, n_iterations=s - 1)
+    reference_iterations_csv(tmp_path / "reference.csv", before)
+    assert (out / "iterations.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    # the step at which the closed loops under iterate s overflow
+    config = before.config
+    flat = es_step(before.coefficients[-1], before.measured_costs[-1], s - 1, config)
+    with pytest.raises(IntegrationDivergedError) as closed_loop:
+        closed_loop_measurement(scenario, config.delta).measure(flat, s)
+    assert 0 < closed_loop.value.step_index == record["step_index"]
+
+
 @pytest.mark.parametrize("name, override, key", [
     ("timevarying_noisy", "noise.seed=-3", "noise.seed"),
     ("example2_scalar", "noise.seed=-3", "noise.seed"),  # refused without noise too
@@ -312,6 +344,19 @@ def test_cli_failing_run_leaves_the_rows_before_the_failing_iteration(tmp_path, 
     ("example2_scalar", "es.delta=-0.001", "es.delta"),
     ("example2_scalar", "es.n_iterations=abc", "es.n_iterations"),
     ("example2_scalar", "es.n_iterations=2.5", "es.n_iterations"),
+    ("example2_scalar", "es.ranges=abc", "es.ranges"),
+    ("example2_scalar", "es.ranges=[[1, 2]]", "es.ranges"),
+    ("example2_scalar", "es.ranges=[]", "es.ranges"),
+    ("example2_scalar", "es.ranges=[[1, .nan, 10]]", "es.ranges[0][1]"),
+    ("example2_scalar", "es.ranges=[[1, 1.75, 2.5]]", "es.ranges[0][2]"),
+    ("example2_scalar", "es.ranges=[[1, 1.75, 0]]", "es.ranges[0][2]"),
+    ("example2_scalar", "es.phases=[cos]", "es.phases"),
+    ("example2_scalar", "es.phases=[cos, tan]", "es.phases"),
+    ("example2_scalar", "es.phases=cos", "es.phases"),
+    ("example2_scalar", "feedback=abc", "feedback"),
+    ("example2_scalar", "feedforward=1", "feedforward"),
+    ("feedback_2d", "feedforward=abc", "feedforward"),
+    ("example2_scalar", "cost.allow_indefinite_terminal=abc", "cost.allow_indefinite_terminal"),
 ])
 def test_cli_malformed_value_fails_through_the_error_handler(name, override, key, tmp_path,
                                                              capsys):

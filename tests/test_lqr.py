@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (example2_scenario, feedback_2d_scenario, packed_riccati_reference,
-                     refined, scalar_scenario)
+                     refined, scalar_scenario, zero_coefficients)
 from escontrol.basis import ControllerCoefficients
 from escontrol.errors import ContractViolationError, RiccatiInstabilityError
 from escontrol.harness import load_scenario, shipped_scenarios
@@ -148,7 +148,7 @@ def test_tracking_oracle_beats_sampled_controllers(rng):
     assert not np.all(sol.feedforward == 0.0)
     _, _, j_star = simulate_optimal(scenario.dynamics, scenario.cost,
                                     scenario.grid, np.array([2.0]), sol)
-    zeros = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
+    zeros = zero_coefficients(scenario.control_dim, scenario.basis)
     assert run_episode(scenario, zeros).cost > j_star
     for _ in range(25):
         coeffs = ControllerCoefficients(rng.standard_normal((1, 8)) * 2.0)
@@ -189,8 +189,8 @@ def test_riccati_sweep_matches_the_packed_rk4_solve_bitwise(name, slow_time):
     sol = scenario_oracle(scenario, slow_time)
     ref = packed_riccati_reference(scenario.dynamics, scenario.cost, scenario.grid,
                                    slow_time)
-    for field in ("s_matrices", "gains", "feedforward", "_s_doubled", "_k_doubled",
-                  "_v_doubled"):
+    for field in ("s_matrices", "gains", "feedforward", "_s_stages", "_k_stages",
+                  "_v_stages"):
         _assert_same_bits(getattr(sol, field), getattr(ref, field))
     _assert_same_bits(oracle_costs(scenario, slow_time, sol),
                       oracle_costs(scenario, slow_time, ref))

@@ -115,9 +115,7 @@ def test_linear_fast_path_matches_generic_rk4():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((2, 2))
     grid = TimeGrid(0.0, 1.0, 100)
-    taus = np.empty(2 * grid.n_steps + 1)
-    taus[0::2] = grid.nodes()
-    taus[1::2] = grid.midpoints()
+    taus = np.concatenate([grid.nodes(), grid.midpoints()])  # the RK4 stage times
     forcing = np.stack([np.sin(3.0 * taus), np.cos(2.0 * taus)], axis=1)
     x0 = np.array([0.3, -1.2])
 
@@ -131,9 +129,7 @@ def test_linear_fast_path_matches_generic_rk4():
 
 def test_linear_fast_path_scalar_matches_generic():
     grid = TimeGrid(0.0, 1.0, 200)
-    taus = np.empty(2 * grid.n_steps + 1)
-    taus[0::2] = grid.nodes()
-    taus[1::2] = grid.midpoints()
+    taus = np.concatenate([grid.nodes(), grid.midpoints()])  # the RK4 stage times
     forcing = np.cos(2.0 * np.pi * taus)[:, None]
     fast = integrate_rk4_linear(np.array([[1.0]]), forcing, np.array([2.0]), grid)
     generic = integrate_rk4(
@@ -158,8 +154,8 @@ def _frozen_plant_inputs(name, slow_time):
     rng = np.random.default_rng(5)
     coeffs = ControllerCoefficients(
         rng.standard_normal((scenario.control_dim, scenario.basis.n_functions)))
-    u_d = controller_samples(coeffs, scenario.basis_matrix_doubled())
-    return a, u_d @ b.T, scenario.initial_conditions[0], scenario.grid
+    u_s = controller_samples(coeffs, scenario.basis_matrix_stages())
+    return a, u_s @ b.T, scenario.initial_conditions[0], scenario.grid
 
 
 def _broadcast(a, grid):
@@ -177,7 +173,7 @@ def test_constant_a_matches_the_broadcast_stack_bitwise(name, slow_time):
 
 def test_constant_a_matches_the_broadcast_stack_on_the_2x2_plant():
     a, _, _, grid = _frozen_plant_inputs("feedback_2d", 0.0)
-    taus = np.linspace(0.0, 1.0, 2 * grid.n_steps + 1)
+    taus = np.concatenate([grid.nodes(), grid.midpoints()])
     forcing = np.stack([np.sin(3.0 * taus), np.cos(2.0 * taus)], axis=1)
     for x0 in (np.array([1.3, -1.1]), np.array([-1.0, -0.5])):
         for f in (forcing, None):
@@ -231,7 +227,7 @@ def test_block_scan_matches_the_per_column_scans_bitwise(name, slow_time):
 
 def test_block_scan_matches_the_per_column_scans_on_the_2x2_plant():
     a, _, _, grid = _frozen_plant_inputs("feedback_2d", 0.0)
-    taus = np.linspace(0.0, 1.0, 2 * grid.n_steps + 1)
+    taus = np.concatenate([grid.nodes(), grid.midpoints()])
     forcing = np.stack([np.sin(3.0 * taus), np.cos(2.0 * taus)], axis=1)
     forcing = forcing[..., None] * np.array([1.0, -0.3, 2.5])
     starts = np.array([[1.3, -1.0, 0.0], [-1.1, -0.5, 0.0]])
@@ -248,9 +244,9 @@ def test_scalar_products_match_the_matrix_products_bitwise(name, slow_time):
     # product is the same single multiply
     a, forcing, _, grid = _frozen_plant_inputs(name, slow_time)
     n, h = grid.n_steps, grid.h
-    a_d = a - np.random.default_rng(11).standard_normal((2 * n + 1, 1, 1))
-    stacked, constant = (a_d[0:-1:2], a_d[1::2], a_d[2::2]), (a, a, a)
-    f = (forcing[0:-1:2], forcing[1::2], forcing[2::2])
+    a_s = a - np.random.default_rng(11).standard_normal((2 * n + 1, 1, 1))
+    stacked, constant = (a_s[:n], a_s[n + 1:], a_s[1:n + 1]), (a, a, a)
+    f = (forcing[:n], forcing[n + 1:], forcing[1:n + 1])
     f_block = tuple(fk[..., None] * np.array([1.0, -0.3, 2.5]) for fk in f)
     for stages in (stacked, constant):
         assert rk4_step_matrices(*stages, h).tobytes() == \

@@ -8,7 +8,8 @@ from scipy.linalg import expm
 from scipy.special import ndtri
 
 from helpers import (A_2D, B_2D, P_2D, Q_2D, R_2D, X0_2D, Y0_2D, fresh_philox_draw,
-                     example2_scenario, quadratic_cost_samples, scalar_scenario)
+                     example2_scenario, quadratic_cost_samples, scalar_scenario,
+                     zero_coefficients)
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import ContractViolationError, ScenarioValidationError
 from escontrol.harness import load_scenario, shipped_scenarios
@@ -22,7 +23,7 @@ SHIPPED = {p.stem: p for p in shipped_scenarios()}
 
 def test_zero_control_constant_state():
     scenario = scalar_scenario(a=0.0, b=1.0, x0=2.0)
-    res = run_episode(scenario, ControllerCoefficients.zeros(scenario.control_dim, scenario.basis))
+    res = run_episode(scenario, zero_coefficients(scenario.control_dim, scenario.basis))
     assert np.allclose(res.trajectory.states, 2.0)
     # J = x(1)^2 + int (x^2 + u^2) = 4 + 4
     assert res.cost == pytest.approx(8.0, abs=1e-6)
@@ -30,14 +31,14 @@ def test_zero_control_constant_state():
 
 def test_example2_free_response_cost():
     scenario = example2_scenario()
-    res = run_episode(scenario, ControllerCoefficients.zeros(scenario.control_dim, scenario.basis))
+    res = run_episode(scenario, zero_coefficients(scenario.control_dim, scenario.basis))
     e2 = math.e**2
     assert res.cost == pytest.approx(4 * e2 + 2 * (e2 - 1), abs=1e-4)
 
 
 def test_noiseless_measurement_is_exact():
     scenario = example2_scenario(noise_std=0.0)
-    zeros = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
+    zeros = zero_coefficients(scenario.control_dim, scenario.basis)
     res = run_episode(scenario, zeros, noise_index=5)
     assert res.measured_cost == res.cost
 
@@ -123,7 +124,7 @@ def test_block_cache_is_not_part_of_the_noise_model_value():
 
 def test_measured_cost_uses_stream_position():
     scenario = example2_scenario(noise_std=0.5, seed=9)
-    coeffs = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
+    coeffs = zero_coefficients(scenario.control_dim, scenario.basis)
     r0 = run_episode(scenario, coeffs, noise_index=0)
     r1 = run_episode(scenario, coeffs, noise_index=1)
     assert r0.cost == r1.cost
@@ -133,7 +134,7 @@ def test_measured_cost_uses_stream_position():
 
 def test_multi_episode_singleton_matches_run_episode():
     scenario = example2_scenario()
-    coeffs = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
+    coeffs = zero_coefficients(scenario.control_dim, scenario.basis)
     single = run_episode(scenario, coeffs)
     multi = run_multi_episode(scenario, coeffs)
     assert multi.total_cost == single.cost
@@ -143,7 +144,7 @@ def test_multi_episode_singleton_matches_run_episode():
 def test_multi_episode_duplicated_initial_condition_doubles_cost():
     scenario = example2_scenario()
     scenario.initial_conditions = [np.array([2.0]), np.array([2.0])]
-    coeffs = ControllerCoefficients.zeros(scenario.control_dim, scenario.basis)
+    coeffs = zero_coefficients(scenario.control_dim, scenario.basis)
     multi = run_multi_episode(scenario, coeffs)
     single = run_episode(scenario, coeffs)
     assert multi.total_cost == pytest.approx(2.0 * single.cost, rel=1e-12)
@@ -161,7 +162,7 @@ def test_multi_episode_free_response_matches_matrix_exponential():
         initial_conditions=[np.array(X0_2D), np.array(Y0_2D)],
     )
     multi = run_multi_episode(scenario,
-                              ControllerCoefficients.zeros(scenario.control_dim, scenario.basis))
+                              zero_coefficients(scenario.control_dim, scenario.basis))
 
     a = np.array(A_2D)
     expected = 0.0
