@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import ControllerCoefficients
 from .errors import (ContractViolationError, EsControlError,
                      MeasurementInvalidError, ScheduleCollisionError)
 from .scenario import Scenario, episode_cost_fn, episode_model, open_loop_measurement
@@ -179,20 +178,16 @@ class EsConfig:
         }
 
 
-def es_step(coeffs, j_hat: float, s: int, config: EsConfig):
-    """One update of every coefficient from the measured cost j_hat.
+def es_step(coeffs: np.ndarray, j_hat: float, s: int, config: EsConfig) -> np.ndarray:
+    """One update of every coefficient of the flat vector ``coeffs`` from the
+    measured cost j_hat.
 
-    ``coeffs`` may be a flat array or ControllerCoefficients; the result has
-    the same type. A non-finite measurement raises MeasurementInvalidError
-    and the step is not applied (skipping silently would desynchronize the
-    step index from the dither phases).
+    A non-finite measurement raises MeasurementInvalidError and the step is
+    not applied (skipping silently would desynchronize the step index from
+    the dither phases).
     """
     if not math.isfinite(j_hat):
         raise MeasurementInvalidError(f"measured cost at step {s} is {j_hat}")
-    wrap = None
-    if isinstance(coeffs, ControllerCoefficients):
-        wrap = coeffs.n_channels
-        coeffs = coeffs.flat()
     flat = np.asarray(coeffs, dtype=float)
     if flat.shape[0] != config.n_coeffs:
         raise ContractViolationError(
@@ -200,10 +195,7 @@ def es_step(coeffs, j_hat: float, s: int, config: EsConfig):
         )
     theta = config.frequencies * (s * config.delta) + config.k * j_hat
     osc = np.where(config.cos_mask, np.cos(theta), np.sin(theta))
-    new_flat = flat + config.step_gains * osc
-    if wrap is not None:
-        return ControllerCoefficients.from_flat(new_flat, wrap)
-    return new_flat
+    return flat + config.step_gains * osc
 
 
 @dataclass(frozen=True)
@@ -299,7 +291,7 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
     coefficient or result objects after the first), the ``measure`` method
     of an object (such as :func:`~escontrol.feedback.closed_loop_measurement`),
     or a plain noise-free callable of the flat coefficients. Coefficients
-    start at zero unless given.
+    start at zero unless a flat ``initial_coeffs`` is given.
 
     With ``consume_rows``, the rows stream out instead: the loop runs inside
     ``consume_rows(config, blocks)``, which must exhaust the iterator
@@ -323,8 +315,6 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
 
     if initial_coeffs is None:
         flat = np.zeros(config.n_coeffs)
-    elif isinstance(initial_coeffs, ControllerCoefficients):
-        flat = initial_coeffs.flat()
     else:
         flat = np.asarray(initial_coeffs, dtype=float).copy()
 

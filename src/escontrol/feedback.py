@@ -16,15 +16,14 @@ rows get fresh bands appended above the gain bands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .basis import Basis
 from .errors import (ContractViolationError, IllPosedSynthesisError,
                      IntegrationDivergedError)
-from .es import (EsConfig, EsRunRecord, PHASE_COS, PHASE_SIN, default_delta,
-                 make_frequency_schedule, run_es)
+from .es import EsConfig, EsRunRecord, PHASE_COS, PHASE_SIN, make_frequency_schedule, run_es
 from .lqr import RiccatiSolution
 from .ode import (StateTrajectory, TimeGrid, first_nonfinite_step, prefix_transitions,
                   rk4_linear_steps)
@@ -192,8 +191,7 @@ def closed_loop_measurement(scenario: Scenario, delta: float) -> EpisodeMeasurem
 
 
 def gain_dither_assignment(omega0: float, m: int, state_dim: int, control_dim: int,
-                           feedforward: bool = False,
-                           band_edges: Sequence[float] | None = None):
+                           feedforward: bool = False):
     """(frequencies, phases) for the flat gain-field coefficient vector.
 
     Returns one (frequency, phase) per scalar coefficient, in the flat
@@ -201,13 +199,8 @@ def gain_dither_assignment(omega0: float, m: int, state_dim: int, control_dim: i
     """
     p, n = control_dim, state_dim
     n_groups = (n + 1) // 2          # column pairs sharing a band via cos/sin
-    if band_edges is None:
-        if p == 2:
-            band_edges = [1.0, 1.35, 1.75]
-        else:
-            band_edges = np.linspace(1.0, 1.75, p + 1).tolist()
-    if len(band_edges) != p + 1:
-        raise ContractViolationError(f"need {p + 1} band edges, got {len(band_edges)}")
+    # row bands in multiples of omega0: the published 2x2 split, else even
+    band_edges = [1.0, 1.35, 1.75] if p == 2 else np.linspace(1.0, 1.75, p + 1).tolist()
 
     ranges = []
     for l in range(p):
@@ -265,10 +258,11 @@ def _check_initial_conditions(scenario: Scenario):
         )
 
 
-def synthesize_gain(scenario: Scenario, config: EsConfig | None = None,
-                    n_iterations: int | None = None,
+def synthesize_gain(scenario: Scenario, config: EsConfig, n_iterations: int,
                     consume_rows: Callable | None = None) -> tuple[GainField, EsRunRecord]:
-    """ES over all gain-field coefficients against the summed multi-episode cost.
+    """ES over all gain-field coefficients against the summed multi-episode
+    cost, with the dither of ``config`` (as ``harness.es_config_for`` builds
+    it from the scenario).
 
     Returns the converged field (coefficients averaged over the last
     slowest-dither period, removing the residual dither ripple) and the run
@@ -280,22 +274,6 @@ def synthesize_gain(scenario: Scenario, config: EsConfig | None = None,
         raise ContractViolationError("gain synthesis requires linear dynamics "
                                      "and a quadratic cost")
     _check_initial_conditions(scenario)
-    m = getattr(scenario.basis, "m", None)
-    if m is None:
-        raise ContractViolationError("gain synthesis requires a fourier-pairs basis")
-
-    es = scenario.es_defaults
-    if config is None:
-        freqs, phases = gain_dither_assignment(
-            es["omega0"], m, scenario.state_dim, scenario.control_dim,
-            feedforward=scenario.feedforward)
-        delta = es.get("delta")
-        config = EsConfig(k=es["k"], alpha=es["alpha"], omega0=es["omega0"],
-                          frequencies=freqs, phases=phases,
-                          delta=default_delta(freqs) if delta is None else delta)
-    if n_iterations is None:
-        n_iterations = int(es.get("n_iterations", 1000))
-
     record = run_es(closed_loop_measurement(scenario, config.delta), config, n_iterations,
                     scenario_id=scenario.name, consume_rows=consume_rows)
     return gain_field(scenario, record.period_averaged_coefficients()), record

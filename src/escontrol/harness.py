@@ -26,8 +26,8 @@ import yaml
 from .basis import ControllerCoefficients, FourierPairsBasis
 from .errors import (ContractViolationError, EsControlError, ScenarioParseError,
                      ScenarioValidationError)
-from .es import PHASE_COS, PHASE_SIN, EsConfig, EsRunRecord, run_es
-from .feedback import GainField, synthesize_gain
+from .es import PHASE_COS, PHASE_SIN, EsConfig, EsRunRecord, default_delta, run_es
+from .feedback import GainField, gain_dither_assignment, synthesize_gain
 from .lqr import oracle_costs, scenario_oracle
 from .ode import TimeGrid
 from .scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
@@ -44,16 +44,17 @@ _EXPR_NAMESPACE = {
 }
 
 
-def compile_expression(expr: str, var: str) -> Callable[[float], float]:
-    """Compile a whitelisted arithmetic expression of one variable."""
+def compile_expression(expr: str, var: str, key: str) -> Callable[[float], float]:
+    """Compile a whitelisted arithmetic expression of one variable, the
+    scenario entry at dotted path ``key``."""
     try:
         code = compile(expr, f"<{var}-expression>", "eval")
     except SyntaxError as exc:
-        raise ScenarioParseError(f"bad expression {expr!r}: {exc}") from exc
+        raise ScenarioParseError(f"{key}: bad expression {expr!r}: {exc}") from exc
     unknown = set(code.co_names) - set(_EXPR_NAMESPACE) - {var}
     if unknown:
         raise ScenarioParseError(
-            f"expression {expr!r} uses unknown names {sorted(unknown)}"
+            f"{key}: expression {expr!r} uses unknown names {sorted(unknown)}"
         )
 
     def fn(value):
@@ -69,19 +70,19 @@ def _matrix_fn(value, var: str, key: str):
         const = np.array([[_number(value, key)]])
         return (lambda t: const), const.shape, True
     if isinstance(value, str):
-        f = compile_expression(value, var)
+        f = compile_expression(value, var, key)
         return (lambda t: np.array([[float(f(t))]])), (1, 1), False
     rows = value
-    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
-        raise ScenarioParseError(f"matrix must be a number, string, or nested list, "
+    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list) or not rows[0]:
+        raise ScenarioParseError(f"{key} must be a number, string, or nested list, "
                                  f"got {value!r}")
     shape = (len(rows), len(rows[0]))
-    if any(len(r) != shape[1] for r in rows):
-        raise ScenarioParseError("matrix rows have inconsistent lengths")
+    if any(not isinstance(r, list) or len(r) != shape[1] for r in rows):
+        raise ScenarioParseError(f"{key} rows have inconsistent lengths")
     if not any(isinstance(x, str) for r in rows for x in r):
         const = _float_array(rows, key)
         return (lambda t: const), shape, True
-    fns = [[compile_expression(x, var) if isinstance(x, str)
+    fns = [[compile_expression(x, var, f"{key}[{i}][{j}]") if isinstance(x, str)
             else (lambda t, v=_number(x, f"{key}[{i}][{j}]"): v)
             for j, x in enumerate(r)] for i, r in enumerate(rows)]
 
@@ -96,7 +97,7 @@ def _reference_fn(value):
     if value is None:
         return None
     entries = value if isinstance(value, list) else [value]
-    fns = [compile_expression(x, "tau") if isinstance(x, str)
+    fns = [compile_expression(x, "tau", "cost.reference") if isinstance(x, str)
            else (lambda tau, v=_number(x, "cost.reference"): v) for x in entries]
 
     def fn(tau):
@@ -168,8 +169,9 @@ def _es_section(config: dict) -> dict:
     for key in ("k", "alpha", "omega0", "delta"):
         if key in es:
             es[key] = _number(es[key], f"es.{key}")
-    if es.get("delta", 0.0) < 0:
-        raise ScenarioValidationError(f"es.delta must be >= 0, got {es['delta']}")
+            if es[key] < 0 or es[key] == 0 and key != "delta":  # only delta may be 0
+                raise ScenarioValidationError(
+                    f"es.{key} must be {'>= 0' if key == 'delta' else 'positive'}, got {es[key]}")
     if "n_iterations" in es:
         es["n_iterations"] = _integer(es["n_iterations"], "es.n_iterations", low=1)
     if "ranges" in es:
@@ -177,6 +179,10 @@ def _es_section(config: dict) -> dict:
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ScenarioValidationError(
                 f"es.ranges must be a list of [low, high, count] triples, got {es['ranges']!r}")
+        for i, (low, high, _) in enumerate(rows.tolist()):
+            if not 0 < low <= high:
+                raise ScenarioValidationError(
+                    f"es.ranges[{i}] must have 0 < low <= high, got low {low}, high {high}")
         es["ranges"] = [(low, high, _integer(count, f"es.ranges[{i}][2]", low=1))
                         for i, (low, high, count) in enumerate(rows.tolist())]
     return es
@@ -197,16 +203,17 @@ def build_scenario(config: dict, name: str | None = None) -> Scenario:
     kind = dyn_cfg.get("kind", "linear")
     if kind != "linear":
         raise ScenarioValidationError(
-            f"scenario files only declare linear dynamics, got kind={kind!r}; "
+            f"dynamics.kind must be 'linear' in a scenario file, got {kind!r}; "
             "general dynamics are constructed through the API"
         )
     a_fn, a_shape, a_const = _matrix_fn(_require(dyn_cfg, "a", "dynamics"), "t", "dynamics.a")
     b_fn, b_shape, b_const = _matrix_fn(_require(dyn_cfg, "b", "dynamics"), "t", "dynamics.b")
     if a_shape[0] != a_shape[1]:
-        raise ScenarioValidationError(f"A must be square, got {a_shape}")
+        raise ScenarioValidationError(f"A (dynamics.a) must be square, got {a_shape}")
     if b_shape[0] != a_shape[0]:
         raise ScenarioValidationError(
-            f"B rows ({b_shape[0]}) must match the state dimension ({a_shape[0]})"
+            f"B rows ({b_shape[0]}, dynamics.b) must match the state dimension "
+            f"({a_shape[0]}, dynamics.a)"
         )
     if a_const and b_const:
         dynamics = LinearDynamics.constant(a_fn(0.0), b_fn(0.0))
@@ -215,12 +222,17 @@ def build_scenario(config: dict, name: str | None = None) -> Scenario:
                                   state_dim=a_shape[0], control_dim=b_shape[1])
 
     cost_cfg = _section(config, "cost")
+    c = np.atleast_2d(_float_array(cost_cfg.get("c", np.eye(a_shape[0]).tolist()), "cost.c"))
+    p, q, r = (np.atleast_2d(_float_array(_require(cost_cfg, key, "cost"), f"cost.{key}"))
+               for key in "pqr")
+    n_out = c.shape[0]
+    for key, matrix, shape in (("c", c, (n_out, a_shape[0])), ("p", p, (n_out, n_out)),
+                               ("q", q, (n_out, n_out)), ("r", r, (b_shape[1],) * 2)):
+        if matrix.shape != shape:  # one column of C per state, R per control
+            raise ScenarioValidationError(f"cost.{key} must be {shape[0]}x{shape[1]} to fit "
+                                          f"A, B and C, got shape {matrix.shape}")
     cost = QuadraticCost(
-        c_matrix=np.atleast_2d(_float_array(cost_cfg.get("c", np.eye(a_shape[0]).tolist()),
-                                            "cost.c")),
-        p_matrix=np.atleast_2d(_float_array(_require(cost_cfg, "p", "cost"), "cost.p")),
-        q_matrix=np.atleast_2d(_float_array(_require(cost_cfg, "q", "cost"), "cost.q")),
-        r_matrix=np.atleast_2d(_float_array(_require(cost_cfg, "r", "cost"), "cost.r")),
+        c_matrix=c, p_matrix=p, q_matrix=q, r_matrix=r,
         reference=_reference_fn(cost_cfg.get("reference")),
         terminal_indefinite_ok=_flag(cost_cfg, "cost.allow_indefinite_terminal"),
     )
@@ -242,9 +254,9 @@ def build_scenario(config: dict, name: str | None = None) -> Scenario:
                               horizon=grid.span, extension=extension)
 
     ics_raw = _require(config, "initial_conditions", "scenario")
-    if not isinstance(ics_raw, list):
+    if not isinstance(ics_raw, list) or not ics_raw:
         raise ScenarioValidationError(
-            f"initial_conditions must be a list of states, got {ics_raw!r}")
+            f"initial_conditions must be a non-empty list of states, got {ics_raw!r}")
     ics = [np.atleast_1d(_float_array(x, f"initial_conditions[{i}]"))
            for i, x in enumerate(ics_raw)]
 
@@ -394,22 +406,38 @@ class RunSummary:
 
 
 def es_config_for(scenario: Scenario) -> EsConfig:
-    """EsConfig for an open-loop run, from the scenario's tuned es section."""
+    """EsConfig of the scenario's ES run from its tuned es section: in open
+    loop with ``es.ranges`` and ``es.phases``; a feedback scenario takes
+    neither and gets :func:`~escontrol.feedback.gain_dither_assignment`."""
     es = scenario.es_defaults
-    for key in ("k", "alpha", "omega0"):
-        if key not in es:
-            raise ScenarioValidationError(
-                f"scenario {scenario.name!r} has no tuned es.{key}"
-            )
+    missing = [f"es.{key}" for key in ("k", "alpha", "omega0") if key not in es]
+    if missing:
+        raise ScenarioValidationError(
+            f"scenario {scenario.name!r} has no tuned {', '.join(missing)}")
+    k, alpha, omega0 = float(es["k"]), float(es["alpha"]), float(es["omega0"])
+    if scenario.feedback:
+        for key in ("ranges", "phases"):
+            if key in es:
+                raise ScenarioValidationError(f"es.{key} does not apply to a feedback "
+                                              "scenario, whose dither the synthesis assigns")
+        if not isinstance(scenario.basis, FourierPairsBasis):
+            raise ContractViolationError("gain synthesis requires a fourier-pairs basis")
+        freqs, phases = gain_dither_assignment(omega0, scenario.basis.m, scenario.state_dim,
+                                               scenario.control_dim, scenario.feedforward)
+        delta = es.get("delta")
+        return EsConfig(k=k, alpha=alpha, omega0=omega0, frequencies=freqs, phases=phases,
+                        delta=default_delta(freqs) if delta is None else delta)
     n_coeffs = scenario.control_dim * scenario.basis.n_functions
-    phases = es.get("phases")
+    phases, ranges = es.get("phases"), es.get("ranges")
     if phases is not None and not (isinstance(phases, list) and len(phases) == n_coeffs
                                    and all(p in (PHASE_COS, PHASE_SIN) for p in phases)):
         raise ScenarioValidationError(f"es.phases must list one {PHASE_COS!r} or {PHASE_SIN!r} "
                                       f"per coefficient ({n_coeffs}), got {phases!r}")
-    return EsConfig.build(k=float(es["k"]), alpha=float(es["alpha"]),
-                          omega0=float(es["omega0"]), n_coeffs=n_coeffs,
-                          ranges=es.get("ranges"), delta=es.get("delta"), phases=phases)
+    if ranges is not None and sum(count for _, _, count in ranges) != n_coeffs:
+        raise ScenarioValidationError(f"es.ranges counts must sum to the {n_coeffs} "
+                                      f"coefficients, got {ranges!r}")
+    return EsConfig.build(k=k, alpha=alpha, omega0=omega0, n_coeffs=n_coeffs,
+                          ranges=ranges, delta=es.get("delta"), phases=phases)
 
 
 def write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -546,16 +574,14 @@ def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
     """run_experiment once the scenario is built and the mode resolved."""
     if mode not in MODES:
         raise ContractViolationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "compare" and scenario.feedback:
+    if mode != "oracle-only" and (mode == "feedback-es") != scenario.feedback:
         raise ContractViolationError(
-            f"compare mode runs open-loop ES, but {scenario.name!r} is a feedback "
-            "scenario; run its gain synthesis with `esctl run`"
-        )
+            f"{mode} mode does not fit {scenario.name!r}: a feedback scenario runs its "
+            "gain synthesis (`esctl run`), any other scenario open-loop ES")
     out_dir = output_dir(spec, scenario.name, mode)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     extras: dict = {}
-    record = None
     j_avg = None
     oracle_total = None
 
@@ -570,13 +596,13 @@ def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
         iterations = None
     else:  # feedback-es / open-loop-es / compare
         stream = partial(write_iterations_csv, out_dir / "iterations.csv")
+        config = es_config_for(scenario)
+        n_iterations = spec.n_iterations or scenario.es_defaults.get("n_iterations", 1000)
         if mode == "feedback-es":
-            field_, record = synthesize_gain(scenario, n_iterations=spec.n_iterations,
+            field_, record = synthesize_gain(scenario, config, n_iterations,
                                              consume_rows=stream)
         else:
-            n_iterations = spec.n_iterations or scenario.es_defaults.get("n_iterations", 1000)
-            record = run_es(scenario, es_config_for(scenario), n_iterations,
-                            consume_rows=stream)
+            record = run_es(scenario, config, n_iterations, consume_rows=stream)
         iterations = record.n_iterations
         j_avg = record.period_averaged_cost()
         slow_final = scenario.slow_time_for(iterations, record.config.delta)

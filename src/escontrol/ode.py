@@ -142,19 +142,21 @@ def quadrature_trapezoid(samples: Sequence[float], grid: TimeGrid) -> float:
 #   c0 = I + hA + (hA)^2/2 + (hA)^3/4,  c1 = 4I + 2hA + (hA)^2/2.
 # The c act on B from the left: B c0 u would be right only for d = 1.
 # rk4_frozen_step returns Phi and the three gains (h/6) c0 B, (h/6) c1 B and
-# (h/6) B, so a step costs no per-step matrix work at all. The sums associate
-# differently from the stage recursion, so results agree with it to rounding,
-# not bitwise.
+# (h/6) B, and rk4_frozen_forcing forms w from them, so a step costs no
+# per-step matrix work at all. The sums associate differently from the stage
+# recursion, so results agree with it to rounding, not bitwise.
+#
+# The frozen step serves every plant frozen within an episode: the open-loop
+# episodes and the quadratic episode model. The stage recursion
+# (rk4_step_matrices, rk4_step_forcing) serves a stack of A samples that vary
+# within the episode: the closed loops A - B K(tau) of the gain synthesis and
+# of simulate_optimal.
 
 
 def rk4_step_matrices(a_start: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray,
                       h: float) -> np.ndarray:
-    """RK4 transition matrices for dx/dt = A(t) x.
-
-    Inputs are (n_steps, d, d) stacks of A sampled at step starts, midpoints
-    and ends, giving one matrix per step; a constant A is passed as one
-    (d, d) matrix three times and gives the single matrix every step shares.
-    """
+    """RK4 transition matrices for dx/dt = A(t) x: one per step, from
+    (n_steps, d, d) stacks of A sampled at the step starts, midpoints and ends."""
     dim = a_start.shape[-1]
     eye = np.eye(dim)
     mul = np.multiply if dim == 1 else np.matmul  # a 1x1 product is one multiply
@@ -186,23 +188,18 @@ def rk4_frozen_step(a: np.ndarray | float, b: np.ndarray | float, h: float) -> t
 
 
 def _apply(a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """A f[k] for every row k of f; A is one (d, d) matrix or a stack of them."""
+    """A[k] f[k] for every row k of the (n_steps, d) f and the stack A."""
     if a.shape[-1] == 1:  # 1x1: one multiply per entry, as the matrix product
-        return (a if f.ndim == 3 else a[..., 0]) * f
-    if f.ndim == 3:  # f[k] is a (d, cols) block
-        return a @ f
-    return f @ a.T if a.ndim == 2 else np.einsum("kij,kj->ki", a, f)
+        return a[..., 0] * f
+    return np.einsum("kij,kj->ki", a, f)
 
 
 def rk4_step_forcing(a_mid: np.ndarray, a_end: np.ndarray,
                      f_start: np.ndarray, f_mid: np.ndarray, f_end: np.ndarray,
                      h: float) -> np.ndarray:
-    """Per-step RK4 forcing contributions for dx/dt = A(t) x + f(t).
-
-    The f are (n_steps, d), or (n_steps, d, cols) for a block of columns; A
-    is an (n_steps, d, d) stack or one constant (d, d) matrix, as in
-    :func:`rk4_step_matrices`.
-    """
+    """Per-step RK4 forcing contributions for dx/dt = A(t) x + f(t), from
+    (n_steps, d) samples of f and (n_steps, d, d) stacks of A, as in
+    :func:`rk4_step_matrices`."""
     w1 = f_start
     w2 = f_mid + (0.5 * h) * _apply(a_mid, w1)
     w3 = f_mid + (0.5 * h) * _apply(a_mid, w2)
@@ -322,30 +319,38 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
     return StateTrajectory(grid=grid, states=states, dimension=dim)
 
 
+def _stage_rows(samples: np.ndarray) -> tuple:
+    """(start, midpoint, end) rows of every step from samples at the RK4 stage
+    times, which are the n_steps + 1 nodes, then the n_steps midpoints (as
+    ``Scenario.basis_matrix_stages``): the one place that slices them."""
+    n = samples.shape[0] // 2
+    return samples[:n], samples[n + 1:], samples[1:n + 1]
+
+
+def rk4_frozen_forcing(g_start, g_mid, g_end, u: np.ndarray) -> np.ndarray:
+    """w[k] = G_start u_start[k] + G_mid u_mid[k] + G_end u_end[k] of every
+    step, from :func:`rk4_frozen_step`'s gains and u at the RK4 stage times.
+    Matrix gains (d, p) act on u's last axis; float gains scale u."""
+    u_start, u_mid, u_end = _stage_rows(u)
+    if isinstance(g_start, float):
+        return g_start * u_start + g_mid * u_mid + g_end * u_end
+    return u_start @ g_start.T + u_mid @ g_mid.T + u_end @ g_end.T
+
+
 def rk4_linear_steps(a_samples: np.ndarray, f_samples: np.ndarray | None,
                      grid: TimeGrid) -> tuple:
-    """(Phi, w) of the RK4 steps x[k+1] = Phi[k] x[k] + w[k] of dx/dt = A(t) x + f(t).
-
-    A and f come sampled at the RK4 stage times, the n_steps + 1 grid nodes
-    and then the n_steps midpoints (as ``Scenario.basis_matrix_stages``):
-    ``a_samples`` (2 n_steps + 1, d, d), or one constant (d, d) A that builds
-    one step matrix for all steps, and ``f_samples`` (2 n_steps + 1,) plus
-    the state's shape, or None for w = None.
-    """
-    n, h = grid.n_steps, grid.h
-    if a_samples.ndim == 2:
-        a_start = a_mid = a_end = a_samples
-    else:
-        a_start, a_mid, a_end = a_samples[:n], a_samples[n + 1:], a_samples[1:n + 1]
+    """(Phi, w) of the RK4 steps x[k+1] = Phi[k] x[k] + w[k] of dx/dt = A(t) x + f(t),
+    from ``a_samples`` (2 n_steps + 1, d, d) and ``f_samples`` (2 n_steps + 1, d)
+    or None at the RK4 stage times (see :func:`_stage_rows`)."""
+    a_start, a_mid, a_end = _stage_rows(a_samples)
     w = None if f_samples is None else rk4_step_forcing(
-        a_mid, a_end, f_samples[:n], f_samples[n + 1:], f_samples[1:n + 1], h)
-    return rk4_step_matrices(a_start, a_mid, a_end, h), w
+        a_mid, a_end, *_stage_rows(f_samples), grid.h)
+    return rk4_step_matrices(a_start, a_mid, a_end, grid.h), w
 
 
 def integrate_rk4_linear(a_samples: np.ndarray, f_samples: np.ndarray | None,
                          x0, grid: TimeGrid) -> StateTrajectory:
     """RK4 for dx/dt = A(t) x + f(t): the steps of :func:`rk4_linear_steps`
-    scanned from ``x0``, (d,) or a (d, cols) block (see :func:`propagate_linear`)."""
-    a_samples = np.asarray(a_samples, dtype=float)
-    f_samples = None if f_samples is None else np.asarray(f_samples, dtype=float)
+    scanned from ``x0``, (d,), or a (d, cols) block when unforced (see
+    :func:`propagate_linear`)."""
     return propagate_linear(*rk4_linear_steps(a_samples, f_samples, grid), x0, grid)

@@ -18,8 +18,8 @@ import numpy as np
 from .basis import Basis, ControllerCoefficients, controller_samples
 from .errors import (ContractViolationError, IntegrationDivergedError,
                      ScenarioValidationError)
-from .ode import (StateTrajectory, TimeGrid, integrate_rk4, integrate_rk4_linear,
-                  propagate_linear, rk4_frozen_step, scalar_scan)
+from .ode import (StateTrajectory, TimeGrid, integrate_rk4, propagate_linear,
+                  rk4_frozen_forcing, rk4_frozen_step, scalar_scan)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ _EIG_TOL_PD = 1e-10
 
 def _check_symmetric(name: str, mat: np.ndarray):
     if not np.allclose(mat, mat.T, atol=1e-12, rtol=1e-12):
-        raise ScenarioValidationError(f"{name} not symmetric")
+        raise ScenarioValidationError(f"{name} not symmetric (cost.{name.lower()})")
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,11 @@ class QuadraticCost:
         _check_symmetric("R", self.r_matrix)
         if not self.terminal_indefinite_ok and \
                 np.linalg.eigvalsh(self.p_matrix).min() < _EIG_TOL_PSD:
-            raise ScenarioValidationError("P not positive semidefinite")
+            raise ScenarioValidationError("P not positive semidefinite (cost.p)")
         if np.linalg.eigvalsh(self.q_matrix).min() < _EIG_TOL_PSD:
-            raise ScenarioValidationError("Q not positive semidefinite")
+            raise ScenarioValidationError("Q not positive semidefinite (cost.q)")
         if np.linalg.eigvalsh(self.r_matrix).min() < _EIG_TOL_PD:
-            raise ScenarioValidationError("R not positive definite")
+            raise ScenarioValidationError("R not positive definite (cost.r)")
 
     @property
     def output_dim(self) -> int:
@@ -397,8 +397,9 @@ class QuadraticEpisodeModel:
     ``ControllerCoefficients.flat``): x = x_free(x0) + G a, where column
     i = c * n_functions + j of G is the response from rest to basis function
     j on control channel c. The trapezoid cost of those states is then
-    exactly J(a) = 1/2 a'Ha + g(x0)'a + j0(x0). G comes from one scan of all
-    its columns and H is built with it; x_free, g and j0 once per initial
+    exactly J(a) = 1/2 a'Ha + g(x0)'a + j0(x0). The RK4 steps are those of
+    :func:`~escontrol.ode.rk4_frozen_step`. G comes from one scan of all its
+    columns and H is built with it; x_free, g and j0 once per initial
     condition. Results agree with the step-by-step simulation to rounding,
     not bitwise.
     """
@@ -408,14 +409,17 @@ class QuadraticEpisodeModel:
         self.grid = grid
         self._cost = cost
         self._initial_conditions = scenario.initial_conditions
-        self._a = np.atleast_2d(np.asarray(dyn.a_fn(slow_time), dtype=float))
+        a = np.atleast_2d(np.asarray(dyn.a_fn(slow_time), dtype=float))
         b = np.atleast_2d(np.asarray(dyn.b_fn(slow_time), dtype=float))
+        phi, *gains = rk4_frozen_step(a, b, grid.h)
+        self._phi = np.atleast_2d(phi)  # a float Phi would only scan a (1,) state
         stages = scenario.basis_matrix_stages()
-        # forcing of column c * n_functions + j: phi_j(tau) B[:, c]
-        forcing = (stages[:, None, None, :] * b[None, :, :, None]).reshape(
-            stages.shape[0], b.shape[0], -1)
+        p = b.shape[1]
+        # control of column c * n_functions + j: phi_j(tau) on channel c
+        u = (stages[:, None, :, None] * np.eye(p)[:, None, :]).reshape(len(stages), -1, p)
+        forcing = rk4_frozen_forcing(*gains, u).swapaxes(1, 2)  # (n_steps, d, columns)
         rest = np.zeros(forcing.shape[1:])
-        gain = integrate_rk4_linear(self._a, forcing, rest, grid).states
+        gain = propagate_linear(self._phi, forcing, rest, grid).states
         self._gain = gain.reshape(-1, gain.shape[-1])  # (n_steps + 1) * state_dim rows
         self._phi_nodes = stages[:grid.n_steps + 1]
         weights = np.full(grid.n_steps + 1, grid.h)
@@ -455,7 +459,7 @@ class QuadraticEpisodeModel:
         key = x0.tobytes()
         if key not in self._free:
             try:
-                x_free = integrate_rk4_linear(self._a, None, x0, self.grid).states
+                x_free = propagate_linear(self._phi, None, x0, self.grid).states
             except IntegrationDivergedError:
                 self._free[key] = None
                 return None
@@ -530,13 +534,8 @@ def _integrate_open_loop(scenario: Scenario, values: np.ndarray, slow_time: floa
         u = scenario.basis_matrix_stages() @ values.T
         a = np.atleast_2d(np.asarray(dyn.a_fn(slow_time), dtype=float))
         b = np.atleast_2d(np.asarray(dyn.b_fn(slow_time), dtype=float))
-        phi, g_start, g_mid, g_end = rk4_frozen_step(a, b, grid.h)
-        u_start, u_end, u_mid = u[:n], u[1:n + 1], u[n + 1:]
-        if isinstance(phi, float):
-            w = g_start * u_start + g_mid * u_mid + g_end * u_end
-        else:
-            w = u_start @ g_start.T + u_mid @ g_mid.T + u_end @ g_end.T
-        return propagate_linear(phi, w, x0, grid), u[:n + 1]
+        phi, *gains = rk4_frozen_step(a, b, grid.h)
+        return propagate_linear(phi, rk4_frozen_forcing(*gains, u), x0, grid), u[:n + 1]
     basis = scenario.basis
 
     def derivative(tau, x):
@@ -633,10 +632,9 @@ def _scalar_episode_costs(scenario: Scenario) -> Callable[[np.ndarray, float], l
 
     def episode_costs(flat, slow_time):
         u = (stages @ flat.reshape(1, -1).T).ravel()
-        phi, g_start, g_mid, g_end = rk4_frozen_step(
-            np.asarray(dyn.a_fn(slow_time), dtype=float).item(),
-            np.asarray(dyn.b_fn(slow_time), dtype=float).item(), h)
-        w = (g_start * u[:n] + g_mid * u[n + 1:] + g_end * u[1:n + 1]).tolist()
+        phi, *gains = rk4_frozen_step(np.asarray(dyn.a_fn(slow_time), dtype=float).item(),
+                                      np.asarray(dyn.b_fn(slow_time), dtype=float).item(), h)
+        w = rk4_frozen_forcing(*gains, u).tolist()
         u = u[:n + 1]
         costs = []
         for x0 in starts:

@@ -10,7 +10,7 @@ from escontrol.errors import (ContractViolationError, EsControlError,
 from escontrol.feedback import GainField
 from escontrol.harness import write_csv
 from escontrol.lqr import RiccatiSolution, _pd_inverse_times
-from escontrol.ode import TimeGrid
+from escontrol.ode import TimeGrid, rk4_frozen_forcing, rk4_frozen_step, rk4_linear_steps
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
                                 _integrate_open_loop, cost_of_trajectory)
 
@@ -233,15 +233,38 @@ def matmul_step_forcing(a_mid, a_end, f_start, f_mid, f_end, h):
     """RK4 step forcing through matrix products, the reference for the scalar
     branch of ode.rk4_step_forcing (shapes as there)."""
     def apply(a, f):
-        if f.ndim == 3:
-            return a @ f
-        return f @ a.T if a.ndim == 2 else np.einsum("kij,kj->ki", a, f)
+        return np.einsum("kij,kj->ki", a, f)
 
     w1 = f_start
     w2 = f_mid + (0.5 * h) * apply(a_mid, w1)
     w3 = f_mid + (0.5 * h) * apply(a_mid, w2)
     w4 = f_end + h * apply(a_end, w3)
     return (h / 6.0) * (w1 + 2.0 * w2 + 2.0 * w3 + w4)
+
+
+def frozen_steps(a, forcing, grid):
+    """(Phi, w) of ode.rk4_frozen_step for dx/dt = A x + f(tau): B = I and
+    u = f, with f sampled at the RK4 stage times, (d,) or a (d, cols) block
+    per row, or None. Phi comes as a (d, d) array, which scans a (d, cols)
+    block as well as a (d,) state."""
+    phi, *gains = rk4_frozen_step(a, np.eye(a.shape[0]), grid.h)
+    if forcing is None:
+        return np.atleast_2d(phi), None
+    # the gains act on the last axis
+    w = rk4_frozen_forcing(*gains, np.swapaxes(forcing, 1, -1))
+    return np.atleast_2d(phi), np.swapaxes(w, 1, -1)
+
+
+def stacked_steps(a, forcing, grid):
+    """(Phi, w) of the stage recursion (ode.rk4_linear_steps) for the same
+    plant and forcing as :func:`frozen_steps`, with A broadcast to a stack of
+    stage samples; a block of forcing is stepped column by column."""
+    a_stack = np.broadcast_to(a, (2 * grid.n_steps + 1,) + a.shape)
+    if forcing is None or forcing.ndim == 2:
+        return rk4_linear_steps(a_stack, forcing, grid)
+    columns = [rk4_linear_steps(a_stack, forcing[..., c], grid)
+               for c in range(forcing.shape[2])]
+    return columns[0][0], np.stack([w for _, w in columns], axis=-1)
 
 
 def homogeneous_prefix_transitions(phi, w=None):

@@ -243,7 +243,7 @@ def feedback_synthesis():
     scenario = load_scenario(SCN["feedback_2d"])
     started = time.perf_counter()
     field, record = synthesize_gain(
-        scenario, n_iterations=int(scenario.es_defaults["n_iterations"]))
+        scenario, es_config_for(scenario), int(scenario.es_defaults["n_iterations"]))
     elapsed = time.perf_counter() - started
     riccati = scenario_oracle(scenario)
 

@@ -21,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (fresh_philox_draw, packed_riccati_reference, quadratic_cost_samples,
-                     reference_iterations_csv, simulated_cost_fn)
+from helpers import (fresh_philox_draw, frozen_steps, packed_riccati_reference,
+                     quadratic_cost_samples, reference_iterations_csv, simulated_cost_fn,
+                     stacked_steps)
 from escontrol import es as es_module
 from escontrol import feedback as feedback_module
 from escontrol import harness
@@ -34,7 +35,7 @@ from escontrol.feedback import GainField, run_feedback_episodes
 from escontrol.harness import (ExperimentSpec, load_scenario, read_scenario_config,
                                run_experiment, shipped_scenarios)
 from escontrol.lqr import solve_riccati
-from escontrol.ode import TimeGrid, integrate_rk4, integrate_rk4_linear
+from escontrol.ode import TimeGrid, integrate_rk4, propagate_linear
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics, NoiseModel,
                                 QuadraticCost, Scenario, _integrate_open_loop, _scalar_episode_costs,
                                 cost_of_trajectories, cost_of_trajectory, episode_model,
@@ -590,24 +591,22 @@ def step_map_problems(draw):
 @DIFFERENTIAL
 @given(step_map_problems())
 def test_constant_a_step_map_matches_the_stacked_one_on_generated_plants(problem):
+    # the frozen step (rk4_frozen_step with B = I) against the stage
+    # recursion on A broadcast to a stack, both scanned by propagate_linear
     a, forcing, x0, grid, diverging = problem
-    stacked_a = np.broadcast_to(a, (2 * grid.n_steps + 1,) + a.shape)
     runs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for a_samples in (a, stacked_a):
+        for steps in (frozen_steps, stacked_steps):
             try:
-                runs.append(integrate_rk4_linear(a_samples, forcing, x0, grid).states)
+                runs.append(propagate_linear(*steps(a, forcing, grid), x0, grid).states)
             except IntegrationDivergedError as exc:
                 runs.append(exc.step_index)
-    constant, stacked = runs
-    if isinstance(constant, int) or isinstance(stacked, int):
-        assert all(isinstance(run, int) for run in runs) and constant == stacked
+    frozen, stacked = runs
+    if isinstance(frozen, int) or isinstance(stacked, int):
+        assert all(isinstance(run, int) for run in runs) and frozen == stacked
         return
     assert not diverging, "a diverging draw stayed finite"
-    if a.shape == (1, 1):  # every product is one multiply
-        assert constant.tobytes() == stacked.tobytes()
-    else:
-        assert np.abs(constant - stacked).max() <= 1e-13 * np.abs(stacked).max()
+    assert np.abs(frozen - stacked).max() <= 1e-13 * np.abs(stacked).max()
 
 
 @st.composite

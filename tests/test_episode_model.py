@@ -17,7 +17,6 @@ import pytest
 
 from helpers import (X0_2D, Y0_2D, Z0_2D, example2_scenario, feedback_2d_scenario,
                      scalar_scenario, simulated_cost_fn, simulated_episode)
-from escontrol import ode
 from escontrol import scenario as scenario_mod
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import IntegrationDivergedError
@@ -177,13 +176,13 @@ def test_overflowing_model_falls_back_without_a_numpy_warning():
 def test_model_build_makes_one_forced_scan(make, monkeypatch):
     scenario = make()
     forced = []
-    scan = ode.propagate_linear
+    scan = scenario_mod.propagate_linear  # the name the model calls
 
     def counted(phi, w, x0, grid):
         forced.append(w is not None)
         return scan(phi, w, x0, grid)
 
-    monkeypatch.setattr(ode, "propagate_linear", counted)
+    monkeypatch.setattr(scenario_mod, "propagate_linear", counted)
     model = episode_model(scenario)
     assert forced == [True]
     # then one unforced scan per initial condition, on first use
@@ -289,7 +288,7 @@ def test_run_es_takes_its_first_measurement_through_the_public_functions(name, m
     for public in ("run_episode", "run_multi_episode"):
         monkeypatch.setattr(scenario_mod, public, counting(getattr(scenario_mod, public)))
     if scenario.feedback:
-        record = synthesize_gain(scenario, n_iterations=20)[1]
+        record = synthesize_gain(scenario, es_config_for(scenario), 20)[1]
     else:
         record = run_es(scenario, es_config_for(scenario), 20)
     assert calls == [False]

@@ -118,14 +118,6 @@ def test_es_step_rejects_nonfinite_measurement():
     assert np.array_equal(coeffs, [1.0, 2.0])
 
 
-def test_es_step_wraps_controller_coefficients():
-    cfg = EsConfig.build(k=0.1, alpha=1.0, omega0=100.0, n_coeffs=4)
-    coeffs = ControllerCoefficients(np.zeros((2, 2)))
-    out = es_step(coeffs, 1.0, 0, cfg)
-    assert isinstance(out, ControllerCoefficients)
-    assert out.values.shape == (2, 2)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),

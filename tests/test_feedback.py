@@ -13,7 +13,7 @@ from escontrol.es import PHASE_COS, PHASE_SIN
 from escontrol.feedback import (GainField, eval_gain, gain_dither_assignment,
                                 project_gains, run_feedback_episode,
                                 run_feedback_episodes, synthesize_gain)
-from escontrol.harness import load_scenario, scenarios_dir
+from escontrol.harness import es_config_for, load_scenario, scenarios_dir
 from escontrol.lqr import optimal_cost_quadratic_form, scenario_oracle, simulate_optimal
 from escontrol.ode import integrate_rk4_linear, quadrature_trapezoid
 from escontrol.scenario import cost_of_trajectory, run_multi_episode
@@ -195,14 +195,15 @@ def test_dither_assignment_feedforward_gets_own_bands():
 
 
 def test_synthesis_requires_exactly_n_independent_initial_conditions():
-    scenario = feedback_2d_scenario(initial_conditions=[X0_2D])
+    es = {"k": 0.1, "alpha": 10.0, "omega0": 1000.0}
+    scenario = feedback_2d_scenario(initial_conditions=[X0_2D], es_defaults=es)
     with pytest.raises(IllPosedSynthesisError):
-        synthesize_gain(scenario, n_iterations=5)
+        synthesize_gain(scenario, es_config_for(scenario), 5)
     dependent = feedback_2d_scenario(
-        initial_conditions=[[1.0, -1.0], [2.0, -2.0]]
+        initial_conditions=[[1.0, -1.0], [2.0, -2.0]], es_defaults=es
     )
     with pytest.raises(IllPosedSynthesisError):
-        synthesize_gain(dependent, n_iterations=5)
+        synthesize_gain(dependent, es_config_for(dependent), 5)
 
 
 def test_feedforward_synthesis_needs_an_extra_affinely_independent_start():
@@ -211,19 +212,19 @@ def test_feedforward_synthesis_needs_an_extra_affinely_independent_start():
     scenario.feedforward = True
     scenario.es_defaults = {"k": 0.2, "alpha": 50.0, "omega0": 1000.0}
     with pytest.raises(IllPosedSynthesisError, match="2 initial conditions"):
-        synthesize_gain(scenario, n_iterations=5)  # only one start
+        synthesize_gain(scenario, es_config_for(scenario), 5)  # only one start
     scenario.initial_conditions = [np.array([2.0]), np.array([2.0])]
     with pytest.raises(IllPosedSynthesisError, match="affinely"):
-        synthesize_gain(scenario, n_iterations=5)  # duplicated start
+        synthesize_gain(scenario, es_config_for(scenario), 5)  # duplicated start
     scenario.initial_conditions = [np.array([2.0]), np.array([-1.0])]
-    field, _ = synthesize_gain(scenario, n_iterations=5)
+    field, _ = synthesize_gain(scenario, es_config_for(scenario), 5)
     assert field.has_feedforward
 
 
 def test_synthesis_default_step_samples_the_fastest_dither_ten_times():
     scenario = feedback_2d_scenario(n_steps=50, m=2, es_defaults={
         "k": 0.1, "alpha": 10.0, "omega0": 1000.0})
-    _, record = synthesize_gain(scenario, n_iterations=1)
+    _, record = synthesize_gain(scenario, es_config_for(scenario), 1)
     freqs = record.config.frequencies
     assert record.config.delta == 2.0 * np.pi / (10.0 * float(freqs.max()))
 
@@ -233,7 +234,7 @@ def test_scalar_gain_synthesis_approaches_oracle_gain():
     scenario.feedback = True
     scenario.es_defaults = {"k": 0.2, "alpha": 50.0, "omega0": 1000.0}
     sol = scenario_oracle(scenario)
-    field, record = synthesize_gain(scenario, n_iterations=8000)
+    field, record = synthesize_gain(scenario, es_config_for(scenario), 8000)
 
     phi = scenario.basis_matrix_stages()[:scenario.grid.n_steps + 1]
     k_es = field.gain_samples(phi)[:, 0, 0]

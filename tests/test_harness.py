@@ -1,26 +1,31 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import escontrol
 from helpers import reference_iterations_csv, zero_coefficients
 from escontrol.cli import main as cli_main
-from escontrol.errors import (IntegrationDivergedError, ScenarioParseError,
-                              ScenarioValidationError)
+from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
+                              ScenarioParseError, ScenarioValidationError)
 from escontrol.es import EsConfig, EsRunRecord, es_step, run_es
 from escontrol.feedback import closed_loop_measurement, synthesize_gain
 from escontrol.harness import (ExperimentSpec, apply_overrides, build_scenario,
                                es_config_for, load_scenario, normalize_config,
-                               run_experiment, save_scenario, shipped_scenarios,
-                               write_csv, write_iterations_csv)
+                               read_scenario_config, run_experiment, save_scenario,
+                               shipped_scenarios, write_csv, write_iterations_csv)
 from escontrol.scenario import run_episode
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
@@ -298,7 +303,7 @@ def test_cli_diverging_closed_loop_keeps_the_iteration_and_the_step_index(tmp_pa
     assert not (out / "summary.json").exists()
     # the header and rows 0 .. s - 1 of the reference writer's output
     scenario = load_scenario(SHIPPED["feedback_tracking_demo"], overrides)
-    _, before = synthesize_gain(scenario, n_iterations=s - 1)
+    _, before = synthesize_gain(scenario, es_config_for(scenario), s - 1)
     reference_iterations_csv(tmp_path / "reference.csv", before)
     assert (out / "iterations.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     # the step at which the closed loops under iterate s overflow
@@ -357,6 +362,20 @@ def test_cli_diverging_closed_loop_keeps_the_iteration_and_the_step_index(tmp_pa
     ("example2_scalar", "feedforward=1", "feedforward"),
     ("feedback_2d", "feedforward=abc", "feedforward"),
     ("example2_scalar", "cost.allow_indefinite_terminal=abc", "cost.allow_indefinite_terminal"),
+    ("feedback_2d", "es={}", "es.k"),
+    ("feedback_2d", "es.phases=[cos]", "es.phases"),  # the synthesis assigns the dither
+    ("feedback_2d", "es.ranges=[[1, 1.75, 3]]", "es.ranges"),
+    ("example2_scalar", "es.ranges=[[0, 1.75, 10]]", "es.ranges[0]"),
+    ("example2_scalar", "es.ranges=[[2, 1, 10]]", "es.ranges[0]"),
+    ("example2_scalar", "es.ranges=[[1, 1.75, 9]]", "es.ranges"),
+    ("example2_scalar", "es.k=-3", "es.k"),
+    ("feedback_2d", "es.omega0=-0.5", "es.omega0"),
+    ("example2_scalar", "dynamics.kind=abc", "dynamics.kind"),
+    ("feedback_2d", "dynamics.b=2.5", "dynamics.b"),
+    ("feedback_2d", "cost.c=2.5", "cost.c"),
+    ("feedback_2d", "cost.r=2.5", "cost.r"),
+    ("example2_scalar", "cost.p=-3", "cost.p"),
+    ("example2_scalar", "initial_conditions=[]", "initial_conditions"),
 ])
 def test_cli_malformed_value_fails_through_the_error_handler(name, override, key, tmp_path,
                                                              capsys):
@@ -369,6 +388,40 @@ def test_cli_malformed_value_fails_through_the_error_handler(name, override, key
     assert key in record["message"]
     assert json.loads(capsys.readouterr().err) == record
     assert not (out / "summary.json").exists()
+
+
+def _dotted_keys(config: dict, prefix: str = ""):
+    for key, value in config.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _dotted_keys(value, f"{prefix}{key}.")
+
+
+# every key of the two files, sections included (so es={} is drawn); no
+# value below is a valid integer, so the size keys (grid.n_steps, basis.m,
+# es.n_iterations) never ask for a large run
+FUZZED_KEYS = [(name, key) for name in ("example2_scalar", "feedback_2d")
+               for key in _dotted_keys(read_scenario_config(SHIPPED[name]))]
+FUZZED_VALUES = ["abc", "2.5", "-3", "-0.5", ".nan", "[]", "{}"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(target=st.sampled_from(FUZZED_KEYS), value=st.sampled_from(FUZZED_VALUES))
+def test_cli_override_completes_or_fails_through_the_handler_naming_its_key(target, value):
+    name, key = target
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = cli_main(["run", "--scenario", str(SHIPPED[name]), "--iters", "2",
+                             "--out", str(out), "--override", f"{key}={value}"])
+        if code == 0:
+            assert (out / "summary.json").exists()
+            return
+        assert code == 1
+        record = json.loads((out / "error.json").read_text())
+        assert json.loads(stderr.getvalue()) == record
+        assert key in record["message"]
 
 
 def test_cli_seed_over_a_malformed_noise_section_fails_through_the_error_handler(tmp_path,
@@ -509,6 +562,16 @@ def test_cli_compare_refuses_a_feedback_scenario(name, tmp_path, capsys):
     assert record["error"] == "ContractViolationError"
     assert "feedback" in record["message"]
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("name, mode", [("feedback_2d", "open-loop-es"),
+                                        ("example2_scalar", "feedback-es")])
+def test_es_mode_must_fit_the_feedback_flag(name, mode, tmp_path):
+    spec = ExperimentSpec(scenario_path=str(SHIPPED[name]), mode=mode, n_iterations=5,
+                          out_dir=str(tmp_path))
+    with pytest.raises(ContractViolationError, match="does not fit"):
+        run_experiment(spec)
+    assert not list(tmp_path.glob("*.csv"))
 
 
 _WITHOUT_SCIPY = """

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cumulative_trapezoid, homogeneous_prefix_transitions,
-                     matmul_step_forcing, matmul_step_matrices)
+from helpers import (cumulative_trapezoid, frozen_steps, homogeneous_prefix_transitions,
+                     matmul_step_forcing, matmul_step_matrices, stacked_steps)
 from escontrol.basis import ControllerCoefficients, controller_samples
 from escontrol.errors import ContractViolationError, IntegrationDivergedError
 from escontrol.harness import load_scenario, shipped_scenarios
@@ -111,6 +111,10 @@ def test_cumulative_trapezoid_tracks_running_integral():
     assert running[0] == 0.0
 
 
+def _broadcast(a, grid):
+    return np.broadcast_to(a, (2 * grid.n_steps + 1,) + a.shape)
+
+
 def test_linear_fast_path_matches_generic_rk4():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((2, 2))
@@ -119,23 +123,26 @@ def test_linear_fast_path_matches_generic_rk4():
     forcing = np.stack([np.sin(3.0 * taus), np.cos(2.0 * taus)], axis=1)
     x0 = np.array([0.3, -1.2])
 
-    fast = integrate_rk4_linear(a, forcing, x0, grid)
     generic = integrate_rk4(
         lambda t, x: a @ x + np.array([math.sin(3.0 * t), math.cos(2.0 * t)]), x0, grid
     )
     scale = np.abs(generic.states).max()
-    assert np.allclose(fast.states, generic.states, atol=1e-12 * scale, rtol=1e-12)
+    for fast in (integrate_rk4_linear(_broadcast(a, grid), forcing, x0, grid),
+                 propagate_linear(*frozen_steps(a, forcing, grid), x0, grid)):
+        assert np.allclose(fast.states, generic.states, atol=1e-12 * scale, rtol=1e-12)
 
 
 def test_linear_fast_path_scalar_matches_generic():
     grid = TimeGrid(0.0, 1.0, 200)
     taus = np.concatenate([grid.nodes(), grid.midpoints()])  # the RK4 stage times
     forcing = np.cos(2.0 * np.pi * taus)[:, None]
-    fast = integrate_rk4_linear(np.array([[1.0]]), forcing, np.array([2.0]), grid)
+    a, x0 = np.array([[1.0]]), np.array([2.0])
     generic = integrate_rk4(
-        lambda t, x: x + math.cos(2.0 * math.pi * t), np.array([2.0]), grid
+        lambda t, x: x + math.cos(2.0 * math.pi * t), x0, grid
     )
-    assert np.allclose(fast.states, generic.states, rtol=1e-12, atol=1e-12)
+    for fast in (integrate_rk4_linear(_broadcast(a, grid), forcing, x0, grid),
+                 propagate_linear(*frozen_steps(a, forcing, grid), x0, grid)):
+        assert np.allclose(fast.states, generic.states, rtol=1e-12, atol=1e-12)
 
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
@@ -156,30 +163,6 @@ def _frozen_plant_inputs(name, slow_time):
         rng.standard_normal((scenario.control_dim, scenario.basis.n_functions)))
     u_s = controller_samples(coeffs, scenario.basis_matrix_stages())
     return a, u_s @ b.T, scenario.initial_conditions[0], scenario.grid
-
-
-def _broadcast(a, grid):
-    return np.broadcast_to(a, (2 * grid.n_steps + 1,) + a.shape)
-
-
-@pytest.mark.parametrize("name, slow_time", SCALAR_SLOW_TIMES)
-def test_constant_a_matches_the_broadcast_stack_bitwise(name, slow_time):
-    a, forcing, x0, grid = _frozen_plant_inputs(name, slow_time)
-    for f in (forcing, None):
-        constant = integrate_rk4_linear(a, f, x0, grid).states
-        stacked = integrate_rk4_linear(_broadcast(a, grid), f, x0, grid).states
-        assert constant.tobytes() == stacked.tobytes()
-
-
-def test_constant_a_matches_the_broadcast_stack_on_the_2x2_plant():
-    a, _, _, grid = _frozen_plant_inputs("feedback_2d", 0.0)
-    taus = np.concatenate([grid.nodes(), grid.midpoints()])
-    forcing = np.stack([np.sin(3.0 * taus), np.cos(2.0 * taus)], axis=1)
-    for x0 in (np.array([1.3, -1.1]), np.array([-1.0, -0.5])):
-        for f in (forcing, None):
-            constant = integrate_rk4_linear(a, f, x0, grid).states
-            stacked = integrate_rk4_linear(_broadcast(a, grid), f, x0, grid).states
-            assert np.abs(constant - stacked).max() <= 1e-13 * np.abs(stacked).max()
 
 
 def test_unforced_scan_only_multiplies():
@@ -208,21 +191,26 @@ def _frozen_plant_block(name, slow_time):
     return a, forcing[..., None] * scales, x0[:, None] * scales[::-1], grid
 
 
-def _columns(a, forcing, starts, grid):
-    """The block's columns, each scanned on its own."""
-    return [integrate_rk4_linear(a, None if forcing is None else forcing[..., c],
-                                 starts[:, c], grid).states
-            for c in range(starts.shape[1])]
+def _block_and_columns(a, forcing, starts, grid):
+    """For the stage recursion on A broadcast to a stack and for the frozen
+    step: the block scan, and its columns each scanned on its own."""
+    for steps in (stacked_steps, frozen_steps):
+        phi, w = steps(a, forcing, grid)
+        block = propagate_linear(phi, w, starts, grid).states
+        columns = [propagate_linear(phi, None if w is None else w[..., c], starts[:, c],
+                                    grid).states
+                   for c in range(starts.shape[1])]
+        yield block, columns
 
 
 @pytest.mark.parametrize("name, slow_time", SCALAR_SLOW_TIMES)
 def test_block_scan_matches_the_per_column_scans_bitwise(name, slow_time):
     a, forcing, starts, grid = _frozen_plant_block(name, slow_time)
     for f in (forcing, None):
-        block = integrate_rk4_linear(a, f, starts, grid).states
-        assert block.shape == (grid.n_steps + 1, 1, starts.shape[1])
-        for c, column in enumerate(_columns(a, f, starts, grid)):
-            assert block[..., c].tobytes() == column.tobytes()
+        for block, columns in _block_and_columns(a, f, starts, grid):
+            assert block.shape == (grid.n_steps + 1, 1, starts.shape[1])
+            for c, column in enumerate(columns):
+                assert block[..., c].tobytes() == column.tobytes()
 
 
 def test_block_scan_matches_the_per_column_scans_on_the_2x2_plant():
@@ -231,10 +219,9 @@ def test_block_scan_matches_the_per_column_scans_on_the_2x2_plant():
     forcing = np.stack([np.sin(3.0 * taus), np.cos(2.0 * taus)], axis=1)
     forcing = forcing[..., None] * np.array([1.0, -0.3, 2.5])
     starts = np.array([[1.3, -1.0, 0.0], [-1.1, -0.5, 0.0]])
-    for a_samples in (a, _broadcast(a, grid)):
-        for f in (forcing, None):
-            block = integrate_rk4_linear(a_samples, f, starts, grid).states
-            for c, column in enumerate(_columns(a_samples, f, starts, grid)):
+    for f in (forcing, None):
+        for block, columns in _block_and_columns(a, f, starts, grid):
+            for c, column in enumerate(columns):
                 assert np.abs(block[..., c] - column).max() <= 1e-13 * np.abs(column).max()
 
 
@@ -245,15 +232,15 @@ def test_scalar_products_match_the_matrix_products_bitwise(name, slow_time):
     a, forcing, _, grid = _frozen_plant_inputs(name, slow_time)
     n, h = grid.n_steps, grid.h
     a_s = a - np.random.default_rng(11).standard_normal((2 * n + 1, 1, 1))
-    stacked, constant = (a_s[:n], a_s[n + 1:], a_s[1:n + 1]), (a, a, a)
+    a_b = _broadcast(a, grid)
+    stacked = (a_s[:n], a_s[n + 1:], a_s[1:n + 1])
+    broadcast = (a_b[:n], a_b[n + 1:], a_b[1:n + 1])
     f = (forcing[:n], forcing[n + 1:], forcing[1:n + 1])
-    f_block = tuple(fk[..., None] * np.array([1.0, -0.3, 2.5]) for fk in f)
-    for stages in (stacked, constant):
+    for stages in (stacked, broadcast):
         assert rk4_step_matrices(*stages, h).tobytes() == \
             matmul_step_matrices(*stages, h).tobytes()
-        for fs in (f, f_block):
-            assert rk4_step_forcing(*stages[1:], *fs, h).tobytes() == \
-                matmul_step_forcing(*stages[1:], *fs, h).tobytes()
+        assert rk4_step_forcing(*stages[1:], *f, h).tobytes() == \
+            matmul_step_forcing(*stages[1:], *f, h).tobytes()
 
     phi = rk4_step_matrices(*stacked, h)
     w = rk4_step_forcing(*stacked[1:], *f, h)
@@ -270,6 +257,7 @@ def test_diverging_block_reports_the_earliest_step_of_its_columns(a):
     grid = TimeGrid(0.0, 1.0, 100)
     # the middle column overflows first, the last one not at all
     starts = np.outer(np.ones(a.shape[0]), [1e250, 1e300, 1e200])
+    a = _broadcast(a, grid)
     steps = []
     for c in range(2):
         with pytest.raises(IntegrationDivergedError) as column:
