@@ -4,8 +4,7 @@ The package learns open-loop controls and time-varying feedback gains of
 unknown plants from noisy scalar cost measurements, and ships an analytic
 finite-horizon LQR/tracking oracle to verify what was learned.
 """
-from .basis import (ControllerCoefficients, CustomSampledBasis, FourierPairsBasis,
-                    controller_l2_norm, eval_controller)
+from .basis import ControllerCoefficients, CustomSampledBasis, FourierPairsBasis
 from .errors import (ContractViolationError, EsControlError, IllPosedSynthesisError,
                      IntegrationDivergedError, MeasurementInvalidError,
                      RiccatiInstabilityError,
@@ -13,13 +12,13 @@ from .errors import (ContractViolationError, EsControlError, IllPosedSynthesisEr
                      ScheduleCollisionError)
 from .es import (EsConfig, EsRunRecord, assemble_quadratic_cost, es_step,
                  make_frequency_schedule, restricted_optimum, run_es)
-from .feedback import (GainField, eval_gain, gain_dither_assignment, project_gains,
-                       run_feedback_episode, synthesize_gain)
+from .feedback import (GainField, gain_dither_assignment, run_feedback_episode,
+                       synthesize_gain)
 from .harness import (ExperimentSpec, RunSummary, es_config_for, load_scenario,
-                      run_experiment, save_scenario, shipped_scenarios)
+                      run_experiment, shipped_scenarios)
 from .lqr import (RiccatiSolution, optimal_cost_quadratic_form, oracle_costs,
                   scenario_oracle, simulate_optimal, solve_riccati)
-from .ode import (StateTrajectory, TimeGrid, integrate_rk4, quadrature_trapezoid)
+from .ode import StateTrajectory, TimeGrid, integrate_rk4
 from .scenario import (EpisodeResult, GeneralCost, GeneralDynamics, LinearDynamics,
                        MultiEpisodeResult, NoiseModel, QuadraticCost, Scenario,
                        run_episode, run_multi_episode)

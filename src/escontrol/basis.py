@@ -13,9 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError
-from .ode import TimeGrid, quadrature_trapezoid
-
-_TAU_SLACK = 1e-9
+from .ode import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -139,36 +137,7 @@ class ControllerCoefficients:
         return self.values.ravel().copy()
 
 
-def _check_tau(tau: float, horizon: float):
-    slack = _TAU_SLACK * max(1.0, horizon)
-    if tau < -slack or tau > horizon + slack:
-        raise ContractViolationError(
-            f"tau={tau} outside the controller horizon [0, {horizon}]"
-        )
-
-
-def eval_controller(coeffs: ControllerCoefficients, basis: Basis, tau: float) -> np.ndarray:
-    """Control vector u(tau) = sum_j coeffs[i, j] phi_j(tau), per channel i."""
-    _check_tau(tau, basis.horizon)
-    if coeffs.n_functions != basis.n_functions:
-        raise ContractViolationError(
-            f"coefficients have {coeffs.n_functions} columns, basis has "
-            f"{basis.n_functions} functions"
-        )
-    phi = basis.eval_matrix(tau)[0]
-    return coeffs.values @ phi
-
-
 def controller_samples(coeffs: ControllerCoefficients, phi_matrix: np.ndarray) -> np.ndarray:
     """Controls at pre-evaluated basis rows; shape (len(taus), n_channels)."""
     return phi_matrix @ coeffs.values.T
 
-
-def controller_l2_norm(coeffs: ControllerCoefficients, basis: Basis, grid: TimeGrid) -> float:
-    """sqrt( integral over [0, T] of ||u(tau)||^2 ) by trapezoid on the grid."""
-    if abs(grid.t_start) > _TAU_SLACK or abs(grid.t_end - basis.horizon) > _TAU_SLACK:
-        raise ContractViolationError(
-            f"grid [{grid.t_start}, {grid.t_end}] must span [0, {basis.horizon}]"
-        )
-    u = controller_samples(coeffs, basis.eval_matrix(grid.nodes()))
-    return float(np.sqrt(quadrature_trapezoid((u * u).sum(axis=1), grid)))

@@ -24,8 +24,7 @@ from .basis import Basis
 from .errors import (ContractViolationError, IllPosedSynthesisError,
                      IntegrationDivergedError)
 from .es import EsConfig, EsRunRecord, PHASE_COS, PHASE_SIN, make_frequency_schedule, run_es
-from .lqr import RiccatiSolution
-from .ode import (StateTrajectory, TimeGrid, first_nonfinite_step, prefix_transitions,
+from .ode import (StateTrajectory, first_nonfinite_step, prefix_transitions,
                   rk4_linear_steps)
 from .scenario import (EpisodeMeasurement, EpisodeResult, LinearDynamics, QuadraticCost,
                        Scenario, cost_of_trajectories)
@@ -89,15 +88,6 @@ class GainField:
 
     def feedforward_samples(self, phi_matrix: np.ndarray) -> np.ndarray:
         return phi_matrix @ self.ff_coeffs.T
-
-
-def eval_gain(field: GainField, tau: float) -> np.ndarray:
-    """The p x n gain matrix at tau, linear in the coefficients."""
-    if tau < -1e-9 or tau > field.basis.horizon + 1e-9:
-        raise ContractViolationError(
-            f"tau={tau} outside the horizon [0, {field.basis.horizon}]"
-        )
-    return field.gain_samples(field.basis.eval_matrix(tau))[0]
 
 
 def _closed_loops(scenario: Scenario, flat: np.ndarray, feedforward: bool, x0s,
@@ -278,26 +268,3 @@ def synthesize_gain(scenario: Scenario, config: EsConfig, n_iterations: int,
                     scenario_id=scenario.name, consume_rows=consume_rows)
     return gain_field(scenario, record.period_averaged_coefficients()), record
 
-
-def project_gains(riccati: RiccatiSolution, basis: Basis, grid: TimeGrid,
-                  include_feedforward: bool = False) -> GainField:
-    """Least-squares fit of the oracle K(tau) (and feedforward) onto the basis.
-
-    The fit is over the grid nodes; its closed-loop cost lower-bounds what
-    any ES run in the same basis can reach, up to the dither residual.
-    """
-    phi = basis.eval_matrix(grid.nodes())
-    p, n = riccati.gains.shape[1], riccati.gains.shape[2]
-    gain_coeffs = np.empty((p, n, basis.n_functions))
-    for l in range(p):
-        for q in range(n):
-            coeffs, *_ = np.linalg.lstsq(phi, riccati.gains[:, l, q], rcond=None)
-            gain_coeffs[l, q] = coeffs
-    ff = None
-    if include_feedforward:
-        feed = np.einsum("ij,kj->ki", riccati.rinv_bt, riccati.feedforward)
-        ff = np.empty((p, basis.n_functions))
-        for l in range(p):
-            coeffs, *_ = np.linalg.lstsq(phi, feed[:, l], rcond=None)
-            ff[l] = coeffs
-    return GainField(basis, n, p, gain_coeffs, ff)

@@ -1,11 +1,12 @@
 """Scenario loading, experiment orchestration and artifact emission.
 
-Scenario files are YAML with a fixed schema (see the shipped ``*.scn``
-files). Matrices are numbers or nested lists; time-varying entries and
-references are expression strings in ``t`` (slow time) or ``tau`` (fast
-time) over a small whitelisted namespace (sin, cos, exp, sqrt, pi, ...).
+Scenario files are YAML; :data:`SCHEMA` lists every key they may hold,
+with its converter and default, and README's table mirrors it. Expression
+strings are in ``t`` (slow time) or ``tau`` (fast time) over a small
+whitelisted namespace (sin, cos, exp, sqrt, pi, ...).
 
-All artifacts are CSV plus one summary.json; float cells are written with
+All artifacts are CSV plus one summary.json, whose ``resolved_scenario`` is
+the converted mapping the run was built from; float cells are written with
 ``repr`` (shortest round-trip), so identical runs produce byte-identical
 files.
 """
@@ -24,8 +25,8 @@ import numpy as np
 import yaml
 
 from .basis import ControllerCoefficients, FourierPairsBasis
-from .errors import (ContractViolationError, EsControlError, ScenarioParseError,
-                     ScenarioValidationError)
+from .errors import (ContractViolationError, EsControlError, ScenarioError,
+                     ScenarioParseError, ScenarioValidationError)
 from .es import PHASE_COS, PHASE_SIN, EsConfig, EsRunRecord, default_delta, run_es
 from .feedback import GainField, gain_dither_assignment, synthesize_gain
 from .lqr import oracle_costs, scenario_oracle
@@ -63,28 +64,19 @@ def compile_expression(expr: str, var: str, key: str) -> Callable[[float], float
     return fn
 
 
-def _matrix_fn(value, var: str, key: str):
-    """The scenario matrix at dotted path ``key``: number, expression string,
-    or nested lists."""
-    if isinstance(value, (int, float)):
-        const = np.array([[_number(value, key)]])
-        return (lambda t: const), const.shape, True
+def _matrix_fn(value, key: str):
+    """(function of slow time, shape, constant?) of the resolved dynamics
+    matrix at dotted path ``key`` (see :func:`_matrix`)."""
     if isinstance(value, str):
-        f = compile_expression(value, var, key)
+        f = compile_expression(value, "t", key)
         return (lambda t: np.array([[float(f(t))]])), (1, 1), False
-    rows = value
-    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list) or not rows[0]:
-        raise ScenarioParseError(f"{key} must be a number, string, or nested list, "
-                                 f"got {value!r}")
+    rows = value if isinstance(value, list) else [[value]]
     shape = (len(rows), len(rows[0]))
-    if any(not isinstance(r, list) or len(r) != shape[1] for r in rows):
-        raise ScenarioParseError(f"{key} rows have inconsistent lengths")
     if not any(isinstance(x, str) for r in rows for x in r):
-        const = _float_array(rows, key)
+        const = np.array(rows, dtype=float)
         return (lambda t: const), shape, True
-    fns = [[compile_expression(x, var, f"{key}[{i}][{j}]") if isinstance(x, str)
-            else (lambda t, v=_number(x, f"{key}[{i}][{j}]"): v)
-            for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    fns = [[compile_expression(x, "t", f"{key}[{i}][{j}]") if isinstance(x, str)
+            else (lambda t, v=x: v) for j, x in enumerate(r)] for i, r in enumerate(rows)]
 
     def fn(t):
         return np.array([[float(f(t)) for f in row] for row in fns])
@@ -93,12 +85,12 @@ def _matrix_fn(value, var: str, key: str):
 
 
 def _reference_fn(value):
-    """Reference r(tau): expression string or list of strings/numbers."""
+    """Reference r(tau) of a resolved cost.reference (see :func:`_reference`)."""
     if value is None:
         return None
     entries = value if isinstance(value, list) else [value]
     fns = [compile_expression(x, "tau", "cost.reference") if isinstance(x, str)
-           else (lambda tau, v=_number(x, "cost.reference"): v) for x in entries]
+           else (lambda tau, v=x: v) for x in entries]
 
     def fn(tau):
         return np.array([f(tau) for f in fns], dtype=float)
@@ -106,10 +98,23 @@ def _reference_fn(value):
     return fn
 
 
-def _require(config: dict, key: str, context: str):
-    if key not in config:
-        raise ScenarioValidationError(f"{context} is missing required key {key!r}")
-    return config[key]
+# --- scenario schema: a converter takes (value, dotted key) and returns the
+# value the run uses, as plain data, or raises ScenarioValidationError naming the key
+
+
+def _checked(accept: Callable[[object], bool], what: str):
+    """The converter that keeps a value ``accept`` takes."""
+    def convert(value, key: str):
+        if not accept(value):
+            raise ScenarioValidationError(f"{key} must be {what}, got {value!r}")
+        return value
+
+    return convert
+
+
+_text = _checked(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_boolean = _checked(lambda v: isinstance(v, bool), "true or false")
+_states = _checked(lambda v: isinstance(v, list), "a list of states")
 
 
 def _integer(value, key: str, low: int | None = None) -> int:
@@ -124,22 +129,24 @@ def _integer(value, key: str, low: int | None = None) -> int:
     return value
 
 
-def _number(value, key: str) -> float:
+def _number(value, key: str, low: float = -math.inf, strict: bool = False) -> float:
     """The finite scenario number at dotted path ``key``, as a float: an int,
-    a float, or a string in float syntax (YAML 1.1 reads ``1e3`` as one)."""
+    a float, or a string in float syntax (YAML 1.1 reads ``1e3`` as one);
+    at least ``low``, and above it if ``strict``."""
     if not isinstance(value, bool):
         try:
             number = float(value)
         except (TypeError, ValueError, OverflowError):
             number = math.nan
-        if math.isfinite(number):
+        if math.isfinite(number) and (number > low or number == low and not strict):
             return number
-    raise ScenarioValidationError(f"{key} must be a finite number, got {value!r}")
+    bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+    raise ScenarioValidationError(f"{key} must be a finite number{bound}, got {value!r}")
 
 
-def _float_array(value, key: str) -> np.ndarray:
-    """The scenario number or nested list of numbers at dotted path ``key``,
-    as a float array; every entry is read as :func:`_number` reads it."""
+def _numbers(value, key: str):
+    """A number or a rectangular nested list of numbers, each read as
+    :func:`_number` reads it, as floats of the same shape."""
     def numbers(item, path):
         if isinstance(item, list):
             return [numbers(x, f"{path}[{i}]") for i, x in enumerate(item)]
@@ -147,155 +154,171 @@ def _float_array(value, key: str) -> np.ndarray:
 
     nested = numbers(value, key)
     try:
-        array = np.array(nested, dtype=float)
+        size = np.array(nested, dtype=float).size
     except ValueError as exc:  # ragged nesting
         raise ScenarioValidationError(f"{key} rows have inconsistent lengths") from exc
-    if array.size == 0:
+    if size == 0:
         raise ScenarioValidationError(f"{key} must not be empty")
-    return array
+    return nested
 
 
-def _section(config: dict, key: str, required: bool = True) -> dict:
-    """The mapping at top-level ``key`` of a scenario ({} if optional and absent)."""
-    value = _require(config, key, "scenario") if required else config.get(key, {})
-    if not isinstance(value, dict):
-        raise ScenarioValidationError(f"{key} must be a mapping, got {value!r}")
-    return value
+def _matrix(value, key: str):
+    """A dynamics matrix: a number, an expression string in ``t`` (compiled
+    when the scenario is built) or a rectangular nested list of both."""
+    if not isinstance(value, list):
+        return value if isinstance(value, str) else _number(value, key)
+    if not (value and all(isinstance(r, list) and r and len(r) == len(value[0])
+                          for r in value)):
+        raise ScenarioValidationError(f"{key} must be a number, an expression string or a "
+                                      f"rectangular nested list, got {value!r}")
+    return [[x if isinstance(x, str) else _number(x, f"{key}[{i}][{j}]")
+             for j, x in enumerate(r)] for i, r in enumerate(value)]
 
 
-def _es_section(config: dict) -> dict:
-    """The es section with its typed entries converted and checked."""
-    es = dict(_section(config, "es", required=False))
-    for key in ("k", "alpha", "omega0", "delta"):
-        if key in es:
-            es[key] = _number(es[key], f"es.{key}")
-            if es[key] < 0 or es[key] == 0 and key != "delta":  # only delta may be 0
-                raise ScenarioValidationError(
-                    f"es.{key} must be {'>= 0' if key == 'delta' else 'positive'}, got {es[key]}")
-    if "n_iterations" in es:
-        es["n_iterations"] = _integer(es["n_iterations"], "es.n_iterations", low=1)
-    if "ranges" in es:
-        rows = _float_array(es["ranges"], "es.ranges")
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise ScenarioValidationError(
-                f"es.ranges must be a list of [low, high, count] triples, got {es['ranges']!r}")
-        for i, (low, high, _) in enumerate(rows.tolist()):
-            if not 0 < low <= high:
-                raise ScenarioValidationError(
-                    f"es.ranges[{i}] must have 0 < low <= high, got low {low}, high {high}")
-        es["ranges"] = [(low, high, _integer(count, f"es.ranges[{i}][2]", low=1))
-                        for i, (low, high, count) in enumerate(rows.tolist())]
-    return es
+def _reference(value, key: str):
+    """An expression string in ``tau`` or a number, or a list of them (one per output)."""
+    if not isinstance(value, list):
+        return value if isinstance(value, str) else _number(value, key)
+    return [x if isinstance(x, str) else _number(x, f"{key}[{i}]") for i, x in enumerate(value)]
 
 
-def _flag(section: dict, path: str) -> bool:
-    """The boolean at dotted path ``path``, whose last key is in ``section``; false if absent."""
-    value = section.get(path.rsplit(".", 1)[-1], False)
-    if not isinstance(value, bool):
-        raise ScenarioValidationError(f"{path} must be true or false, got {value!r}")
-    return value
-
-
-def build_scenario(config: dict, name: str | None = None) -> Scenario:
-    """Validated Scenario from a parsed scenario-file dictionary."""
-    name = name or config.get("name", "scenario")
-    dyn_cfg = _section(config, "dynamics")
-    kind = dyn_cfg.get("kind", "linear")
-    if kind != "linear":
+def _ranges(value, key: str) -> list:
+    """Schedule bands: [low, high, count] triples, 0 < low <= high, count >= 1."""
+    rows = _numbers(value, key)
+    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == 3 for r in rows)):
         raise ScenarioValidationError(
-            f"dynamics.kind must be 'linear' in a scenario file, got {kind!r}; "
-            "general dynamics are constructed through the API"
-        )
-    a_fn, a_shape, a_const = _matrix_fn(_require(dyn_cfg, "a", "dynamics"), "t", "dynamics.a")
-    b_fn, b_shape, b_const = _matrix_fn(_require(dyn_cfg, "b", "dynamics"), "t", "dynamics.b")
+            f"{key} must be a list of [low, high, count] triples, got {value!r}")
+    for i, row in enumerate(rows):
+        if not 0 < row[0] <= row[1]:
+            raise ScenarioValidationError(
+                f"{key}[{i}] must have 0 < low <= high, got low {row[0]}, high {row[1]}")
+        row[2] = _integer(row[2], f"{key}[{i}][2]", low=1)
+    return rows
+
+
+REQUIRED = "required"
+_POSITIVE = partial(_number, low=0.0, strict=True)
+_NON_NEGATIVE = partial(_number, low=0.0)
+
+# Every key a scenario may hold, in resolution order: (dotted key,
+# converter, default). A default is a value, REQUIRED, or a function of the
+# mapping resolved so far; a key given as null takes its default. Checks
+# across keys (shapes, the grid's order, the ES set-up) follow in
+# build_scenario and es_config_for.
+SCHEMA = (
+    ("name", _text, REQUIRED),  # load_scenario gives it the file stem
+    ("description", _text, None),
+    ("dynamics.kind", _checked(lambda v: v == "linear", "'linear' in a scenario file "
+                               "(general dynamics are built through the API)"), "linear"),
+    ("dynamics.a", _matrix, REQUIRED),
+    ("dynamics.b", _matrix, REQUIRED),
+    ("cost.c", _numbers,  # C = I: every state is an output
+     lambda done: np.eye(len(np.atleast_2d(done["dynamics"]["a"]))).tolist()),
+    ("cost.p", _numbers, REQUIRED),
+    ("cost.q", _numbers, REQUIRED),
+    ("cost.r", _numbers, REQUIRED),
+    ("cost.reference", _reference, None),
+    ("cost.allow_indefinite_terminal", _boolean, False),
+    ("grid.t_start", _number, 0.0),
+    ("grid.t_end", _number, REQUIRED),
+    ("grid.n_steps", partial(_integer, low=2), 1000),
+    ("basis.m", partial(_integer, low=1), REQUIRED),
+    ("basis.extension", _NON_NEGATIVE,
+     lambda done: 0.1 * (done["grid"]["t_end"] - done["grid"]["t_start"])),
+    ("initial_conditions", lambda v, key: _numbers(_states(v, key), key), REQUIRED),
+    ("noise.std_dev", _number, 0.0),
+    ("noise.seed", _integer, 0),
+    ("batch_period", _number, None),
+    ("feedback", _boolean, False),
+    ("feedforward", _boolean, False),
+    ("es.k", _POSITIVE, None),  # the ES modes need k, alpha and omega0
+    ("es.alpha", _POSITIVE, None),
+    ("es.omega0", _POSITIVE, None),
+    ("es.delta", _NON_NEGATIVE, None),
+    ("es.n_iterations", partial(_integer, low=1), 1000),
+    ("es.ranges", _ranges, None),
+    ("es.phases", _checked(lambda v: isinstance(v, list) and all(
+        p in (PHASE_COS, PHASE_SIN) for p in v), f"a list of {PHASE_COS!r} and {PHASE_SIN!r}"),
+     None),
+)
+
+
+def resolve_scenario_config(config: dict) -> dict:
+    """The mapping a scenario is built from: every key of :data:`SCHEMA`,
+    converted, or given its default when absent. ScenarioValidationError
+    names a key that is malformed, missing or not in the schema."""
+    resolved: dict = {}
+    for path, convert, default in SCHEMA:
+        section, _, key = path.rpartition(".")
+        source, target = config, resolved
+        if section:
+            source = config.get(section)
+            if source is None:  # a null section is an empty one
+                source = {}
+            elif not isinstance(source, dict):
+                raise ScenarioValidationError(f"{section} must be a mapping, got {source!r}")
+            target = resolved.setdefault(section, {})
+        value = source.get(key)
+        if value is not None:
+            value = convert(value, path)
+        elif default is REQUIRED:
+            raise ScenarioValidationError(f"{path} is required")
+        else:
+            value = default(resolved) if callable(default) else default
+        target[key] = value
+    unknown = [name for name in config if name not in resolved] + [
+        f"{name}.{key}" for name, keys in config.items() if isinstance(resolved.get(name), dict)
+        for key in keys or () if key not in resolved[name]]
+    if unknown:
+        raise ScenarioValidationError(f"not a scenario key: {', '.join(map(str, unknown))}")
+    return resolved
+
+
+def build_scenario(config: dict) -> Scenario:
+    """Validated Scenario from a parsed scenario-file mapping, built from
+    its resolved form (see :func:`resolve_scenario_config`), which becomes
+    the scenario's ``raw_config``."""
+    config = resolve_scenario_config(config)
+    a_fn, a_shape, a_const = _matrix_fn(config["dynamics"]["a"], "dynamics.a")
+    b_fn, b_shape, b_const = _matrix_fn(config["dynamics"]["b"], "dynamics.b")
     if a_shape[0] != a_shape[1]:
         raise ScenarioValidationError(f"A (dynamics.a) must be square, got {a_shape}")
     if b_shape[0] != a_shape[0]:
-        raise ScenarioValidationError(
-            f"B rows ({b_shape[0]}, dynamics.b) must match the state dimension "
-            f"({a_shape[0]}, dynamics.a)"
-        )
+        raise ScenarioValidationError(f"B rows ({b_shape[0]}, dynamics.b) must match the state "
+                                      f"dimension ({a_shape[0]}, dynamics.a)")
     if a_const and b_const:
         dynamics = LinearDynamics.constant(a_fn(0.0), b_fn(0.0))
     else:
         dynamics = LinearDynamics(a_fn=a_fn, b_fn=b_fn,
                                   state_dim=a_shape[0], control_dim=b_shape[1])
 
-    cost_cfg = _section(config, "cost")
-    c = np.atleast_2d(_float_array(cost_cfg.get("c", np.eye(a_shape[0]).tolist()), "cost.c"))
-    p, q, r = (np.atleast_2d(_float_array(_require(cost_cfg, key, "cost"), f"cost.{key}"))
-               for key in "pqr")
+    c, p, q, r = (np.atleast_2d(np.array(config["cost"][key], dtype=float)) for key in "cpqr")
     n_out = c.shape[0]
     for key, matrix, shape in (("c", c, (n_out, a_shape[0])), ("p", p, (n_out, n_out)),
                                ("q", q, (n_out, n_out)), ("r", r, (b_shape[1],) * 2)):
         if matrix.shape != shape:  # one column of C per state, R per control
             raise ScenarioValidationError(f"cost.{key} must be {shape[0]}x{shape[1]} to fit "
                                           f"A, B and C, got shape {matrix.shape}")
-    cost = QuadraticCost(
-        c_matrix=c, p_matrix=p, q_matrix=q, r_matrix=r,
-        reference=_reference_fn(cost_cfg.get("reference")),
-        terminal_indefinite_ok=_flag(cost_cfg, "cost.allow_indefinite_terminal"),
-    )
-
-    grid_cfg = _section(config, "grid")
-    t_start = _number(grid_cfg.get("t_start", 0.0), "grid.t_start")
-    t_end = _number(_require(grid_cfg, "t_end", "grid"), "grid.t_end")
-    if not t_end > t_start:
-        raise ScenarioValidationError(
-            f"grid.t_end must exceed grid.t_start, got [{t_start}, {t_end}]")
-    grid = TimeGrid(t_start=t_start, t_end=t_end,
-                    n_steps=_integer(grid_cfg.get("n_steps", 1000), "grid.n_steps", low=2))
-
-    basis_cfg = _section(config, "basis")
-    extension = _number(basis_cfg.get("extension", 0.1 * grid.span), "basis.extension")
-    if extension < 0:
-        raise ScenarioValidationError(f"basis.extension must be >= 0, got {extension}")
-    basis = FourierPairsBasis(m=_integer(_require(basis_cfg, "m", "basis"), "basis.m", low=1),
-                              horizon=grid.span, extension=extension)
-
-    ics_raw = _require(config, "initial_conditions", "scenario")
-    if not isinstance(ics_raw, list) or not ics_raw:
-        raise ScenarioValidationError(
-            f"initial_conditions must be a non-empty list of states, got {ics_raw!r}")
-    ics = [np.atleast_1d(_float_array(x, f"initial_conditions[{i}]"))
-           for i, x in enumerate(ics_raw)]
-
-    noise_cfg = _section(config, "noise", required=False)
-    noise = NoiseModel(std_dev=_number(noise_cfg.get("std_dev", 0.0), "noise.std_dev"),
-                       seed=_integer(noise_cfg.get("seed", 0), "noise.seed"))
-
-    es = _es_section(config)
-    batch_period = config.get("batch_period")
-
+    reference = config["cost"]["reference"]
+    if reference is not None and len(np.atleast_1d(reference)) != n_out:
+        raise ScenarioValidationError(f"cost.reference must list one entry per output "
+                                      f"({n_out}), got {reference!r}")
+    cost = QuadraticCost(c_matrix=c, p_matrix=p, q_matrix=q, r_matrix=r,
+                         reference=_reference_fn(reference),
+                         terminal_indefinite_ok=config["cost"]["allow_indefinite_terminal"])
+    grid_cfg = config["grid"]
+    if not grid_cfg["t_end"] > grid_cfg["t_start"]:
+        raise ScenarioValidationError("grid.t_end must exceed grid.t_start, got "
+                                      f"[{grid_cfg['t_start']}, {grid_cfg['t_end']}]")
+    grid = TimeGrid(**grid_cfg)
     return Scenario(
-        name=name,
-        dynamics=dynamics,
-        cost=cost,
-        grid=grid,
-        basis=basis,
-        initial_conditions=ics,
-        noise=noise,
-        batch_period=None if batch_period is None else _number(batch_period, "batch_period"),
-        feedback=_flag(config, "feedback"),
-        feedforward=_flag(config, "feedforward"),
-        es_defaults=es,
-        raw_config=normalize_config(config, name),
-    )
-
-
-def normalize_config(config: dict, name: str | None = None) -> dict:
-    """Canonical plain-data form of a scenario config (round-trip stable)."""
-    out = json.loads(json.dumps(config))  # deep copy, YAML scalars only
-    out["name"] = name or config.get("name", "scenario")
-    out.setdefault("noise", {"std_dev": 0.0, "seed": 0})
-    out["noise"].setdefault("std_dev", 0.0)
-    out["noise"].setdefault("seed", 0)
-    out.setdefault("feedback", False)
-    out.setdefault("feedforward", False)
-    out.setdefault("batch_period", None)
-    out["grid"].setdefault("t_start", 0.0)
-    out["grid"].setdefault("n_steps", 1000)
-    return out
+        name=config["name"], dynamics=dynamics, cost=cost, grid=grid,
+        basis=FourierPairsBasis(horizon=grid.span, **config["basis"]),
+        initial_conditions=[np.atleast_1d(np.array(x, dtype=float))
+                            for x in config["initial_conditions"]],
+        noise=NoiseModel(**config["noise"]), batch_period=config["batch_period"],
+        feedback=config["feedback"], feedforward=config["feedforward"],
+        es_defaults=config["es"], raw_config=config)
 
 
 # libyaml's scanner and parser, with PyYAML's own resolvers and safe
@@ -331,25 +354,19 @@ def read_scenario_config(path) -> dict:
 def load_scenario(path, overrides: dict[str, str] | None = None,
                   seed: int | None = None) -> Scenario:
     """Parse and validate a scenario file, after the dotted-path
-    ``overrides`` (see apply_overrides) and a replacement noise ``seed``."""
+    ``overrides`` (see apply_overrides) and a replacement noise ``seed``.
+    Its name defaults to the file stem. A ScenarioError names the file."""
     path = Path(path)
     config = read_scenario_config(path)
-    if overrides:
-        config = apply_overrides(config, overrides)
-    if seed is not None:
-        config.setdefault("noise", {})
-        _section(config, "noise")["seed"] = int(seed)
     try:
-        return build_scenario(config, name=config.get("name", path.stem))
-    except ScenarioValidationError as exc:
-        raise ScenarioValidationError(f"{path}: {exc}") from exc
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    if scenario.raw_config is None:
-        raise ContractViolationError("scenario was not built from a config; "
-                                     "nothing to serialize")
-    Path(path).write_text(yaml.safe_dump(scenario.raw_config, sort_keys=True))
+        apply_overrides(config, overrides or {})
+        if seed is not None:
+            apply_overrides(config, {"noise.seed": int(seed)})
+        if config.get("name") is None:
+            config["name"] = path.stem
+        return build_scenario(config)
+    except ScenarioError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def scenarios_dir() -> Path:
@@ -360,20 +377,23 @@ def shipped_scenarios() -> list[Path]:
     return sorted(scenarios_dir().glob("*.scn"))
 
 
-def apply_overrides(config: dict, overrides: dict[str, str]) -> dict:
-    """Apply dotted-path overrides with YAML-parsed values."""
+def apply_overrides(config: dict, overrides: dict) -> dict:
+    """Apply dotted-path overrides; a string value is parsed as YAML."""
     for dotted, raw_value in overrides.items():
         try:
             value = parse_yaml(raw_value) if isinstance(raw_value, str) else raw_value
         except yaml.YAMLError as exc:
             raise ScenarioParseError(f"override {dotted}: {exc}") from exc
+        *sections, key = dotted.split(".")
         target = config
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part not in target or not isinstance(target[part], dict):
-                target[part] = {}
-            target = target[part]
-        target[parts[-1]] = value
+        for depth, section in enumerate(sections, 1):
+            if target.get(section) is None:
+                target[section] = {}
+            target = target[section]
+            if not isinstance(target, dict):
+                raise ScenarioValidationError(
+                    f"{'.'.join(sections[:depth])} must be a mapping, got {target!r}")
+        target[key] = value
     return config
 
 
@@ -410,14 +430,14 @@ def es_config_for(scenario: Scenario) -> EsConfig:
     loop with ``es.ranges`` and ``es.phases``; a feedback scenario takes
     neither and gets :func:`~escontrol.feedback.gain_dither_assignment`."""
     es = scenario.es_defaults
-    missing = [f"es.{key}" for key in ("k", "alpha", "omega0") if key not in es]
+    missing = [f"es.{key}" for key in ("k", "alpha", "omega0") if es.get(key) is None]
     if missing:
         raise ScenarioValidationError(
             f"scenario {scenario.name!r} has no tuned {', '.join(missing)}")
-    k, alpha, omega0 = float(es["k"]), float(es["alpha"]), float(es["omega0"])
+    k, alpha, omega0 = es["k"], es["alpha"], es["omega0"]
     if scenario.feedback:
         for key in ("ranges", "phases"):
-            if key in es:
+            if es.get(key) is not None:
                 raise ScenarioValidationError(f"es.{key} does not apply to a feedback "
                                               "scenario, whose dither the synthesis assigns")
         if not isinstance(scenario.basis, FourierPairsBasis):
@@ -429,10 +449,9 @@ def es_config_for(scenario: Scenario) -> EsConfig:
                         delta=default_delta(freqs) if delta is None else delta)
     n_coeffs = scenario.control_dim * scenario.basis.n_functions
     phases, ranges = es.get("phases"), es.get("ranges")
-    if phases is not None and not (isinstance(phases, list) and len(phases) == n_coeffs
-                                   and all(p in (PHASE_COS, PHASE_SIN) for p in phases)):
-        raise ScenarioValidationError(f"es.phases must list one {PHASE_COS!r} or {PHASE_SIN!r} "
-                                      f"per coefficient ({n_coeffs}), got {phases!r}")
+    if phases is not None and len(phases) != n_coeffs:
+        raise ScenarioValidationError(f"es.phases must list one phase per coefficient "
+                                      f"({n_coeffs}), got {phases!r}")
     if ranges is not None and sum(count for _, _, count in ranges) != n_coeffs:
         raise ScenarioValidationError(f"es.ranges counts must sum to the {n_coeffs} "
                                       f"coefficients, got {ranges!r}")
@@ -521,12 +540,11 @@ def _write_gains_csv(path: Path, scenario: Scenario, field_: GainField,
     if field_.has_feedforward:
         header += [f"v_{l + 1}" for l in range(p)]
         blocks.append(field_.feedforward_samples(phi))
-    if riccati is not None:
-        header += [f"oracle_k_{l + 1}_{q + 1}" for l in range(p) for q in range(n)]
-        blocks.append(riccati.gains.reshape(taus.shape[0], -1))
-        if field_.has_feedforward:
-            header += [f"oracle_v_{l + 1}" for l in range(p)]
-            blocks.append(np.einsum("ij,kj->ki", riccati.rinv_bt, riccati.feedforward))
+    header += [f"oracle_k_{l + 1}_{q + 1}" for l in range(p) for q in range(n)]
+    blocks.append(riccati.gains.reshape(taus.shape[0], -1))
+    if field_.has_feedforward:
+        header += [f"oracle_v_{l + 1}" for l in range(p)]
+        blocks.append(np.einsum("ij,kj->ki", riccati.rinv_bt, riccati.feedforward))
     data = np.hstack([taus[:, None]] + blocks)
     write_csv(path, header, (((), row) for row in data))
 
@@ -537,16 +555,6 @@ def output_dir(spec: ExperimentSpec, scenario_name: str, mode: str) -> Path:
     if spec.out_dir:
         return Path(spec.out_dir)
     return Path(os.environ.get(OUTPUT_DIR_ENV, "runs")) / f"{scenario_name}-{mode}"
-
-
-def _oracle_info(scenario: Scenario, slow_time: float):
-    """(riccati, total J*, per-IC J*) or (None, None, None) when no oracle applies."""
-    if not isinstance(scenario.dynamics, LinearDynamics) or \
-            not isinstance(scenario.cost, QuadraticCost):
-        return None, None, None
-    riccati = scenario_oracle(scenario, slow_time)
-    per_ic = oracle_costs(scenario, slow_time, riccati)
-    return riccati, float(sum(per_ic)), per_ic
 
 
 def run_experiment(spec: ExperimentSpec) -> RunSummary:
@@ -581,51 +589,39 @@ def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
     out_dir = output_dir(spec, scenario.name, mode)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    extras: dict = {}
-    j_avg = None
-    oracle_total = None
-
-    if mode == "oracle-only":
-        riccati, oracle_total, per_ic = _oracle_info(scenario, 0.0)
-        if riccati is None:
-            raise ContractViolationError(
-                "oracle-only mode requires linear dynamics and a quadratic cost"
-            )
-        _write_oracle_csv(out_dir / "oracle.csv", scenario, riccati)
-        extras["oracle_costs_per_initial_condition"] = per_ic
-        iterations = None
-    else:  # feedback-es / open-loop-es / compare
+    record = None
+    if mode != "oracle-only":
         stream = partial(write_iterations_csv, out_dir / "iterations.csv")
         config = es_config_for(scenario)
-        n_iterations = spec.n_iterations or scenario.es_defaults.get("n_iterations", 1000)
+        n_iterations = (scenario.es_defaults["n_iterations"] if spec.n_iterations is None
+                        else spec.n_iterations)
         if mode == "feedback-es":
             field_, record = synthesize_gain(scenario, config, n_iterations,
                                              consume_rows=stream)
         else:
             record = run_es(scenario, config, n_iterations, consume_rows=stream)
-        iterations = record.n_iterations
-        j_avg = record.period_averaged_cost()
-        slow_final = scenario.slow_time_for(iterations, record.config.delta)
-        riccati, oracle_total, per_ic = _oracle_info(scenario, slow_final)
+    # the oracle at the slow time the run ended
+    slow_time = 0.0 if record is None else scenario.slow_time_for(record.n_iterations,
+                                                                  record.config.delta)
+    riccati = scenario_oracle(scenario, slow_time)
+    per_ic = oracle_costs(scenario, slow_time, riccati)
+    oracle_total = float(sum(per_ic))
+    if record is not None:
         _write_trajectories_csv(out_dir / "trajectory.csv", scenario, record)
-        if mode == "feedback-es":
-            _write_gains_csv(out_dir / "gains.csv", scenario, field_, riccati)
-        elif mode == "compare" and riccati is not None:
-            _write_oracle_csv(out_dir / "oracle.csv", scenario, riccati)
-        extras["oracle_costs_per_initial_condition"] = per_ic
-        extras["es_config"] = record.config.to_dict()
+    if mode == "feedback-es":
+        _write_gains_csv(out_dir / "gains.csv", scenario, field_, riccati)
+    elif mode != "open-loop-es":
+        _write_oracle_csv(out_dir / "oracle.csv", scenario, riccati)
 
-    gap = None
-    if j_avg is not None and oracle_total is not None and oracle_total > 0:
-        gap = (j_avg - oracle_total) / oracle_total
-
+    j_avg = None if record is None else record.period_averaged_cost()
     summary = RunSummary(
         scenario=scenario.name,
         mode=mode,
         final_period_averaged_cost=j_avg,
         oracle_cost=oracle_total,
-        relative_gap=gap,
-        iterations=iterations,
+        relative_gap=(None if j_avg is None or oracle_total <= 0
+                      else (j_avg - oracle_total) / oracle_total),
+        iterations=None if record is None else record.n_iterations,
         wall_time_s=time.perf_counter() - started,
         seed=scenario.noise.seed,
     )
@@ -636,7 +632,9 @@ def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
         "cos_1, sin_1, cos_2, sin_2, ...; feedback mode flattens gain entries "
         "row-major (k_1_1, k_1_2, ..., then feedforward rows)"
     )
-    payload.update(extras)
+    payload["oracle_costs_per_initial_condition"] = per_ic
+    if record is not None:
+        payload["es_config"] = record.config.to_dict()
     payload["resolved_scenario"] = scenario.raw_config
     (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
     return summary

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -108,16 +108,6 @@ def integrate_rk4(derivative: Derivative, x0, grid: TimeGrid) -> StateTrajectory
             )
         states[k + 1] = x
     return StateTrajectory(grid=grid, states=states, dimension=dim)
-
-
-def quadrature_trapezoid(samples: Sequence[float], grid: TimeGrid) -> float:
-    """Composite trapezoid rule over the uniform grid (exact for affine data)."""
-    s = np.asarray(samples, dtype=float)
-    if s.shape[0] != grid.n_steps + 1:
-        raise ContractViolationError(
-            f"expected {grid.n_steps + 1} samples for the grid, got {s.shape[0]}"
-        )
-    return float(grid.h * (s.sum() - 0.5 * (s[0] + s[-1])))
 
 
 # --- fast paths for linear(-affine) dynamics -------------------------------

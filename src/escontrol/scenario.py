@@ -285,6 +285,7 @@ class Scenario:
     feedback: bool = False
     feedforward: bool = False
     es_defaults: dict = field(default_factory=dict)
+    # the resolved scenario-file mapping it was built from (see harness.SCHEMA)
     raw_config: dict | None = None
     # init=False: dataclasses.replace() builds a copy with a cache of its own
     _cache: dict = field(default_factory=dict, init=False, repr=False)

@@ -4,7 +4,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from escontrol.basis import ControllerCoefficients, FourierPairsBasis
+from escontrol.basis import (Basis, ControllerCoefficients, FourierPairsBasis,
+                             controller_samples)
 from escontrol.errors import (ContractViolationError, EsControlError,
                               MeasurementInvalidError, RiccatiInstabilityError)
 from escontrol.feedback import GainField
@@ -67,6 +68,83 @@ def feedback_2d_scenario(n_steps=500, m=10, extension=0.1, noise_std=0.0, seed=0
         feedforward=feedforward,
         es_defaults=es_defaults or {},
     )
+
+
+_TAU_SLACK = 1e-9
+
+
+def _check_tau(tau: float, horizon: float):
+    slack = _TAU_SLACK * max(1.0, horizon)
+    if tau < -slack or tau > horizon + slack:
+        raise ContractViolationError(
+            f"tau={tau} outside the controller horizon [0, {horizon}]"
+        )
+
+
+def eval_controller(coeffs: ControllerCoefficients, basis: Basis, tau: float) -> np.ndarray:
+    """Control vector u(tau) = sum_j coeffs[i, j] phi_j(tau), per channel i."""
+    _check_tau(tau, basis.horizon)
+    if coeffs.n_functions != basis.n_functions:
+        raise ContractViolationError(
+            f"coefficients have {coeffs.n_functions} columns, basis has "
+            f"{basis.n_functions} functions"
+        )
+    phi = basis.eval_matrix(tau)[0]
+    return coeffs.values @ phi
+
+
+def quadrature_trapezoid(samples: Sequence[float], grid: TimeGrid) -> float:
+    """Composite trapezoid rule over the uniform grid (exact for affine data):
+    the reference the episode cost's quadrature is checked against."""
+    s = np.asarray(samples, dtype=float)
+    if s.shape[0] != grid.n_steps + 1:
+        raise ContractViolationError(
+            f"expected {grid.n_steps + 1} samples for the grid, got {s.shape[0]}"
+        )
+    return float(grid.h * (s.sum() - 0.5 * (s[0] + s[-1])))
+
+
+def controller_l2_norm(coeffs: ControllerCoefficients, basis: Basis, grid: TimeGrid) -> float:
+    """sqrt( integral over [0, T] of ||u(tau)||^2 ) by trapezoid on the grid."""
+    if abs(grid.t_start) > _TAU_SLACK or abs(grid.t_end - basis.horizon) > _TAU_SLACK:
+        raise ContractViolationError(
+            f"grid [{grid.t_start}, {grid.t_end}] must span [0, {basis.horizon}]"
+        )
+    u = controller_samples(coeffs, basis.eval_matrix(grid.nodes()))
+    return float(np.sqrt(quadrature_trapezoid((u * u).sum(axis=1), grid)))
+
+
+def eval_gain(field: GainField, tau: float) -> np.ndarray:
+    """The p x n gain matrix at tau, linear in the coefficients."""
+    if tau < -1e-9 or tau > field.basis.horizon + 1e-9:
+        raise ContractViolationError(
+            f"tau={tau} outside the horizon [0, {field.basis.horizon}]"
+        )
+    return field.gain_samples(field.basis.eval_matrix(tau))[0]
+
+
+def project_gains(riccati: RiccatiSolution, basis: Basis, grid: TimeGrid,
+                  include_feedforward: bool = False) -> GainField:
+    """Least-squares fit of the oracle K(tau) (and feedforward) onto the basis.
+
+    The fit is over the grid nodes; its closed-loop cost lower-bounds what
+    any ES run in the same basis can reach, up to the dither residual.
+    """
+    phi = basis.eval_matrix(grid.nodes())
+    p, n = riccati.gains.shape[1], riccati.gains.shape[2]
+    gain_coeffs = np.empty((p, n, basis.n_functions))
+    for l in range(p):
+        for q in range(n):
+            coeffs, *_ = np.linalg.lstsq(phi, riccati.gains[:, l, q], rcond=None)
+            gain_coeffs[l, q] = coeffs
+    ff = None
+    if include_feedforward:
+        feed = np.einsum("ij,kj->ki", riccati.rinv_bt, riccati.feedforward)
+        ff = np.empty((p, basis.n_functions))
+        for l in range(p):
+            coeffs, *_ = np.linalg.lstsq(phi, feed[:, l], rcond=None)
+            ff[l] = coeffs
+    return GainField(basis, n, p, gain_coeffs, ff)
 
 
 def zero_coefficients(n_channels, basis):

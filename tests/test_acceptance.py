@@ -30,9 +30,9 @@ import pytest
 import yaml
 
 from conftest import record_acceptance
-from helpers import (cumulative_trapezoid, finite_diff_gradient, gradient_flow_reference,
-                     refined)
-from escontrol.basis import ControllerCoefficients, eval_controller
+from helpers import (cumulative_trapezoid, eval_controller, finite_diff_gradient,
+                     gradient_flow_reference, quadrature_trapezoid, refined)
+from escontrol.basis import ControllerCoefficients
 from escontrol.es import EsConfig, restricted_optimum, run_es
 from escontrol.feedback import run_feedback_episode, synthesize_gain
 from escontrol.harness import (ExperimentSpec, apply_overrides, build_scenario,
@@ -40,7 +40,7 @@ from escontrol.harness import (ExperimentSpec, apply_overrides, build_scenario,
                                shipped_scenarios)
 from escontrol.lqr import (optimal_cost_quadratic_form, scenario_oracle,
                            simulate_optimal, solve_riccati)
-from escontrol.ode import TimeGrid, quadrature_trapezoid
+from escontrol.ode import TimeGrid
 from escontrol.scenario import run_episode
 
 SCN = {p.stem: p for p in shipped_scenarios()}

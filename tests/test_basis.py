@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import zero_coefficients
-from escontrol.basis import (ControllerCoefficients, CustomSampledBasis,
-                             FourierPairsBasis, controller_l2_norm, eval_controller)
+from helpers import controller_l2_norm, eval_controller, zero_coefficients
+from escontrol.basis import ControllerCoefficients, CustomSampledBasis, FourierPairsBasis
 from escontrol.errors import ContractViolationError
 from escontrol.ode import TimeGrid
 

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (OracleDivergedError, cumulative_trapezoid, example2_scenario,
-                     finite_diff_gradient, gradient_flow_reference, scalar_scenario,
-                     simulated_episode)
+                     finite_diff_gradient, gradient_flow_reference, quadrature_trapezoid,
+                     scalar_scenario, simulated_episode)
 from escontrol.basis import ControllerCoefficients, CustomSampledBasis
 from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
                               MeasurementInvalidError, RiccatiInstabilityError,
                               ScheduleCollisionError)
 from escontrol.es import (_ROW_BLOCK, EsConfig, assemble_quadratic_cost, default_phases, es_step,
                           make_frequency_schedule, restricted_optimum, run_es)
-from escontrol.ode import TimeGrid, quadrature_trapezoid
+from escontrol.ode import TimeGrid
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
                                 episode_cost_fn, episode_model)
 

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import (X0_2D, Y0_2D, feedback_2d_scenario, quadratic_cost_samples,
-                     scalar_scenario, zero_gain_field)
+from helpers import (X0_2D, Y0_2D, eval_gain, feedback_2d_scenario, project_gains,
+                     quadrature_trapezoid, quadratic_cost_samples, scalar_scenario,
+                     zero_gain_field)
 from escontrol.basis import FourierPairsBasis
 from escontrol.errors import (ContractViolationError, IllPosedSynthesisError,
                               IntegrationDivergedError)
 from escontrol.es import PHASE_COS, PHASE_SIN
-from escontrol.feedback import (GainField, eval_gain, gain_dither_assignment,
-                                project_gains, run_feedback_episode,
+from escontrol.feedback import (GainField, gain_dither_assignment, run_feedback_episode,
                                 run_feedback_episodes, synthesize_gain)
 from escontrol.harness import es_config_for, load_scenario, scenarios_dir
 from escontrol.lqr import optimal_cost_quadratic_form, scenario_oracle, simulate_optimal
-from escontrol.ode import integrate_rk4_linear, quadrature_trapezoid
+from escontrol.ode import integrate_rk4_linear
 from escontrol.scenario import cost_of_trajectory, run_multi_episode
 
 

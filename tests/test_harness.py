@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,10 +23,10 @@ from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
                               ScenarioParseError, ScenarioValidationError)
 from escontrol.es import EsConfig, EsRunRecord, es_step, run_es
 from escontrol.feedback import closed_loop_measurement, synthesize_gain
-from escontrol.harness import (ExperimentSpec, apply_overrides, build_scenario,
-                               es_config_for, load_scenario, normalize_config,
-                               read_scenario_config, run_experiment, save_scenario,
-                               shipped_scenarios, write_csv, write_iterations_csv)
+from escontrol.harness import (SCHEMA, ExperimentSpec, apply_overrides, build_scenario,
+                               es_config_for, load_scenario, read_scenario_config,
+                               run_experiment, shipped_scenarios, write_csv,
+                               write_iterations_csv)
 from escontrol.scenario import run_episode
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
@@ -86,12 +87,13 @@ def test_unknown_expression_symbol_rejected(tmp_path):
 
 
 def test_round_trip_every_shipped_scenario(tmp_path):
+    # the resolved mapping, dumped as YAML, loads back to itself
     for name, path in SHIPPED.items():
         scenario = load_scenario(path)
         out = tmp_path / f"{name}.scn"
-        save_scenario(scenario, out)
+        out.write_text(yaml.safe_dump(scenario.raw_config, sort_keys=True))
         again = load_scenario(out)
-        assert normalize_config(scenario.raw_config) == normalize_config(again.raw_config)
+        assert again.raw_config == scenario.raw_config
         coeffs = zero_coefficients(scenario.control_dim, scenario.basis)
         if not scenario.feedback:
             assert run_episode(scenario, coeffs).cost == \
@@ -376,6 +378,12 @@ def test_cli_diverging_closed_loop_keeps_the_iteration_and_the_step_index(tmp_pa
     ("feedback_2d", "cost.r=2.5", "cost.r"),
     ("example2_scalar", "cost.p=-3", "cost.p"),
     ("example2_scalar", "initial_conditions=[]", "initial_conditions"),
+    ("example2_scalar", "name=[]", "name"),
+    ("example2_scalar", "dynamics.a=[]", "dynamics.a"),
+    ("example2_scalar", "es.omega=1600", "es.omega"),  # a typo of es.omega0
+    ("example2_scalar", "grdi.n_steps=50", "grdi"),
+    ("example3_tracking", "cost.reference=[1.0, 2.0]", "cost.reference"),  # one output
+    ("feedback_2d", "cost.reference=1.0", "cost.reference"),  # two outputs
 ])
 def test_cli_malformed_value_fails_through_the_error_handler(name, override, key, tmp_path,
                                                              capsys):
@@ -405,6 +413,15 @@ FUZZED_KEYS = [(name, key) for name in ("example2_scalar", "feedback_2d")
 FUZZED_VALUES = ["abc", "2.5", "-3", "-0.5", ".nan", "[]", "{}"]
 
 
+def _artifacts(out: Path) -> dict:
+    """The bytes of every file of a run, summary.json without the fields
+    that differ between two runs of one scenario."""
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    summary = json.loads(files.pop("summary.json"))
+    del summary["wall_time_s"], summary["scenario_path"]
+    return {**files, "summary.json": summary}
+
+
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(target=st.sampled_from(FUZZED_KEYS), value=st.sampled_from(FUZZED_VALUES))
 def test_cli_override_completes_or_fails_through_the_handler_naming_its_key(target, value):
@@ -415,8 +432,16 @@ def test_cli_override_completes_or_fails_through_the_handler_naming_its_key(targ
         with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
             code = cli_main(["run", "--scenario", str(SHIPPED[name]), "--iters", "2",
                              "--out", str(out), "--override", f"{key}={value}"])
+            if code == 0:
+                # the recorded scenario alone reruns to the same artifacts
+                resolved = Path(tmp) / "resolved.scn"
+                resolved.write_text(json.dumps(json.loads(
+                    (out / "summary.json").read_text())["resolved_scenario"]))
+                again = cli_main(["run", "--scenario", str(resolved), "--iters", "2",
+                                  "--out", str(Path(tmp) / "again")])
         if code == 0:
-            assert (out / "summary.json").exists()
+            assert again == 0
+            assert _artifacts(Path(tmp) / "again") == _artifacts(out)
             return
         assert code == 1
         record = json.loads((out / "error.json").read_text())
@@ -436,15 +461,58 @@ def test_cli_seed_over_a_malformed_noise_section_fails_through_the_error_handler
     assert json.loads(capsys.readouterr().err) == record
 
 
-def test_cli_unparsable_override_fails_through_the_error_handler(tmp_path, capsys):
+@pytest.mark.parametrize("override, error, key", [
+    ("es.alpha=[1", "ScenarioParseError", "es.alpha"),  # the override's YAML
+    ("dynamics.a=1 + sin(", "ScenarioParseError", "dynamics.a"),  # expression syntax
+    ("dynamics.b=2 * foo", "ScenarioParseError", "dynamics.b"),  # an unknown name
+    ("dynamics.a=[]", "ScenarioValidationError", "dynamics.a"),
+    ("cost.q=[]", "ScenarioValidationError", "cost.q"),
+])
+def test_cli_loading_error_names_the_file_and_its_key(override, error, key, tmp_path, capsys):
     out = tmp_path / "out"
-    code = cli_main(["run", "--scenario", str(SHIPPED["example2_scalar"]), "--iters", "3",
-                     "--out", str(out), "--override", "es.alpha=[1"])
+    path = SHIPPED["example2_scalar"]
+    code = cli_main(["run", "--scenario", str(path), "--iters", "3",
+                     "--out", str(out), "--override", override])
     assert code == 1
     record = json.loads((out / "error.json").read_text())
-    assert record["error"] == "ScenarioParseError"
-    assert "es.alpha" in record["message"]
+    assert record["error"] == error
+    assert record["message"].startswith(f"{path}: ")
+    assert key in record["message"]
     assert json.loads(capsys.readouterr().err) == record
+
+
+def test_cli_records_numbers_as_the_run_used_them(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli_main(["run", "--scenario", str(SHIPPED["example2_scalar"]), "--iters", "2",
+                     "--out", str(out), "--override", "es.alpha=1e3",  # YAML 1.1: a string
+                     "--override", "grid.t_end=1"])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    resolved = summary["resolved_scenario"]
+    assert (resolved["es"]["alpha"], resolved["grid"]["t_end"]) == (1000.0, 1.0)
+    assert type(resolved["grid"]["t_end"]) is float
+    assert summary["es_config"]["alpha"] == 1000.0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("iters", [0, -3])
+def test_cli_iters_below_one_fails_through_the_error_handler(iters, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli_main(["run", "--scenario", str(SHIPPED["timevarying_noisy"]),
+                     "--iters", str(iters), "--out", str(out)])
+    assert code == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ContractViolationError"
+    assert "n_iterations" in record["message"]
+    assert json.loads(capsys.readouterr().err) == record
+    assert not (out / "summary.json").exists()
+
+
+def test_readme_scenario_table_lists_every_schema_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(path for path, _, _ in SCHEMA)
 
 
 def test_float_syntax_strings_load_as_numbers():

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (cumulative_trapezoid, frozen_steps, homogeneous_prefix_transitions,
-                     matmul_step_forcing, matmul_step_matrices, stacked_steps)
+                     matmul_step_forcing, matmul_step_matrices, quadrature_trapezoid,
+                     stacked_steps)
 from escontrol.basis import ControllerCoefficients, controller_samples
 from escontrol.errors import ContractViolationError, IntegrationDivergedError
 from escontrol.harness import load_scenario, shipped_scenarios
 from escontrol.ode import (TimeGrid, integrate_rk4, integrate_rk4_linear, prefix_transitions,
-                           propagate_linear, quadrature_trapezoid, rk4_step_forcing,
+                           propagate_linear, rk4_step_forcing,
                            rk4_step_matrices, rk4_steps)
 
 

@@ -8,12 +8,12 @@ from scipy.linalg import expm
 from scipy.special import ndtri
 
 from helpers import (A_2D, B_2D, P_2D, Q_2D, R_2D, X0_2D, Y0_2D, fresh_philox_draw,
-                     example2_scenario, quadratic_cost_samples, scalar_scenario,
-                     zero_coefficients)
+                     example2_scenario, quadratic_cost_samples, quadrature_trapezoid,
+                     scalar_scenario, zero_coefficients)
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import ContractViolationError, ScenarioValidationError
 from escontrol.harness import load_scenario, shipped_scenarios
-from escontrol.ode import TimeGrid, quadrature_trapezoid
+from escontrol.ode import TimeGrid
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics,
                                 NoiseModel, QuadraticCost, Scenario, _ndtri,
                                 cost_of_trajectory, run_episode, run_multi_episode)
