@@ -8,7 +8,7 @@ By default each scenario runs with its tuned, shipped iteration count
 import argparse
 import json
 
-from escontrol.harness import ExperimentSpec, run_experiment, shipped_scenarios
+from escontrol.harness import ExperimentSpec, load_scenario, run_experiment, shipped_scenarios
 
 
 def main():
@@ -25,11 +25,8 @@ def main():
             continue
         overrides = {}
         if args.scale != 1.0:
-            import yaml
-
-            config = yaml.safe_load(path.read_text())
-            scaled = max(10, int(config["es"]["n_iterations"] * args.scale))
-            overrides["es.n_iterations"] = str(scaled)
+            n_iterations = load_scenario(path).es_defaults["n_iterations"]
+            overrides["es.n_iterations"] = str(max(10, int(n_iterations * args.scale)))
         print(f"== {path.stem}")
         summary = run_experiment(ExperimentSpec(
             scenario_path=str(path),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (ContractViolationError, EsControlError,
                      MeasurementInvalidError, ScheduleCollisionError)
-from .scenario import Scenario, episode_cost_fn, episode_model, open_loop_measurement
+from .scenario import Scenario, episode_model, open_loop_cost
 
 PHASE_COS = "cos"
 PHASE_SIN = "sin"
@@ -204,7 +204,6 @@ class EsRunRecord:
     ``dropped_rows``. A run keeps all of s = 0 .. n_iterations unless it
     streamed its rows out (see :func:`run_es`)."""
 
-    scenario_id: str
     config: EsConfig
     coefficients: np.ndarray   # (kept rows, n_coeffs)
     costs: np.ndarray          # J(s), the cost measured under coefficients(s)
@@ -280,18 +279,16 @@ def _row_blocks(measure, config: EsConfig, flat: np.ndarray, n_iterations: int,
         raise wrapped from failure
 
 
-def run_es(cost_source, config: EsConfig, n_iterations: int,
-           initial_coeffs=None, scenario_id: str = "",
+def run_es(measure: Callable[[np.ndarray, int], tuple[float, float]], config: EsConfig,
+           n_iterations: int, initial_coeffs=None,
            consume_rows: Callable | None = None) -> EsRunRecord:
     """Alternate cost measurement and es_step, recording every iterate.
 
-    An iteration needs only (J, J_hat), from one ``measure(flat, s)`` chosen
-    once by the type of ``cost_source``: a Scenario's open-loop episodes
-    (:func:`~escontrol.scenario.open_loop_measurement`: costed without
-    coefficient or result objects after the first), the ``measure`` method
-    of an object (such as :func:`~escontrol.feedback.closed_loop_measurement`),
-    or a plain noise-free callable of the flat coefficients. Coefficients
-    start at zero unless a flat ``initial_coeffs`` is given.
+    An iteration needs only ``measure(flat, s) -> (J, J_hat)``: the cost J
+    under the flat coefficients of iteration s and its measurement J_hat,
+    which the update law sees. A scenario's comes from
+    :func:`~escontrol.scenario.episode_measurement`. Coefficients start at
+    zero unless a flat ``initial_coeffs`` is given.
 
     With ``consume_rows``, the rows stream out instead: the loop runs inside
     ``consume_rows(config, blocks)``, which must exhaust the iterator
@@ -303,16 +300,6 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
     if n_iterations < 1:
         raise ContractViolationError(f"n_iterations must be >= 1, got {n_iterations}")
     config.validate_sampling()
-    if isinstance(cost_source, Scenario):
-        measure = open_loop_measurement(cost_source, config.delta).measure
-        scenario_id = scenario_id or cost_source.name
-    elif hasattr(cost_source, "measure"):
-        measure = cost_source.measure
-    else:
-        def measure(flat, s):
-            j = float(cost_source(flat))
-            return j, j
-
     if initial_coeffs is None:
         flat = np.zeros(config.n_coeffs)
     else:
@@ -320,7 +307,7 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
 
     if consume_rows is None:  # every row, in one block
         [(_, *rows)] = _row_blocks(measure, config, flat, n_iterations, n_iterations + 1)
-        return EsRunRecord(scenario_id, config, *rows)
+        return EsRunRecord(config, *rows)
 
     window = min(config.slowest_period_steps(), n_iterations)
     first: list = []
@@ -344,8 +331,7 @@ def run_es(cost_source, config: EsConfig, n_iterations: int,
     consume_rows(config, blocks())
     if not finished:
         raise ContractViolationError("consume_rows returned before the run ended")
-    return EsRunRecord(scenario_id, config,
-                       *(np.concatenate(pair) for pair in zip(first, tail)),
+    return EsRunRecord(config, *(np.concatenate(pair) for pair in zip(first, tail)),
                        dropped_rows=n_iterations - window)
 
 
@@ -409,7 +395,8 @@ def restricted_optimum(scenario: Scenario, slow_time: float = 0.0):
     form = None if episodes is None else episodes.quadratic_form(scenario.initial_conditions)
     if form is None:
         dim = scenario.control_dim * scenario.basis.n_functions
-        model = assemble_quadratic_cost(episode_cost_fn(scenario, slow_time), dim)
+        cost = open_loop_cost(scenario)
+        model = assemble_quadratic_cost(lambda flat: cost(flat, slow_time), dim)
     else:
         model = QuadraticCostModel(*form)
     c_star = model.minimizer()

@@ -26,8 +26,8 @@ from .errors import (ContractViolationError, IllPosedSynthesisError,
 from .es import EsConfig, EsRunRecord, PHASE_COS, PHASE_SIN, make_frequency_schedule, run_es
 from .ode import (StateTrajectory, first_nonfinite_step, prefix_transitions,
                   rk4_linear_steps)
-from .scenario import (EpisodeMeasurement, EpisodeResult, LinearDynamics, QuadraticCost,
-                       Scenario, cost_of_trajectories)
+from .scenario import (EpisodeResult, LinearDynamics, QuadraticCost, Scenario,
+                       cost_of_trajectories, episode_measurement)
 
 
 @dataclass(frozen=True)
@@ -167,17 +167,16 @@ def gain_field(scenario: Scenario, flat) -> GainField:
                                scenario.control_dim, feedforward=scenario.feedforward)
 
 
-def closed_loop_measurement(scenario: Scenario, delta: float) -> EpisodeMeasurement:
-    """run_es's measurement of the closed loops from every initial condition
-    under the gain field of the flat coefficients. Its cost-only J is the
-    total_cost of run_multi_episode on that GainField, to the bit."""
+def closed_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
+    """Noise-free J(flat, slow_time) of the closed loops from every initial
+    condition under the gain field of the flat coefficients: to the bit the
+    total_cost of run_multi_episode on that GainField."""
     def cost(flat: np.ndarray, slow_time: float) -> float:
         costs = _closed_loops(scenario, flat, scenario.feedforward,
                               scenario.initial_conditions, slow_time)[2]
         return float(sum(costs.tolist()))
 
-    return EpisodeMeasurement(scenario, delta, lambda flat: gain_field(scenario, flat),
-                              lambda _: cost)
+    return cost
 
 
 def gain_dither_assignment(omega0: float, m: int, state_dim: int, control_dim: int,
@@ -259,12 +258,15 @@ def synthesize_gain(scenario: Scenario, config: EsConfig, n_iterations: int,
     record: the full one, or row 0 and the final window when the rows
     stream to ``consume_rows`` (see :func:`~escontrol.es.run_es`).
     """
+    if not scenario.feedback:
+        raise ContractViolationError("gain synthesis needs a feedback scenario; "
+                                     f"{scenario.name!r} has feedback: false")
     if not isinstance(scenario.dynamics, LinearDynamics) or \
             not isinstance(scenario.cost, QuadraticCost):
         raise ContractViolationError("gain synthesis requires linear dynamics "
                                      "and a quadratic cost")
     _check_initial_conditions(scenario)
-    record = run_es(closed_loop_measurement(scenario, config.delta), config, n_iterations,
-                    scenario_id=scenario.name, consume_rows=consume_rows)
+    record = run_es(episode_measurement(scenario, config.delta), config, n_iterations,
+                    consume_rows=consume_rows)
     return gain_field(scenario, record.period_averaged_coefficients()), record
 

@@ -32,7 +32,7 @@ from .feedback import GainField, gain_dither_assignment, synthesize_gain
 from .lqr import oracle_costs, scenario_oracle
 from .ode import TimeGrid
 from .scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
-                       run_episode)
+                       episode_measurement, run_episode)
 
 OUTPUT_DIR_ENV = "ESCONTROL_OUTPUT_DIR"
 
@@ -113,6 +113,11 @@ def _checked(accept: Callable[[object], bool], what: str):
 
 
 _text = _checked(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+# a name is one component of the default output directory's path
+_name = _checked(lambda v: isinstance(v, str) and v not in ("", ".", "..")
+                 and not any(sep in v for sep in "/\\"),
+                 "one path component: a non-empty string without '/' or '\\', "
+                 "other than '.' and '..'")
 _boolean = _checked(lambda v: isinstance(v, bool), "true or false")
 _states = _checked(lambda v: isinstance(v, list), "a list of states")
 
@@ -206,7 +211,7 @@ _NON_NEGATIVE = partial(_number, low=0.0)
 # across keys (shapes, the grid's order, the ES set-up) follow in
 # build_scenario and es_config_for.
 SCHEMA = (
-    ("name", _text, REQUIRED),  # load_scenario gives it the file stem
+    ("name", _name, REQUIRED),  # load_scenario gives it the file stem
     ("description", _text, None),
     ("dynamics.kind", _checked(lambda v: v == "linear", "'linear' in a scenario file "
                                "(general dynamics are built through the API)"), "linear"),
@@ -592,14 +597,18 @@ def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
     record = None
     if mode != "oracle-only":
         stream = partial(write_iterations_csv, out_dir / "iterations.csv")
-        config = es_config_for(scenario)
+        try:
+            config = es_config_for(scenario)
+        except ScenarioError as exc:  # named by its file, as load_scenario names its errors
+            raise type(exc)(f"{path}: {exc}") from exc
         n_iterations = (scenario.es_defaults["n_iterations"] if spec.n_iterations is None
                         else spec.n_iterations)
         if mode == "feedback-es":
             field_, record = synthesize_gain(scenario, config, n_iterations,
                                              consume_rows=stream)
         else:
-            record = run_es(scenario, config, n_iterations, consume_rows=stream)
+            record = run_es(episode_measurement(scenario, config.delta), config, n_iterations,
+                            consume_rows=stream)
     # the oracle at the slow time the run ended
     slow_time = 0.0 if record is None else scenario.slow_time_for(record.n_iterations,
                                                                   record.config.delta)

@@ -568,15 +568,19 @@ def _open_loop_episode(scenario: Scenario, coeffs: ControllerCoefficients,
     return traj, u_nodes, cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
 
 
-def run_episode(scenario: Scenario, coeffs: ControllerCoefficients,
-                slow_time: float = 0.0, noise_index: int = 0) -> EpisodeResult:
-    """Integrate one episode from the first initial condition and measure J."""
+def _check_coefficients(scenario: Scenario, coeffs: ControllerCoefficients):
     if coeffs.n_channels != scenario.control_dim or \
             coeffs.n_functions != scenario.basis.n_functions:
         raise ContractViolationError(
             f"coefficients shaped {coeffs.values.shape} do not fit "
             f"{scenario.control_dim} channels x {scenario.basis.n_functions} functions"
         )
+
+
+def run_episode(scenario: Scenario, coeffs: ControllerCoefficients,
+                slow_time: float = 0.0, noise_index: int = 0) -> EpisodeResult:
+    """Integrate one episode from the first initial condition and measure J."""
+    _check_coefficients(scenario, coeffs)
     traj, u_nodes, j = _open_loop_episode(scenario, coeffs, slow_time,
                                           scenario.initial_conditions[0])
     return EpisodeResult(trajectory=traj, controls=u_nodes, cost=j,
@@ -596,6 +600,7 @@ def run_multi_episode(scenario: Scenario, coeffs, slow_time: float = 0.0,
         episodes = run_feedback_episodes(scenario, coeffs,
                                          scenario.initial_conditions, slow_time)
     else:
+        _check_coefficients(scenario, coeffs)
         episodes = []
         for x0 in scenario.initial_conditions:
             traj, u_nodes, j = _open_loop_episode(scenario, coeffs, slow_time, x0)
@@ -692,43 +697,35 @@ def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
     return modelled
 
 
-def episode_cost_fn(scenario: Scenario, slow_time: float = 0.0) -> Callable[[np.ndarray], float]:
-    """Noise-free cost of a flat coefficient vector; used by the oracles."""
-    cost = open_loop_cost(scenario)
-    return lambda flat: cost(np.asarray(flat, dtype=float), slow_time)
+def episode_measurement(scenario: Scenario,
+                        delta: float) -> Callable[[np.ndarray, int], tuple[float, float]]:
+    """run_es's ``measure(flat, s) -> (J, J_hat)``: the scenario's episodes at
+    the slow time of step s, under the flat coefficients, plus noise draw s.
+    The flat vector holds open-loop basis coefficients, or the gain field's
+    when ``scenario.feedback`` is set.
 
-
-class EpisodeMeasurement:
-    """run_es's ``measure(flat, s) -> (J, J_hat)``: episode s at its slow
-    time, plus noise draw s. The first goes through run_episode (one open
-    loop) or run_multi_episode on ``coefficients(flat)``, which validate it
-    and build what the scenario caches, such as its episode model. Every
-    later J comes, with the same bits, from ``cost_fn(scenario)(flat, t)``.
+    The first measurement goes through run_multi_episode, which validates
+    the coefficients and builds what the scenario caches, such as its
+    episode model. Every later J comes, with the same bits, from
+    :func:`open_loop_cost` or :func:`~escontrol.feedback.closed_loop_cost`.
     """
+    if scenario.feedback:
+        from .feedback import closed_loop_cost, gain_field  # avoids a module cycle
 
-    def __init__(self, scenario: Scenario, delta: float, coefficients, cost_fn):
-        self.scenario, self.delta = scenario, delta
-        self._coefficients, self._cost_fn, self._cost = coefficients, cost_fn, None
+        coefficients, cost_fn = (lambda flat: gain_field(scenario, flat)), closed_loop_cost
+    else:
+        coefficients, cost_fn = (lambda flat: ControllerCoefficients.from_flat(
+            flat, scenario.control_dim)), open_loop_cost
+    cost = None
 
-    def measure(self, flat: np.ndarray, s: int) -> tuple[float, float]:
-        scenario = self.scenario
-        t = scenario.slow_time_for(s, self.delta)
-        if self._cost is not None:
-            j = self._cost(flat, t)
-            return j, j + scenario.noise.draw(s)
-        coeffs = self._coefficients(flat)
-        if isinstance(coeffs, ControllerCoefficients) and len(scenario.initial_conditions) == 1:
-            res = run_episode(scenario, coeffs, slow_time=t, noise_index=s)
-            measured = res.cost, res.measured_cost
-        else:
-            res = run_multi_episode(scenario, coeffs, slow_time=t, noise_index=s)
-            measured = res.total_cost, res.measured_total_cost
-        self._cost = self._cost_fn(scenario)
-        return measured
+    def measure(flat: np.ndarray, s: int) -> tuple[float, float]:
+        nonlocal cost
+        t = scenario.slow_time_for(s, delta)
+        if cost is None:
+            res = run_multi_episode(scenario, coefficients(flat), slow_time=t, noise_index=s)
+            cost = cost_fn(scenario)
+            return res.total_cost, res.measured_total_cost
+        j = cost(flat, t)
+        return j, j + scenario.noise.draw(s)
 
-
-def open_loop_measurement(scenario: Scenario, delta: float) -> EpisodeMeasurement:
-    """run_es's measurement of open-loop episodes under basis coefficients."""
-    return EpisodeMeasurement(
-        scenario, delta, lambda flat: ControllerCoefficients.from_flat(flat, scenario.control_dim),
-        open_loop_cost)
+    return measure

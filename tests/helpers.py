@@ -8,12 +8,13 @@ from escontrol.basis import (Basis, ControllerCoefficients, FourierPairsBasis,
                              controller_samples)
 from escontrol.errors import (ContractViolationError, EsControlError,
                               MeasurementInvalidError, RiccatiInstabilityError)
+from escontrol.es import run_es
 from escontrol.feedback import GainField
 from escontrol.harness import write_csv
 from escontrol.lqr import RiccatiSolution, _pd_inverse_times
 from escontrol.ode import TimeGrid, rk4_frozen_forcing, rk4_frozen_step, rk4_linear_steps
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
-                                _integrate_open_loop, cost_of_trajectory)
+                                _integrate_open_loop, cost_of_trajectory, episode_measurement)
 
 
 class OracleDivergedError(EsControlError, RuntimeError):
@@ -191,6 +192,21 @@ def simulated_cost_fn(scenario, slow_time=0.0):
                    for x0 in scenario.initial_conditions)
 
     return cost_fn
+
+
+def cost_measurement(cost_fn):
+    """run_es's measure(flat, s) -> (J, J_hat) of a noise-free cost of the
+    flat coefficients."""
+    def measure(flat, s):
+        j = float(cost_fn(flat))
+        return j, j
+
+    return measure
+
+
+def run_scenario_es(scenario, config, n_iterations, **kwargs):
+    """run_es on the scenario's episodes, measured as esctl run measures them."""
+    return run_es(episode_measurement(scenario, config.delta), config, n_iterations, **kwargs)
 
 
 def packed_riccati_reference(dynamics, cost, grid, slow_time=0.0):

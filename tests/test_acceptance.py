@@ -30,8 +30,9 @@ import pytest
 import yaml
 
 from conftest import record_acceptance
-from helpers import (cumulative_trapezoid, eval_controller, finite_diff_gradient,
-                     gradient_flow_reference, quadrature_trapezoid, refined)
+from helpers import (cost_measurement, cumulative_trapezoid, eval_controller,
+                     finite_diff_gradient, gradient_flow_reference, quadrature_trapezoid,
+                     refined, run_scenario_es)
 from escontrol.basis import ControllerCoefficients
 from escontrol.es import EsConfig, restricted_optimum, run_es
 from escontrol.feedback import run_feedback_episode, synthesize_gain
@@ -69,7 +70,7 @@ def example2_runs():
     for name, scenario in scenarios.items():
         cfg = es_config_for(scenario)
         started = time.perf_counter()
-        record = run_es(scenario, cfg, int(scenario.es_defaults["n_iterations"]))
+        record = run_scenario_es(scenario, cfg, int(scenario.es_defaults["n_iterations"]))
         elapsed = time.perf_counter() - started
         c_star, j_restricted, _ = restricted_optimum(scenario)
         riccati = scenario_oracle(scenario)
@@ -154,7 +155,7 @@ def test_criterion_3_tracking_error_matches_the_oracle():
 
     e_star = tracking_error(traj.states)
     cfg = es_config_for(scenario)
-    record = run_es(scenario, cfg, int(scenario.es_defaults["n_iterations"]))
+    record = run_scenario_es(scenario, cfg, int(scenario.es_defaults["n_iterations"]))
     converged = ControllerCoefficients.from_flat(
         record.period_averaged_coefficients(), 1)
     e_es = tracking_error(run_episode(scenario, converged).trajectory.states)
@@ -179,7 +180,7 @@ def test_criterion_4_averaging_validation():
     for omega0 in (500.0, 2000.0, 8000.0):
         cfg = EsConfig.build(k=k, alpha=kalpha / k, omega0=omega0, n_coeffs=2,
                              ranges=[(1.0, 1.3, 2)])
-        record = run_es(cost, cfg, int(round(duration / cfg.delta)))
+        record = run_es(cost_measurement(cost), cfg, int(round(duration / cfg.delta)))
         window = cfg.slowest_period_steps()
         half = window // 2
         worst = 0.0
@@ -214,7 +215,7 @@ def test_criterion_5_time_varying_noisy_plant():
     for seed in range(20):
         scenario = load_scenario(SCN["timevarying_noisy"])
         scenario.noise = type(scenario.noise)(scenario.noise.std_dev, seed)
-        record = run_es(scenario, cfg, n_batches)
+        record = run_scenario_es(scenario, cfg, n_batches)
         first = float(record.costs[:200].mean())
         final = float(record.costs[-200:].mean())
         improved += final < first

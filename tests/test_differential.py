@@ -22,15 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (fresh_philox_draw, frozen_steps, packed_riccati_reference,
-                     quadratic_cost_samples, reference_iterations_csv, simulated_cost_fn,
-                     stacked_steps)
+                     quadratic_cost_samples, reference_iterations_csv, run_scenario_es,
+                     simulated_cost_fn, stacked_steps)
 from escontrol import es as es_module
 from escontrol import feedback as feedback_module
 from escontrol import harness
 from escontrol import scenario as scenario_module
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import IntegrationDivergedError, RiccatiInstabilityError
-from escontrol.es import EsConfig, assemble_quadratic_cost, restricted_optimum, run_es
+from escontrol.es import EsConfig, assemble_quadratic_cost, restricted_optimum
 from escontrol.feedback import GainField, run_feedback_episodes
 from escontrol.harness import (ExperimentSpec, load_scenario, read_scenario_config,
                                run_experiment, shipped_scenarios)
@@ -38,9 +38,8 @@ from escontrol.lqr import solve_riccati
 from escontrol.ode import TimeGrid, integrate_rk4, propagate_linear
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics, NoiseModel,
                                 QuadraticCost, Scenario, _integrate_open_loop, _scalar_episode_costs,
-                                cost_of_trajectories, cost_of_trajectory, episode_model,
-                                open_loop_cost, open_loop_measurement, run_episode,
-                                run_multi_episode)
+                                cost_of_trajectories, cost_of_trajectory, episode_measurement,
+                                episode_model, open_loop_cost, run_episode, run_multi_episode)
 
 DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None,
                         database=None)
@@ -300,9 +299,9 @@ def test_quadratic_episode_model_matches_stepwise_rk4(problem):
     assert math.isclose(multi.total_cost, total, rel_tol=1e-9)
     # the first measurement builds what the scenario caches; the second is
     # the cost-only path run_es takes from then on
-    measurement = open_loop_measurement(scenario, delta=1e-3)
+    measurement = episode_measurement(scenario, delta=1e-3)
     for s in range(2):
-        assert measurement.measure(flat, s) == (multi.total_cost, multi.total_cost)
+        assert measurement(flat, s) == (multi.total_cost, multi.total_cost)
 
 
 @DIFFERENTIAL
@@ -409,7 +408,7 @@ def test_drifting_episodes_match_stepwise_rk4_of_the_frozen_plant(problem):
         at_start = _stepwise_open_loop(scenario, coeffs, 0.0)[-1]
         config = EsConfig.build(k=0.1, alpha=1.0, omega0=100.0, n_coeffs=flat.size)
         with pytest.raises(IntegrationDivergedError) as exc:
-            run_es(scenario, config, 1, initial_coeffs=flat)
+            run_scenario_es(scenario, config, 1, initial_coeffs=flat)
         assert exc.value.iteration == 0
         assert exc.value.step_index == at_start
         return
@@ -481,9 +480,9 @@ def test_scalar_episode_costs_give_the_bits_of_the_simulated_trajectory(problem)
         total = open_loop_cost(scenario)(flat, slow_time)
         assert total == (expected[0] if len(expected) == 1 else float(sum(expected)))
     # the first measurement runs the episode, the second takes the cost-only path
-    measurement = open_loop_measurement(scenario, delta=1e-3)
+    measurement = episode_measurement(scenario, delta=1e-3)
     s = int(slow_time)
-    assert measurement.measure(flat, s) == measurement.measure(flat, s)
+    assert measurement(flat, s) == measurement(flat, s)
 
 
 def _counting_integrations(monkeypatch):
@@ -544,9 +543,9 @@ def test_only_scalar_linear_quadratic_episodes_take_the_scalar_costs(
 def test_a_drifting_plant_never_gets_a_cached_episode_model():
     scenario = load_scenario(SHIPPED["timevarying_noisy"])
     flat = np.linspace(-0.5, 0.5, scenario.basis.n_functions)
-    measurement = open_loop_measurement(scenario, delta=1e-3)
+    measurement = episode_measurement(scenario, delta=1e-3)
     for s in range(3):
-        measurement.measure(flat, s)
+        measurement(flat, s)
     run_episode(scenario, ControllerCoefficients.from_flat(flat, 1), slow_time=900.0)
     early, late = episode_model(scenario, 0.0), episode_model(scenario, 4000.0)
     assert early is not late and not np.array_equal(early.hessian, late.hessian)

@@ -17,16 +17,17 @@ import pytest
 
 from helpers import (X0_2D, Y0_2D, Z0_2D, example2_scenario, feedback_2d_scenario,
                      scalar_scenario, simulated_cost_fn, simulated_episode)
+# run_es on a scenario's episode measurement, as esctl run and synthesize_gain take it
+from helpers import run_scenario_es as run_es
 from escontrol import scenario as scenario_mod
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import IntegrationDivergedError
-from escontrol.es import assemble_quadratic_cost, restricted_optimum, run_es
-from escontrol.feedback import (GainField, closed_loop_measurement, run_feedback_episodes,
-                                synthesize_gain)
+from escontrol.es import assemble_quadratic_cost, restricted_optimum
+from escontrol.feedback import GainField, run_feedback_episodes, synthesize_gain
 from escontrol.harness import es_config_for, load_scenario, shipped_scenarios
 from escontrol.ode import TimeGrid
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics, QuadraticCost,
-                                Scenario, episode_model, open_loop_measurement, run_episode,
+                                Scenario, episode_measurement, episode_model, run_episode,
                                 run_multi_episode)
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
@@ -213,18 +214,16 @@ def _measurement_and_reference(scenario):
                                         feedforward=scenario.feedforward)
             res = run_multi_episode(scenario, field, slow_time(s), noise_index=s)
             return res.total_cost, res.measured_total_cost
+    else:
+        def reference(flat, s):
+            coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
+            if len(scenario.initial_conditions) == 1:
+                res = run_episode(scenario, coeffs, slow_time(s), noise_index=s)
+                return res.cost, res.measured_cost
+            res = run_multi_episode(scenario, coeffs, slow_time(s), noise_index=s)
+            return res.total_cost, res.measured_total_cost
 
-        return closed_loop_measurement(scenario, DELTA), reference
-
-    def reference(flat, s):
-        coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
-        if len(scenario.initial_conditions) == 1:
-            res = run_episode(scenario, coeffs, slow_time(s), noise_index=s)
-            return res.cost, res.measured_cost
-        res = run_multi_episode(scenario, coeffs, slow_time(s), noise_index=s)
-        return res.total_cost, res.measured_total_cost
-
-    return open_loop_measurement(scenario, DELTA), reference
+    return episode_measurement(scenario, DELTA), reference
 
 
 def _n_coefficients(scenario):
@@ -264,7 +263,7 @@ def test_measurement_matches_the_public_episode_functions_bitwise(make, rng, mon
     for s in MEASURED_STEPS:
         for flat in flats:
             before = len(model_episodes)
-            measured = measurement.measure(flat, s)
+            measured = measurement(flat, s)
             by_measure.append(len(model_episodes) - before)
             assert all(isinstance(v, float) for v in measured)
             assert _bits(measured) == _bits(reference(flat, s)), (s, flat)
@@ -299,8 +298,8 @@ def test_run_es_takes_its_first_measurement_through_the_public_functions(name, m
 
 def test_overflowing_vector_after_the_model_is_cached_fails_as_the_simulation():
     scenario = scalar_scenario(a=10.0, n_steps=200, m=2)
-    measurement = open_loop_measurement(scenario, DELTA)
-    measurement.measure(np.zeros(4), 0)
+    measurement = episode_measurement(scenario, DELTA)
+    measurement(np.zeros(4), 0)
     assert scenario._cache["episode_model"] is not None
     huge = np.full(4, 1e306)
     with pytest.raises(IntegrationDivergedError) as bare:
@@ -309,7 +308,7 @@ def test_overflowing_vector_after_the_model_is_cached_fails_as_the_simulation():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationDivergedError) as served:
-            measurement.measure(huge, 3)
+            measurement(huge, 3)
     assert served.value.step_index == bare.value.step_index
 
 
@@ -324,9 +323,9 @@ def test_finite_cost_with_an_overflowing_unobserved_state_fails_as_the_simulatio
         basis=FourierPairsBasis(m=2, horizon=1.0, extension=0.1),
         initial_conditions=[np.array([1.0, 0.0])],
     )
-    measurement = open_loop_measurement(scenario, DELTA)
+    measurement = episode_measurement(scenario, DELTA)
     small = np.array([0.3, -0.2, 0.1, 0.4])
-    measurement.measure(small, 0)
+    measurement(small, 0)
     model = scenario._cache["episode_model"]
     assert model is not None
     large = np.full(4, 1e70)
@@ -339,10 +338,10 @@ def test_finite_cost_with_an_overflowing_unobserved_state_fails_as_the_simulatio
     with pytest.raises(IntegrationDivergedError) as bare:
         simulated_episode(scenario, coeffs, x0)
     with pytest.raises(IntegrationDivergedError) as served:
-        measurement.measure(large, 1)
+        measurement(large, 1)
     assert served.value.step_index == bare.value.step_index
     j = run_episode(scenario, ControllerCoefficients.from_flat(small, 1)).cost
-    assert _bits(measurement.measure(small, 2)) == _bits((j, j))
+    assert _bits(measurement(small, 2)) == _bits((j, j))
 
 
 @pytest.mark.parametrize("make", [
@@ -353,8 +352,8 @@ def test_finite_cost_with_an_overflowing_unobserved_state_fails_as_the_simulatio
 def test_vector_at_the_model_bound_is_simulated_on_both_paths(make):
     scenario = make()
     n = scenario.control_dim * scenario.basis.n_functions
-    measurement = open_loop_measurement(scenario, DELTA)
-    measurement.measure(np.zeros(n), 0)
+    measurement = episode_measurement(scenario, DELTA)
+    measurement(np.zeros(n), 0)
     model = scenario._cache["episode_model"]
     x0 = scenario.initial_conditions[0]
     below = np.linspace(-1.0, 1.0, n) * np.nextafter(model.max_abs, 0.0)
@@ -365,7 +364,7 @@ def test_vector_at_the_model_bound_is_simulated_on_both_paths(make):
         flat = np.linspace(-1.0, 1.0, n) * (scale * model.max_abs)
         coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
         assert model.episode(coeffs, x0) is None
-        measured = measurement.measure(flat, s)
+        measured = measurement(flat, s)
         assert _bits(measured) == _bits(reference(flat, s))
         # served by the simulation, not by the model
         assert measured[0] == simulated_cost_fn(scenario)(flat)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (OracleDivergedError, cumulative_trapezoid, example2_scenario,
-                     finite_diff_gradient, gradient_flow_reference, quadrature_trapezoid,
-                     scalar_scenario, simulated_episode)
+from helpers import (OracleDivergedError, cost_measurement, cumulative_trapezoid,
+                     example2_scenario, finite_diff_gradient, gradient_flow_reference,
+                     quadrature_trapezoid, run_scenario_es, scalar_scenario,
+                     simulated_episode)
 from escontrol.basis import ControllerCoefficients, CustomSampledBasis
 from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
                               MeasurementInvalidError, RiccatiInstabilityError,
@@ -18,7 +19,7 @@ from escontrol.es import (_ROW_BLOCK, EsConfig, assemble_quadratic_cost, default
                           make_frequency_schedule, restricted_optimum, run_es)
 from escontrol.ode import TimeGrid
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
-                                episode_cost_fn, episode_model)
+                                episode_model, open_loop_cost)
 
 
 # --- frequency schedules ----------------------------------------------------
@@ -71,7 +72,7 @@ def test_config_defaults_and_sampling_bound():
     with pytest.raises(ContractViolationError):
         coarse.validate_sampling()
     with pytest.raises(ContractViolationError):
-        run_es(lambda c: 0.0, coarse, 5)
+        run_es(cost_measurement(lambda c: 0.0), coarse, 5)
 
 
 def test_config_rejects_duplicate_frequency_same_phase():
@@ -169,7 +170,7 @@ def test_filled_config_caches_are_not_part_of_the_value():
 
 def test_run_es_bookkeeping_single_iteration():
     cfg = EsConfig.build(k=1.0, alpha=1.0, omega0=50.0, n_coeffs=1)
-    record = run_es(lambda c: float(c[0] ** 2), cfg, n_iterations=1,
+    record = run_es(cost_measurement(lambda c: float(c[0] ** 2)), cfg, n_iterations=1,
                     initial_coeffs=np.array([1.0]))
     assert record.coefficients.shape == (2, 1)
     assert record.costs.shape == (2,)
@@ -181,7 +182,7 @@ def test_run_es_static_quadratic_converges_to_minimizer():
     cfg = EsConfig.build(k=0.1, alpha=20.0, omega0=1000.0, n_coeffs=1,
                          ranges=[(1.0, 1.0, 1)])
     n_iter = int(3.0 / cfg.delta)
-    record = run_es(lambda c: float((c[0] - 1.0) ** 2), cfg, n_iter)
+    record = run_es(cost_measurement(lambda c: float((c[0] - 1.0) ** 2)), cfg, n_iter)
     window = record.final_window()
     a_mean = record.coefficients[-window:, 0].mean()
     assert abs(a_mean - 1.0) < 0.1
@@ -190,8 +191,7 @@ def test_run_es_static_quadratic_converges_to_minimizer():
 def test_run_es_scenario_smoke():
     scenario = example2_scenario(n_steps=128, m=1)
     cfg = EsConfig.build(k=0.2, alpha=20.0, omega0=500.0, n_coeffs=2)
-    record = run_es(scenario, cfg, n_iterations=200)
-    assert record.scenario_id == "example2"
+    record = run_scenario_es(scenario, cfg, n_iterations=200)
     assert np.all(np.isfinite(record.costs))
     assert record.coefficients.shape == (201, 2)
     assert not np.array_equal(record.coefficients[-1], record.coefficients[0])
@@ -204,7 +204,7 @@ def test_run_es_propagates_iteration_index_on_error():
         return float("nan")
 
     with pytest.raises(MeasurementInvalidError, match="s=0"):
-        run_es(cost, cfg, 3)
+        run_es(cost_measurement(cost), cfg, 3)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -222,7 +222,7 @@ def test_run_es_keeps_the_step_index_of_a_diverging_episode():
     assert episode_model(scenario).episode(coeffs, x0) is None
     cfg = EsConfig.build(k=0.2, alpha=20.0, omega0=500.0, n_coeffs=4)
     with pytest.raises(IntegrationDivergedError, match="s=0") as wrapped:
-        run_es(scenario, cfg, 3, initial_coeffs=start)
+        run_scenario_es(scenario, cfg, 3, initial_coeffs=start)
     assert wrapped.value.step_index == bare.value.step_index
     assert wrapped.value.iteration == 0
 
@@ -230,15 +230,13 @@ def test_run_es_keeps_the_step_index_of_a_diverging_episode():
 def test_run_es_keeps_the_riccati_node_index():
     cfg = EsConfig.build(k=1.0, alpha=1.0, omega0=50.0, n_coeffs=1)
 
-    class Source:
-        @staticmethod
-        def measure(flat, s):
-            if s == 2:
-                raise RiccatiInstabilityError("S(tau) blew up", node_index=7)
-            return 1.0, 1.0
+    def measure(flat, s):
+        if s == 2:
+            raise RiccatiInstabilityError("S(tau) blew up", node_index=7)
+        return 1.0, 1.0
 
     with pytest.raises(RiccatiInstabilityError, match="s=2") as wrapped:
-        run_es(Source(), cfg, 5)
+        run_es(measure, cfg, 5)
     assert wrapped.value.node_index == 7
     assert wrapped.value.iteration == 2
 
@@ -248,7 +246,7 @@ def test_run_es_keeps_the_riccati_node_index():
 def test_run_es_streams_every_row_and_keeps_row_0_and_the_final_window(n_iterations):
     scenario = example2_scenario(n_steps=128, m=1)
     cfg = EsConfig.build(k=0.2, alpha=20.0, omega0=500.0, n_coeffs=2)  # an 18-row window
-    full = run_es(scenario, cfg, n_iterations)
+    full = run_scenario_es(scenario, cfg, n_iterations)
     blocks = []
 
     def consume(config, row_blocks):
@@ -256,7 +254,7 @@ def test_run_es_streams_every_row_and_keeps_row_0_and_the_final_window(n_iterati
         # a block is valid until the next one is asked for
         blocks.extend([start] + [a.copy() for a in arrays] for start, *arrays in row_blocks)
 
-    kept = run_es(scenario, cfg, n_iterations, consume_rows=consume)
+    kept = run_scenario_es(scenario, cfg, n_iterations, consume_rows=consume)
     assert [block[0] for block in blocks] == list(range(0, n_iterations + 1, _ROW_BLOCK))
     window = full.final_window()
     assert kept.n_iterations == n_iterations and kept.final_window() == window
@@ -276,7 +274,7 @@ def test_run_es_sizes_its_row_buffers_to_a_run_shorter_than_a_block():
     cfg = EsConfig.build(k=1.0, alpha=1.0, omega0=50.0, n_coeffs=80)
     tracemalloc.start()
     try:
-        run_es(lambda c: float(c @ c), cfg, 10,
+        run_es(cost_measurement(lambda c: float(c @ c)), cfg, 10,
                consume_rows=lambda config, blocks: list(blocks))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -287,7 +285,8 @@ def test_run_es_sizes_its_row_buffers_to_a_run_shorter_than_a_block():
 def test_run_es_refuses_a_row_consumer_that_stops_early():
     cfg = EsConfig.build(k=1.0, alpha=1.0, omega0=50.0, n_coeffs=1)
     with pytest.raises(ContractViolationError, match="before the run ended"):
-        run_es(lambda c: 1.0, cfg, 100, consume_rows=lambda config, blocks: next(blocks))
+        run_es(cost_measurement(lambda c: 1.0), cfg, 100,
+               consume_rows=lambda config, blocks: next(blocks))
 
 
 def test_run_es_vector_valued_controller_converges():
@@ -306,7 +305,7 @@ def test_run_es_vector_valued_controller_converges():
     )
     c_star, j_restricted, _ = restricted_optimum(scenario)
     cfg = EsConfig.build(k=0.8, alpha=20.0, omega0=1500.0, n_coeffs=6)
-    record = run_es(scenario, cfg, int(8.0 / cfg.delta))
+    record = run_scenario_es(scenario, cfg, int(8.0 / cfg.delta))
     j_avg = record.period_averaged_cost()
     # the {1, t, t^2} channels are strongly coupled through B, so only the
     # cost (not every coefficient direction) converges at this time scale
@@ -343,7 +342,8 @@ def test_gradient_identity_on_scalar_integrator():
         basis=CustomSampledBasis(horizon=1.0, functions=(psi,)),
         initial_conditions=[np.array([x0])],
     )
-    cost_fn = episode_cost_fn(scenario)
+    cost = open_loop_cost(scenario)
+    cost_fn = lambda flat: cost(flat, 0.0)
 
     fine = TimeGrid(0.0, 1.0, 4000)
     taus = fine.nodes()
@@ -392,7 +392,8 @@ def test_gradient_flow_divergence_detected():
 def test_restricted_optimum_gradient_vanishes_at_minimizer():
     scenario = example2_scenario(n_steps=256, m=2)
     c_star, j_min, model = restricted_optimum(scenario)
-    cost_fn = episode_cost_fn(scenario)
+    cost = open_loop_cost(scenario)
+    cost_fn = lambda flat: cost(flat, 0.0)
     grad = finite_diff_gradient(cost_fn, c_star, h=1e-5)
     assert np.abs(grad).max() < 1e-6
     assert cost_fn(c_star) == pytest.approx(j_min, rel=1e-10)
@@ -403,7 +404,8 @@ def test_restricted_optimum_gradient_vanishes_at_minimizer():
 def test_restricted_optimum_is_a_lower_envelope(rng):
     scenario = example2_scenario(n_steps=200, m=2)
     c_star, j_min, _ = restricted_optimum(scenario)
-    cost_fn = episode_cost_fn(scenario)
+    cost = open_loop_cost(scenario)
+    cost_fn = lambda flat: cost(flat, 0.0)
     for _ in range(10):
         assert cost_fn(c_star + rng.standard_normal(4)) >= j_min - 1e-10
 
@@ -424,20 +426,14 @@ def _static_quadratic_es_deviation(omega0: float, kalpha=2.0, k=0.2,
     cfg = EsConfig.build(k=k, alpha=kalpha / k, omega0=omega0, n_coeffs=2,
                          ranges=[(1.0, 1.3, 2)])
 
-    if std > 0.0:
-        noise = NoiseModel(std, seed)
+    noise = NoiseModel(std, seed or 0)
 
-        class Source:
-            @staticmethod
-            def measure(flat, s):
-                j = cost(flat)
-                return j, j + noise.draw(s)
+    def measure(flat, s):
+        j = cost(flat)
+        return j, j + noise.draw(s)
 
-        source = Source()
-    else:
-        source = cost
     n_iter = int(round(duration / cfg.delta))
-    record = run_es(source, cfg, n_iter)
+    record = run_es(measure, cfg, n_iter)
 
     flow_times, flow_path = gradient_flow_reference(cost, np.zeros(2), kalpha,
                                                     duration, step=0.005)

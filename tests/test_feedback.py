@@ -206,6 +206,15 @@ def test_synthesis_requires_exactly_n_independent_initial_conditions():
         synthesize_gain(dependent, es_config_for(dependent), 5)
 
 
+def test_synthesis_refuses_a_scenario_without_the_feedback_flag():
+    scenario = feedback_2d_scenario(n_steps=50, m=2, es_defaults={
+        "k": 0.1, "alpha": 10.0, "omega0": 1000.0})
+    config = es_config_for(scenario)
+    scenario.feedback = False  # its episodes are measured in open loop
+    with pytest.raises(ContractViolationError, match="feedback: false"):
+        synthesize_gain(scenario, config, 5)
+
+
 def test_feedforward_synthesis_needs_an_extra_affinely_independent_start():
     scenario = scalar_scenario(m=2, extension=1.0, n_steps=100, name="ff-count")
     scenario.feedback = True

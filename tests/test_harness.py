@@ -17,17 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import escontrol
-from helpers import reference_iterations_csv, zero_coefficients
+from helpers import reference_iterations_csv, run_scenario_es, zero_coefficients
 from escontrol.cli import main as cli_main
 from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
                               ScenarioParseError, ScenarioValidationError)
-from escontrol.es import EsConfig, EsRunRecord, es_step, run_es
-from escontrol.feedback import closed_loop_measurement, synthesize_gain
-from escontrol.harness import (SCHEMA, ExperimentSpec, apply_overrides, build_scenario,
+from escontrol.es import EsConfig, EsRunRecord, es_step
+from escontrol.feedback import synthesize_gain
+from escontrol.harness import (OUTPUT_DIR_ENV, SCHEMA, ExperimentSpec, apply_overrides,
+                               build_scenario,
                                es_config_for, load_scenario, read_scenario_config,
                                run_experiment, shipped_scenarios, write_csv,
                                write_iterations_csv)
-from escontrol.scenario import run_episode
+from escontrol.scenario import episode_measurement, run_episode
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
 
@@ -281,7 +282,7 @@ def test_cli_failing_run_leaves_the_rows_before_the_failing_iteration(tmp_path, 
     # the header and rows 0 .. s - 1 of the reference writer's output
     scenario = load_scenario(SHIPPED["example2_scalar"], overrides)
     reference_iterations_csv(tmp_path / "reference.csv",
-                             run_es(scenario, es_config_for(scenario), s - 1))
+                             run_scenario_es(scenario, es_config_for(scenario), s - 1))
     assert (out / "iterations.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
@@ -312,7 +313,7 @@ def test_cli_diverging_closed_loop_keeps_the_iteration_and_the_step_index(tmp_pa
     config = before.config
     flat = es_step(before.coefficients[-1], before.measured_costs[-1], s - 1, config)
     with pytest.raises(IntegrationDivergedError) as closed_loop:
-        closed_loop_measurement(scenario, config.delta).measure(flat, s)
+        episode_measurement(scenario, config.delta)(flat, s)
     assert 0 < closed_loop.value.step_index == record["step_index"]
 
 
@@ -379,6 +380,8 @@ def test_cli_diverging_closed_loop_keeps_the_iteration_and_the_step_index(tmp_pa
     ("example2_scalar", "cost.p=-3", "cost.p"),
     ("example2_scalar", "initial_conditions=[]", "initial_conditions"),
     ("example2_scalar", "name=[]", "name"),
+    ("example2_scalar", "name=../escaped", "name"),  # a path component of the output
+    ("example2_scalar", "name=..", "name"),
     ("example2_scalar", "dynamics.a=[]", "dynamics.a"),
     ("example2_scalar", "es.omega=1600", "es.omega"),  # a typo of es.omega0
     ("example2_scalar", "grdi.n_steps=50", "grdi"),
@@ -386,16 +389,19 @@ def test_cli_diverging_closed_loop_keeps_the_iteration_and_the_step_index(tmp_pa
     ("feedback_2d", "cost.reference=1.0", "cost.reference"),  # two outputs
 ])
 def test_cli_malformed_value_fails_through_the_error_handler(name, override, key, tmp_path,
-                                                             capsys):
-    out = tmp_path / "out"
+                                                             capsys, monkeypatch):
+    out = tmp_path / "out"  # the output root; nothing may be written outside it
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(out))
     code = cli_main(["run", "--scenario", str(SHIPPED[name]), "--iters", "3",
-                     "--out", str(out), "--override", override])
+                     "--override", override])
     assert code == 1
-    record = json.loads((out / "error.json").read_text())
+    [error] = out.glob("*/error.json")
+    record = json.loads(error.read_text())
     assert record["error"] == "ScenarioValidationError"
     assert key in record["message"]
     assert json.loads(capsys.readouterr().err) == record
-    assert not (out / "summary.json").exists()
+    assert list(tmp_path.iterdir()) == [out]
+    assert not list(out.glob("*/summary.json"))
 
 
 def _dotted_keys(config: dict, prefix: str = ""):
@@ -461,16 +467,21 @@ def test_cli_seed_over_a_malformed_noise_section_fails_through_the_error_handler
     assert json.loads(capsys.readouterr().err) == record
 
 
-@pytest.mark.parametrize("override, error, key", [
-    ("es.alpha=[1", "ScenarioParseError", "es.alpha"),  # the override's YAML
-    ("dynamics.a=1 + sin(", "ScenarioParseError", "dynamics.a"),  # expression syntax
-    ("dynamics.b=2 * foo", "ScenarioParseError", "dynamics.b"),  # an unknown name
-    ("dynamics.a=[]", "ScenarioValidationError", "dynamics.a"),
-    ("cost.q=[]", "ScenarioValidationError", "cost.q"),
+@pytest.mark.parametrize("name, override, error, key", [
+    ("example2_scalar", "es.alpha=[1", "ScenarioParseError", "es.alpha"),  # the override's YAML
+    ("example2_scalar", "dynamics.a=1 + sin(", "ScenarioParseError", "dynamics.a"),  # syntax
+    ("example2_scalar", "dynamics.b=2 * foo", "ScenarioParseError", "dynamics.b"),  # a name
+    ("example2_scalar", "dynamics.a=[]", "ScenarioValidationError", "dynamics.a"),
+    ("example2_scalar", "cost.q=[]", "ScenarioValidationError", "cost.q"),
+    # checks of the ES set-up, made once the scenario is built
+    ("example2_scalar", "es.phases=[cos]", "ScenarioValidationError", "es.phases"),
+    ("example2_scalar", "es.ranges=[[1, 1.75, 9]]", "ScenarioValidationError", "es.ranges"),
+    ("feedback_2d", "es={}", "ScenarioValidationError", "es.k"),
 ])
-def test_cli_loading_error_names_the_file_and_its_key(override, error, key, tmp_path, capsys):
+def test_cli_loading_error_names_the_file_and_its_key(name, override, error, key, tmp_path,
+                                                      capsys):
     out = tmp_path / "out"
-    path = SHIPPED["example2_scalar"]
+    path = SHIPPED[name]
     code = cli_main(["run", "--scenario", str(path), "--iters", "3",
                      "--out", str(out), "--override", override])
     assert code == 1
@@ -592,7 +603,7 @@ def test_write_csv_is_byte_identical_to_the_per_cell_writer(tmp_path, rng):
     cfg = EsConfig.build(k=0.2, alpha=20.0, omega0=500.0, n_coeffs=n_coeffs)
     coeffs = _awkward_floats(rng, (n_rows, n_coeffs))
     costs, measured = _awkward_floats(rng, (2, n_rows))
-    record = EsRunRecord("awkward", cfg, coeffs, costs, measured)
+    record = EsRunRecord(cfg, coeffs, costs, measured)
     reference_iterations_csv(tmp_path / "new.csv", record)
     header = ["s", "t", "J", "J_hat"] + [f"c_{i:03d}" for i in range(n_coeffs)]
     times = np.arange(n_rows) * cfg.delta

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,10 @@ from scipy.special import ndtri
 
 from helpers import (A_2D, B_2D, P_2D, Q_2D, R_2D, X0_2D, Y0_2D, fresh_philox_draw,
                      example2_scenario, quadratic_cost_samples, quadrature_trapezoid,
-                     scalar_scenario, zero_coefficients)
+                     run_scenario_es, scalar_scenario, zero_coefficients)
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import ContractViolationError, ScenarioValidationError
+from escontrol.es import EsConfig
 from escontrol.harness import load_scenario, shipped_scenarios
 from escontrol.ode import TimeGrid
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics,
@@ -333,10 +335,17 @@ def test_cost_validation_messages():
 
 def test_mismatched_coefficients_rejected():
     scenario = example2_scenario(m=3)
-    with pytest.raises(ContractViolationError):
-        run_episode(scenario, ControllerCoefficients(np.zeros((1, 4))))
-    with pytest.raises(ContractViolationError):
-        run_episode(scenario, ControllerCoefficients(np.zeros((2, 6))))
+    for episodes in (run_episode, run_multi_episode):
+        with pytest.raises(ContractViolationError, match="do not fit"):
+            episodes(scenario, ControllerCoefficients(np.zeros((1, 4))))
+        with pytest.raises(ContractViolationError, match="do not fit"):
+            episodes(scenario, ControllerCoefficients(np.zeros((2, 6))))
+    # run_es measures through run_multi_episode, from one start or two
+    cfg = EsConfig.build(k=0.2, alpha=20.0, omega0=500.0, n_coeffs=6)
+    two_starts = dataclasses.replace(scenario, initial_conditions=[[2.0], [-1.0]])
+    for starts in (scenario, two_starts):
+        with pytest.raises(ContractViolationError, match="ES iteration s=0: .*do not fit"):
+            run_scenario_es(starts, cfg, 3, initial_coeffs=np.zeros(4))
 
 
 def test_initial_condition_dimensions_checked():
