@@ -24,10 +24,9 @@ from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
 from escontrol.es import EsConfig, EsRunRecord, es_step
 from escontrol.feedback import synthesize_gain
 from escontrol.harness import (OUTPUT_DIR_ENV, SCHEMA, ExperimentSpec, apply_overrides,
-                               build_scenario,
-                               es_config_for, load_scenario, read_scenario_config,
-                               run_experiment, shipped_scenarios, write_csv,
-                               write_iterations_csv)
+                               build_scenario, es_config_for, load_scenario,
+                               read_scenario_config, run_experiment, shipped_scenarios,
+                               write_csv, write_iterations_csv)
 from escontrol.scenario import episode_measurement, run_episode
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
