@@ -57,12 +57,13 @@ class FourierPairsBasis:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CustomSampledBasis:
     """Arbitrary basis given as callables of tau or as columns sampled on a grid.
 
     Sampled columns are interpolated linearly between their grid nodes; use
-    callables when exact values at integrator stage points matter.
+    callables when exact values at integrator stage points matter. A basis
+    equals only itself: callables and sampled arrays have no value equality.
     """
 
     horizon: float

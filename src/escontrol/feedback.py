@@ -21,11 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .basis import Basis
-from .errors import (ContractViolationError, IllPosedSynthesisError,
-                     IntegrationDivergedError)
+from .errors import ContractViolationError, IllPosedSynthesisError
 from .es import EsConfig, EsRunRecord, PHASE_COS, PHASE_SIN, make_frequency_schedule, run_es
-from .ode import (StateTrajectory, first_nonfinite_step, prefix_transitions,
-                  rk4_linear_steps)
+from .ode import StateTrajectory, integrate_rk4_linear
 from .scenario import (EpisodeResult, LinearDynamics, QuadraticCost, Scenario,
                        cost_of_trajectories, episode_measurement)
 
@@ -64,6 +62,10 @@ class GainField:
                   feedforward: bool = False) -> "GainField":
         flat = np.asarray(flat, dtype=float)
         n_gain = control_dim * state_dim * basis.n_functions
+        expected = n_gain + (control_dim * basis.n_functions if feedforward else 0)
+        if flat.shape != (expected,):
+            raise ContractViolationError(
+                f"flat gain-field coefficients shaped {flat.shape}, expected ({expected},)")
         gain = flat[:n_gain].reshape(control_dim, state_dim, basis.n_functions)
         ff = None
         if feedforward:
@@ -106,26 +108,11 @@ def _closed_loops(scenario: Scenario, flat: np.ndarray, feedforward: bool, x0s,
     phi_nm = scenario.basis_matrix_stages()  # nodes 0..n, then midpoints of steps 0..n-1
     b_gain = (b @ gain.reshape(p, -1)).reshape(dim * dim, n_f)  # B K(tau) = b_gain . phi(tau)
     a_cl = (a.ravel() - phi_nm @ b_gain.T).reshape(-1, dim, dim)
-    starts = np.array(x0s, dtype=float).reshape(len(x0s), dim).T
+    starts = np.array(x0s, dtype=float).T  # one (d,) start per column
     v = phi_nm @ flat[n_gain:].reshape(p, n_f).T if feedforward else None  # V(tau)
-    # a blow-up is reported by its step below, as the open-loop scan does
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi_step, w = rk4_linear_steps(a_cl, None if v is None else v @ b.T, grid)
-        if w is None:
-            moved = prefix_transitions(phi_step).reshape(n * dim, dim) @ starts
-        else:
-            maps, offsets = prefix_transitions(phi_step, w)
-            moved = maps.reshape(n * dim, dim) @ starts + offsets.reshape(n * dim, 1)
-
     # node-major with one row per episode: states[k, i] is x_i(tau_k)
-    n_ep = starts.shape[1]
-    states = np.empty((n + 1, n_ep, dim))
-    states[0] = starts.T
-    states[1:] = moved.reshape(n, dim, n_ep).transpose(0, 2, 1)
-    if not np.isfinite(states).all():
-        bad = first_nonfinite_step(states)
-        raise IntegrationDivergedError(f"closed loop became non-finite at step {bad}",
-                                       step_index=bad)
+    states = integrate_rk4_linear(a_cl, None if v is None else v @ b.T, starts,
+                                  grid).states.transpose(0, 2, 1)
 
     gain_t = gain.transpose(1, 0, 2).reshape(dim * p, n_f)  # K' at the nodes, contiguous
     k_t = (phi_nm[:n + 1] @ gain_t.T).reshape(n + 1, dim, p)
@@ -135,17 +122,36 @@ def _closed_loops(scenario: Scenario, flat: np.ndarray, feedforward: bool, x0s,
     return states, controls, cost_of_trajectories(scenario.cost, grid, states, controls)
 
 
+def _check_fits(scenario: Scenario, field: GainField, x0s) -> None:
+    """The closed loop reads a field on the scenario's basis rows and starts
+    as (d,) rows: refuse what it would misread."""
+    if field.basis != scenario.basis:
+        raise ContractViolationError(
+            f"the gain field is on another basis than scenario {scenario.name!r}")
+    if (field.control_dim, field.state_dim) != (scenario.control_dim, scenario.state_dim):
+        raise ContractViolationError(
+            f"a {field.control_dim}x{field.state_dim} gain field does not fit the "
+            f"{scenario.control_dim}x{scenario.state_dim} gains of scenario {scenario.name!r}")
+    for x0 in x0s:
+        if np.shape(x0) != (scenario.state_dim,):
+            raise ContractViolationError(
+                f"initial condition shaped {np.shape(x0)} does not fit state dimension "
+                f"{scenario.state_dim}")
+
+
 def run_feedback_episodes(scenario: Scenario, field: GainField, x0s,
                           slow_time: float = 0.0) -> list[EpisodeResult]:
     """Closed-loop episodes under u = -K(tau) x (+ V(tau)) for several
     initial conditions at once.
 
-    The transition matrices depend only on the field, so all episodes of a
-    batch share one pass: the cumulative closed-loop maps come from a
-    prefix scan over the RK4 steps, every initial condition rides along as
-    a column, and the costs are taken in one batched quadrature. This is
-    the hot path of gain synthesis.
+    The field must be on the scenario's basis, with its state and control
+    dimensions, and every start a (d,) vector; anything else raises
+    ContractViolationError. All episodes of a batch share one pass:
+    :func:`~escontrol.ode.integrate_rk4_linear` scans the closed loop with
+    every initial condition as a column of one block, and the costs are
+    taken in one batched quadrature.
     """
+    _check_fits(scenario, field, x0s)
     states, controls, costs = _closed_loops(scenario, field.flat(), field.has_feedforward,
                                             x0s, slow_time)
     return [EpisodeResult(trajectory=StateTrajectory(grid=scenario.grid, states=states[:, i],

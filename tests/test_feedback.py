@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.linalg import expm
 from helpers import (X0_2D, Y0_2D, eval_gain, feedback_2d_scenario, project_gains,
                      quadrature_trapezoid, quadratic_cost_samples, scalar_scenario,
                      zero_gain_field)
-from escontrol.basis import FourierPairsBasis
+from escontrol.basis import CustomSampledBasis, FourierPairsBasis
 from escontrol.errors import (ContractViolationError, IllPosedSynthesisError,
                               IntegrationDivergedError)
 from escontrol.es import PHASE_COS, PHASE_SIN
@@ -15,7 +16,7 @@ from escontrol.feedback import (GainField, gain_dither_assignment, run_feedback_
                                 run_feedback_episodes, synthesize_gain)
 from escontrol.harness import es_config_for, load_scenario, scenarios_dir
 from escontrol.lqr import optimal_cost_quadratic_form, scenario_oracle, simulate_optimal
-from escontrol.ode import integrate_rk4_linear
+from escontrol.ode import TimeGrid, integrate_rk4_linear
 from escontrol.scenario import cost_of_trajectory, run_multi_episode
 
 
@@ -162,6 +163,55 @@ def test_multi_episode_dispatches_gain_fields():
     assert multi.measured_total_cost == pytest.approx(
         multi.total_cost + scenario.noise.draw(3), abs=0
     )
+
+
+def test_feedback_episodes_refuse_a_field_or_start_that_does_not_fit(rng):
+    scenario = load_scenario(scenarios_dir() / "feedback_2d.scn")
+    basis, starts = scenario.basis, scenario.initial_conditions
+    flat = 0.1 * rng.standard_normal(2 * 2 * basis.n_functions)
+    own = run_feedback_episodes(scenario, GainField.from_flat(flat, basis, 2, 2), starts)
+    # a basis equal in value is the same basis
+    twin = dataclasses.replace(basis)
+    assert twin is not basis
+    assert [ep.cost for ep in run_feedback_episodes(
+        scenario, GainField.from_flat(flat, twin, 2, 2), starts)] == [ep.cost for ep in own]
+    misfits = [
+        # the closed loop would read these coefficients on the scenario's basis
+        GainField.from_flat(flat, FourierPairsBasis(m=10, horizon=1.0, extension=0.0), 2, 2),
+        # the same 80 entries as a 2x1 gain on 40 functions, and on the scenario's basis
+        GainField.from_flat(flat, FourierPairsBasis(m=20, horizon=1.0), 1, 2),
+        GainField.from_flat(flat[:40], basis, 1, 2),
+    ]
+    for field in misfits:
+        with pytest.raises(ContractViolationError, match="another basis|does not fit"):
+            run_feedback_episodes(scenario, field, starts)
+    fits = GainField.from_flat(flat, basis, 2, 2)
+    for bad in ([np.zeros(3)], [np.zeros((2, 1))], [starts[0], 1.0]):
+        with pytest.raises(ContractViolationError, match="initial condition shaped"):
+            run_feedback_episodes(scenario, fits, bad)
+
+
+def test_feedback_episodes_compare_sampled_bases_by_identity(rng):
+    # a sampled basis holds arrays, which have no value equality: the
+    # scenario's own basis fits, a copy with the same columns does not
+    scenario = feedback_2d_scenario(n_steps=50, m=2)
+    grid = TimeGrid(0.0, 1.0, 40)
+    samples = scenario.basis.eval_matrix(grid.nodes())
+    sampled = dataclasses.replace(
+        scenario, basis=CustomSampledBasis(horizon=1.0, sample_grid=grid, samples=samples))
+    flat = 0.1 * rng.standard_normal(2 * 2 * 4)
+    episodes = run_feedback_episodes(
+        sampled, GainField.from_flat(flat, sampled.basis, 2, 2), sampled.initial_conditions)
+    assert all(math.isfinite(ep.cost) for ep in episodes)
+    copies = [CustomSampledBasis(horizon=1.0, sample_grid=grid, samples=samples.copy()),
+              scenario.basis]
+    for basis in copies:
+        with pytest.raises(ContractViolationError, match="another basis"):
+            run_feedback_episodes(sampled, GainField.from_flat(flat, basis, 2, 2),
+                                  sampled.initial_conditions)
+    with pytest.raises(ContractViolationError, match="another basis"):
+        run_feedback_episodes(scenario, GainField.from_flat(flat, sampled.basis, 2, 2),
+                              scenario.initial_conditions)
 
 
 def test_dither_assignment_follows_row_band_column_phase_rule():

@@ -9,8 +9,9 @@ from scipy.linalg import expm
 from scipy.special import ndtri
 
 from helpers import (A_2D, B_2D, P_2D, Q_2D, R_2D, X0_2D, Y0_2D, fresh_philox_draw,
-                     example2_scenario, quadratic_cost_samples, quadrature_trapezoid,
-                     run_scenario_es, scalar_scenario, zero_coefficients)
+                     example2_scenario, feedback_2d_scenario, quadratic_cost_samples,
+                     quadrature_trapezoid, run_scenario_es, scalar_scenario,
+                     zero_coefficients)
 from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import ContractViolationError, ScenarioValidationError
 from escontrol.es import EsConfig
@@ -346,6 +347,14 @@ def test_mismatched_coefficients_rejected():
     for starts in (scenario, two_starts):
         with pytest.raises(ContractViolationError, match="ES iteration s=0: .*do not fit"):
             run_scenario_es(starts, cfg, 3, initial_coeffs=np.zeros(4))
+    # a feedback scenario's gain field, one coefficient short or one over
+    feedback = feedback_2d_scenario(n_steps=50, m=2)
+    cfg = EsConfig.build(k=0.2, alpha=20.0, omega0=500.0, n_coeffs=16)
+    for n_coeffs in (15, 17):
+        with pytest.raises(ContractViolationError,
+                           match=rf"ES iteration s=0: .*\({n_coeffs},\), expected \(16,\)") as err:
+            run_scenario_es(feedback, cfg, 3, initial_coeffs=np.zeros(n_coeffs))
+        assert err.value.iteration == 0
 
 
 def test_initial_condition_dimensions_checked():
