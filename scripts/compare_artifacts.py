@@ -4,8 +4,11 @@
     python3 scripts/compare_artifacts.py PARENT CHANGE
 
 For every shipped scenario of each tree, runs ``esctl run --iters 300
---seed 7`` and ``esctl oracle`` with that tree's ``src`` on the import path,
-then compares the two sides file by file:
+--seed 7``, ``esctl run --iters 2100 --seed 7`` and ``esctl oracle`` with
+that tree's ``src`` on the import path. 300 iterations fit in one 1 024-row
+block of iterations.csv, which is written inline; 2 100 span three, which a
+writer process beside the ES loop formats. It then compares the two sides
+file by file:
 
 - a CSV prints "identical", or its largest relative difference: over every
   numeric column, the largest |parent - change| divided by the column's
@@ -27,7 +30,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = {"run": ["run", "--iters", "300", "--seed", "7"], "oracle": ["oracle"]}
+COMMANDS = {"run": ["run", "--iters", "300", "--seed", "7"],
+            "run-2100": ["run", "--iters", "2100", "--seed", "7"], "oracle": ["oracle"]}
 IGNORED_SUMMARY_KEYS = {"wall_time_s", "scenario_path"}
 
 

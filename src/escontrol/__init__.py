@@ -5,11 +5,10 @@ unknown plants from noisy scalar cost measurements, and ships an analytic
 finite-horizon LQR/tracking oracle to verify what was learned.
 """
 from .basis import ControllerCoefficients, CustomSampledBasis, FourierPairsBasis
-from .errors import (ContractViolationError, EsControlError, IllPosedSynthesisError,
-                     IntegrationDivergedError, MeasurementInvalidError,
-                     RiccatiInstabilityError,
-                     ScenarioParseError, ScenarioValidationError,
-                     ScheduleCollisionError)
+from .errors import (ArtifactWriteError, ContractViolationError, EsControlError,
+                     IllPosedSynthesisError, IntegrationDivergedError,
+                     MeasurementInvalidError, RiccatiInstabilityError, ScenarioParseError,
+                     ScenarioValidationError, ScheduleCollisionError)
 from .es import (EsConfig, EsRunRecord, assemble_quadratic_cost, es_step,
                  make_frequency_schedule, restricted_optimum, run_es)
 from .feedback import (GainField, gain_dither_assignment, run_feedback_episode,

@@ -41,6 +41,10 @@ class IllPosedSynthesisError(EsControlError, ValueError):
     """Feedback synthesis called with dependent or missing initial conditions."""
 
 
+class ArtifactWriteError(EsControlError, OSError):
+    """An artifact file could not be written; the message names the file."""
+
+
 class ScenarioError(EsControlError, ValueError):
     """Base class for scenario file problems."""
 

@@ -99,8 +99,8 @@ def _closed_loops(scenario: Scenario, flat: np.ndarray, feedforward: bool, x0s,
     flat coefficients (the layout of :meth:`GainField.flat`)."""
     if not isinstance(scenario.dynamics, LinearDynamics):
         raise ContractViolationError("feedback episodes require linear dynamics")
-    a = np.atleast_2d(np.asarray(scenario.dynamics.a_fn(slow_time), dtype=float))
-    b = np.atleast_2d(np.asarray(scenario.dynamics.b_fn(slow_time), dtype=float))
+    a = np.array(scenario.dynamics.a_fn(slow_time), dtype=float, ndmin=2, copy=None)
+    b = np.array(scenario.dynamics.b_fn(slow_time), dtype=float, ndmin=2, copy=None)
     grid = scenario.grid
     n, dim, p, n_f = grid.n_steps, a.shape[0], b.shape[1], scenario.basis.n_functions
     n_gain = p * dim * n_f

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -24,9 +26,10 @@ from typing import Callable, Sequence
 import numpy as np
 import yaml
 
+from . import es as es_module
 from .basis import ControllerCoefficients, FourierPairsBasis
-from .errors import (ContractViolationError, EsControlError, ScenarioError,
-                     ScenarioParseError, ScenarioValidationError)
+from .errors import (ArtifactWriteError, ContractViolationError, EsControlError,
+                     ScenarioError, ScenarioParseError, ScenarioValidationError)
 from .es import PHASE_COS, PHASE_SIN, EsConfig, EsRunRecord, default_delta, run_es
 from .feedback import GainField, gain_dither_assignment, synthesize_gain
 from .lqr import oracle_costs, scenario_oracle
@@ -464,12 +467,23 @@ def es_config_for(scenario: Scenario) -> EsConfig:
                           ranges=ranges, delta=es.get("delta"), phases=phases)
 
 
+@contextmanager
+def _open_artifact(path: Path):
+    """The artifact file at ``path``, open for writing; an OSError while it
+    is open becomes an ArtifactWriteError that names the file."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ArtifactWriteError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path: Path, header: Sequence[str], rows) -> None:
     """Write a CSV file whose rows are pairs (lead, values): a tuple of
     leading int or str cells, then a 1-D float array, every value written
     with ``repr``."""
     float_repr = float.__repr__
-    with open(path, "w", newline="\n") as fh:
+    with _open_artifact(path) as fh:
         fh.write(",".join(header) + "\n")
         for lead, values in rows:
             line = ",".join(map(float_repr, values.tolist()))
@@ -492,6 +506,77 @@ def write_iterations_csv(path: Path, config: EsConfig, blocks) -> None:
                 yield (s,), values
 
     write_csv(path, header, rows())
+
+
+def _write_iterations_csv_beside(path: Path, config: EsConfig, blocks) -> None:
+    """:func:`write_iterations_csv` in one writer process beside the ES loop,
+    which goes on measuring while the writer formats the rows on another core.
+
+    The writer is forked (the ``fork`` start method, so Linux only) when
+    the first block arrives, and each block goes to it over a one-way pipe
+    as its raw float64 buffers. A ``spawn`` writer would import numpy again
+    while the loop waits; the fork happens between episodes, with no BLAS
+    call in flight, and the writer makes none. It is joined before this returns or raises,
+    so a run that fails at iteration s leaves rows 0 .. s-1 on disk. If the
+    writer fails, ArtifactWriteError carries its exception text.
+    """
+    writer = None
+    try:
+        for start, coeffs, costs, measured in blocks:
+            if writer is None:
+                # imported once the loop runs: multiprocessing.connection takes
+                # about 12 ms to import, a run's set-up would pay it
+                import multiprocessing
+
+                context = multiprocessing.get_context("fork")
+                rows_in, rows_out = context.Pipe(duplex=False)
+                failure_in, failure_out = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=_write_received_rows, daemon=True,
+                    args=(path, config, rows_in, rows_out, failure_out))
+                process.start()
+                writer = process
+                rows_in.close()
+                failure_out.close()
+            rows_out.send(start)
+            for array in (coeffs, costs, measured):
+                rows_out.send_bytes(array)
+    except BrokenPipeError:
+        pass  # the writer has stopped: its failure is raised below
+    finally:
+        if writer is None:  # the run stopped before its first block: the header, as inline
+            write_iterations_csv(path, config, ())
+        else:
+            rows_out.close()
+            writer.join()
+    if writer is not None and writer.exitcode != 0:
+        try:
+            text = failure_in.recv()
+        except EOFError:
+            text = f"cannot write {path}: the writer process exited with code {writer.exitcode}"
+        raise ArtifactWriteError(text)
+
+
+def _write_received_rows(path: Path, config: EsConfig, rows_in, rows_out, failure_out) -> None:
+    """The writer process of :func:`_write_iterations_csv_beside`: writes the
+    blocks it receives until the parent closes its end of the pipe."""
+    rows_out.close()  # this inherited copy of the parent's end would keep the pipe from EOF
+
+    def blocks():
+        while True:
+            try:
+                start = rows_in.recv()
+            except EOFError:
+                return
+            coeffs, costs, measured = (np.frombuffer(rows_in.recv_bytes()) for _ in range(3))
+            yield start, coeffs.reshape(-1, config.n_coeffs), costs, measured
+
+    try:
+        write_iterations_csv(path, config, blocks())
+    except Exception as exc:
+        failure_out.send(str(exc) if isinstance(exc, ArtifactWriteError)
+                         else f"cannot write {path}: {exc!r}")
+        sys.exit(1)
 
 
 def _write_trajectories_csv(path: Path, scenario: Scenario, record: EsRunRecord) -> None:
@@ -565,8 +650,10 @@ def output_dir(spec: ExperimentSpec, scenario_name: str, mode: str) -> Path:
 def run_experiment(spec: ExperimentSpec) -> RunSummary:
     """Dispatch one experiment and write its artifact files.
 
-    Artifacts: iterations.csv (ES modes; written while the run goes, so a
-    failing run leaves the rows before the failing iteration),
+    Artifacts: iterations.csv (ES modes; written while the run goes, by a
+    writer process beside the loop when the rows span more than one block
+    of ``es._ROW_BLOCK``, so a failing run leaves the rows before the
+    failing iteration),
     trajectory.csv (open-loop modes), gains.csv (feedback mode), oracle.csv
     (oracle/compare modes) and summary.json always. An EsControlError raised once the scenario is
     built carries ``out_dir``, the experiment's resolved output directory.
@@ -596,13 +683,17 @@ def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
 
     record = None
     if mode != "oracle-only":
-        stream = partial(write_iterations_csv, out_dir / "iterations.csv")
         try:
             config = es_config_for(scenario)
         except ScenarioError as exc:  # named by its file, as load_scenario names its errors
             raise type(exc)(f"{path}: {exc}") from exc
         n_iterations = (scenario.es_defaults["n_iterations"] if spec.n_iterations is None
                         else spec.n_iterations)
+        # rows that fit one block arrive only once the loop has ended, so a
+        # writer process beside the loop would overlap nothing
+        write = (_write_iterations_csv_beside if n_iterations + 1 > es_module._ROW_BLOCK
+                 else write_iterations_csv)
+        stream = partial(write, out_dir / "iterations.csv")
         if mode == "feedback-es":
             field_, record = synthesize_gain(scenario, config, n_iterations,
                                              consume_rows=stream)
@@ -645,5 +736,6 @@ def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
     if record is not None:
         payload["es_config"] = record.config.to_dict()
     payload["resolved_scenario"] = scenario.raw_config
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    with _open_artifact(out_dir / "summary.json") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True))
     return summary

@@ -1,6 +1,8 @@
+import errno
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -19,8 +21,9 @@ from hypothesis import strategies as st
 import escontrol
 from helpers import reference_iterations_csv, run_scenario_es, zero_coefficients
 from escontrol.cli import main as cli_main
-from escontrol.errors import (ContractViolationError, IntegrationDivergedError,
-                              ScenarioParseError, ScenarioValidationError)
+from escontrol.errors import (ArtifactWriteError, ContractViolationError,
+                              IntegrationDivergedError, ScenarioParseError,
+                              ScenarioValidationError)
 from escontrol.es import EsConfig, EsRunRecord, es_step
 from escontrol.feedback import synthesize_gain
 from escontrol.harness import (OUTPUT_DIR_ENV, SCHEMA, ExperimentSpec, apply_overrides,
@@ -314,6 +317,105 @@ def test_cli_diverging_closed_loop_keeps_the_iteration_and_the_step_index(tmp_pa
     with pytest.raises(IntegrationDivergedError) as closed_loop:
         episode_measurement(scenario, config.delta)(flat, s)
     assert 0 < closed_loop.value.step_index == record["step_index"]
+
+
+# --- the writer process: a run whose rows span more than one block formats
+# iterations.csv in a forked child; blocks are cut to 64 rows, so that 300
+# iterations span five of them
+
+
+def _spy_calls(monkeypatch, owner, name) -> list:
+    """The argument tuples of every call of ``owner.name`` in this process."""
+    calls, original = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _run_args(out: Path, iters: int, **overrides) -> list[str]:
+    """esctl run arguments of example2_scalar with the given overrides."""
+    return (["run", "--scenario", str(SHIPPED["example2_scalar"]), "--iters", str(iters),
+             "--out", str(out)]
+            + [f"--override={key}={value}" for key, value in overrides.items()])
+
+
+@pytest.mark.parametrize("n_iterations, calls_in_parent, children", [(50, 1, 0), (300, 0, 1)])
+def test_only_a_run_over_one_block_formats_its_rows_in_a_writer_process(
+        n_iterations, calls_in_parent, children, tmp_path, monkeypatch):
+    monkeypatch.setattr(escontrol.es, "_ROW_BLOCK", 64)
+    writes = _spy_calls(monkeypatch, escontrol.harness, "write_iterations_csv")
+    starts = _spy_calls(monkeypatch, multiprocessing.process.BaseProcess, "start")
+    out = tmp_path / "out"
+    run_experiment(ExperimentSpec(scenario_path=str(SHIPPED["example2_scalar"]),
+                                  n_iterations=n_iterations, out_dir=str(out)))
+    assert (len(writes), len(starts)) == (calls_in_parent, children)
+    assert multiprocessing.active_children() == []
+    rows = (out / "iterations.csv").read_text().splitlines()
+    assert len(rows) == n_iterations + 2 and rows[-1].startswith(f"{n_iterations},")
+
+
+def test_a_run_that_fails_in_its_second_block_joins_its_writer_process(tmp_path, monkeypatch,
+                                                                      capsys):
+    # the plant turns to x' = 801 x at slow time 0.03, about iteration 100
+    monkeypatch.setattr(escontrol.es, "_ROW_BLOCK", 64)
+    starts = _spy_calls(monkeypatch, multiprocessing.process.BaseProcess, "start")
+    out = tmp_path / "out"
+    assert cli_main(_run_args(out, 300, **{"dynamics.a": "1 + 800 * (t > 0.03)",
+                                           "grid.n_steps": "500"})) == 1
+    capsys.readouterr()
+    s = json.loads((out / "error.json").read_text())["iteration"]
+    assert 64 < s < 128 and len(starts) == 1
+    assert multiprocessing.active_children() == []
+    rows = (out / "iterations.csv").read_text().splitlines()
+    assert len(rows) == s + 1 and rows[-1].startswith(f"{s - 1},")
+
+
+def test_a_run_that_fails_before_its_first_block_starts_no_writer_process(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(escontrol.es, "_ROW_BLOCK", 64)
+    starts = _spy_calls(monkeypatch, multiprocessing.process.BaseProcess, "start")
+    # x' = 800 x over one second overflows RK4 in the first episode; 300
+    # iterations would write in the writer process, 5 inline
+    overrides = {"dynamics.a": "800", "grid.n_steps": "500"}
+    assert cli_main(_run_args(tmp_path / "out", 300, **overrides)) == 1
+    assert cli_main(_run_args(tmp_path / "inline", 5, **overrides)) == 1
+    capsys.readouterr()
+    assert json.loads((tmp_path / "out" / "error.json").read_text())["iteration"] == 0
+    assert starts == [] and multiprocessing.active_children() == []
+    # the header alone, as the inline writer leaves it
+    header = (tmp_path / "out" / "iterations.csv").read_bytes()
+    assert header.count(b"\n") == 1
+    assert header == (tmp_path / "inline" / "iterations.csv").read_bytes()
+
+
+@pytest.mark.parametrize("artifact, iters", [("iterations.csv", 5), ("iterations.csv", 300),
+                                             ("trajectory.csv", 300)])
+def test_an_artifact_that_cannot_be_written_leaves_error_json(artifact, iters, tmp_path,
+                                                             monkeypatch, capsys):
+    # 5 iterations write inline, 300 in the writer process
+    monkeypatch.setattr(escontrol.es, "_ROW_BLOCK", 64)
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert cli_main(_run_args(out, iters)) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert json.loads(capsys.readouterr().err) == record
+    assert record["error"] == "ArtifactWriteError"
+    assert record["message"].startswith(f"cannot write {out / artifact}: [Errno {errno.EISDIR}]")
+    assert not (out / "summary.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_writer_process_that_dies_fails_the_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(escontrol.es, "_ROW_BLOCK", 64)
+    monkeypatch.setattr(escontrol.harness, "_write_received_rows", lambda *args: os._exit(3))
+    with pytest.raises(ArtifactWriteError, match="writer process exited with code 3"):
+        run_experiment(ExperimentSpec(scenario_path=str(SHIPPED["example2_scalar"]),
+                                      n_iterations=300, out_dir=str(tmp_path / "out")))
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("name, override, key", [
