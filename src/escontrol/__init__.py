@@ -11,8 +11,7 @@ from .errors import (ArtifactWriteError, ContractViolationError, EsControlError,
                      ScenarioValidationError, ScheduleCollisionError)
 from .es import (EsConfig, EsRunRecord, assemble_quadratic_cost, es_step,
                  make_frequency_schedule, restricted_optimum, run_es)
-from .feedback import (GainField, gain_dither_assignment, run_feedback_episode,
-                       synthesize_gain)
+from .feedback import GainField, gain_dither_assignment, synthesize_gain
 from .harness import (ExperimentSpec, RunSummary, es_config_for, load_scenario,
                       run_experiment, shipped_scenarios)
 from .lqr import (RiccatiSolution, optimal_cost_quadratic_form, oracle_costs,

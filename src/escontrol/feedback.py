@@ -161,12 +161,6 @@ def run_feedback_episodes(scenario: Scenario, field: GainField, x0s,
             for i in range(costs.shape[0])]
 
 
-def run_feedback_episode(scenario: Scenario, field: GainField, x0,
-                         slow_time: float = 0.0) -> EpisodeResult:
-    """Closed-loop episode under u = -K(tau) x (+ V(tau)); noise-free cost."""
-    return run_feedback_episodes(scenario, field, [x0], slow_time)[0]
-
-
 def gain_field(scenario: Scenario, flat) -> GainField:
     """The scenario's gain field with flat coefficients."""
     return GainField.from_flat(flat, scenario.basis, scenario.state_dim,

@@ -12,6 +12,7 @@ files.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ import numpy as np
 import yaml
 
 from . import es as es_module
-from .basis import ControllerCoefficients, FourierPairsBasis
+from .basis import FourierPairsBasis
 from .errors import (ArtifactWriteError, ContractViolationError, EsControlError,
                      ScenarioError, ScenarioParseError, ScenarioValidationError)
 from .es import PHASE_COS, PHASE_SIN, EsConfig, EsRunRecord, default_delta, run_es
@@ -35,7 +36,7 @@ from .feedback import GainField, gain_dither_assignment, synthesize_gain
 from .lqr import oracle_costs, scenario_oracle
 from .ode import TimeGrid
 from .scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
-                       episode_measurement, run_episode)
+                       coefficients_of, episode_measurement, run_episode)
 
 OUTPUT_DIR_ENV = "ESCONTROL_OUTPUT_DIR"
 
@@ -512,23 +513,28 @@ def _write_iterations_csv_beside(path: Path, config: EsConfig, blocks) -> None:
     """:func:`write_iterations_csv` in one writer process beside the ES loop,
     which goes on measuring while the writer formats the rows on another core.
 
-    The writer is forked (the ``fork`` start method, so Linux only) when
-    the first block arrives, and each block goes to it over a one-way pipe
-    as its raw float64 buffers. A ``spawn`` writer would import numpy again
-    while the loop waits; the fork happens between episodes, with no BLAS
-    call in flight, and the writer makes none. It is joined before this returns or raises,
-    so a run that fails at iteration s leaves rows 0 .. s-1 on disk. If the
-    writer fails, ArtifactWriteError carries its exception text.
+    The writer is forked (the ``fork`` start method) when the first block
+    arrives, and each block goes to it over a one-way pipe as its raw
+    float64 buffers. Where ``fork`` is not available, every row is written
+    inline instead. A ``spawn`` writer would import numpy again while the
+    loop waits; the fork happens between episodes, with no BLAS call in
+    flight, and the writer makes none. It is joined before this returns or
+    raises, so a run that fails at iteration s leaves rows 0 .. s-1 on disk.
+    If the writer fails, ArtifactWriteError carries its exception text.
     """
-    writer = None
+    blocks, writer, inline = iter(blocks), None, ()
     try:
-        for start, coeffs, costs, measured in blocks:
+        for block in blocks:
             if writer is None:
                 # imported once the loop runs: multiprocessing.connection takes
                 # about 12 ms to import, a run's set-up would pay it
                 import multiprocessing
 
-                context = multiprocessing.get_context("fork")
+                try:
+                    context = multiprocessing.get_context("fork")
+                except ValueError:  # no fork on this platform
+                    inline = itertools.chain([block], blocks)
+                    break
                 rows_in, rows_out = context.Pipe(duplex=False)
                 failure_in, failure_out = context.Pipe(duplex=False)
                 process = context.Process(
@@ -538,14 +544,15 @@ def _write_iterations_csv_beside(path: Path, config: EsConfig, blocks) -> None:
                 writer = process
                 rows_in.close()
                 failure_out.close()
+            start, coeffs, costs, measured = block
             rows_out.send(start)
             for array in (coeffs, costs, measured):
                 rows_out.send_bytes(array)
     except BrokenPipeError:
         pass  # the writer has stopped: its failure is raised below
     finally:
-        if writer is None:  # the run stopped before its first block: the header, as inline
-            write_iterations_csv(path, config, ())
+        if writer is None:  # no fork, or the run stopped before its first block
+            write_iterations_csv(path, config, inline)
         else:
             rows_out.close()
             writer.join()
@@ -580,23 +587,17 @@ def _write_received_rows(path: Path, config: EsConfig, rows_in, rows_out, failur
 
 
 def _write_trajectories_csv(path: Path, scenario: Scenario, record: EsRunRecord) -> None:
-    """First/last-iteration episodes (closed loop from the first initial
-    condition when the record is a gain-synthesis run)."""
-    from .feedback import gain_field, run_feedback_episode
-
+    """First/last-iteration episodes from the first initial condition: open
+    loop, or the closed loop when the record is a gain-synthesis run."""
     taus = scenario.grid.nodes()
     header = (["phase", "s", "tau"]
               + [f"x_{i}" for i in range(scenario.state_dim)]
               + [f"u_{i}" for i in range(scenario.control_dim)])
 
     def episode_rows(phase: str, s: int, flat: np.ndarray):
-        t = scenario.slow_time_for(s, record.config.delta)
-        if scenario.feedback:
-            res = run_feedback_episode(scenario, gain_field(scenario, flat),
-                                       scenario.initial_conditions[0], slow_time=t)
-        else:
-            coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
-            res = run_episode(scenario, coeffs, slow_time=t, noise_index=s)
+        res = run_episode(scenario, coefficients_of(scenario, flat),
+                          slow_time=scenario.slow_time_for(s, record.config.delta),
+                          noise_index=s)
         for values in np.column_stack((taus, res.trajectory.states, res.controls)):
             yield (phase, s), values
 
@@ -654,9 +655,10 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
     writer process beside the loop when the rows span more than one block
     of ``es._ROW_BLOCK``, so a failing run leaves the rows before the
     failing iteration),
-    trajectory.csv (open-loop modes), gains.csv (feedback mode), oracle.csv
-    (oracle/compare modes) and summary.json always. An EsControlError raised once the scenario is
-    built carries ``out_dir``, the experiment's resolved output directory.
+    trajectory.csv (ES modes; the closed loop in feedback mode), gains.csv
+    (feedback mode), oracle.csv (oracle/compare modes) and summary.json
+    always. An EsControlError raised once the scenario is built carries
+    ``out_dir``, the experiment's resolved output directory.
     """
     started = time.perf_counter()
     path = Path(spec.scenario_path)

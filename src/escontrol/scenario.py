@@ -9,13 +9,13 @@ horizon), which keeps episodes pure functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .basis import Basis, ControllerCoefficients, controller_samples
+from .basis import Basis, ControllerCoefficients
 from .errors import (ContractViolationError, IntegrationDivergedError,
                      ScenarioValidationError)
 from .ode import (StateTrajectory, TimeGrid, integrate_rk4, propagate_linear,
@@ -27,7 +27,7 @@ class LinearDynamics:
     """dx/dtau = A(t) x + B(t) u with A, B functions of slow time t.
 
     ``time_invariant`` marks a plant whose A and B do not depend on t; it is
-    set by :meth:`constant`, and such a plant's open-loop episodes are
+    set by :meth:`constant`, and such a plant's open-loop costs are
     evaluated from an exact quadratic model instead of being simulated.
     """
 
@@ -390,8 +390,8 @@ def cost_of_trajectory(cost: CostSpec, grid: TimeGrid, states: np.ndarray,
 
 
 class QuadraticEpisodeModel:
-    """Exact open-loop episodes of a linear plant, frozen at one slow time,
-    under a quadratic cost.
+    """Exact open-loop episode costs of a linear plant, frozen at one slow
+    time, under a quadratic cost.
 
     RK4 on dx/dtau = A x + B u is linear in the forcing, so the states are
     affine in the flat coefficient vector a (channel-major, as in
@@ -401,8 +401,8 @@ class QuadraticEpisodeModel:
     exactly J(a) = 1/2 a'Ha + g(x0)'a + j0(x0). The RK4 steps are those of
     :func:`~escontrol.ode.rk4_frozen_step`. G comes from one scan of all its
     columns and H is built with it; x_free, g and j0 once per initial
-    condition. Results agree with the step-by-step simulation to rounding,
-    not bitwise.
+    condition. Costs agree with the step-by-step simulation to rounding,
+    not bitwise; trajectories are always simulated.
     """
 
     def __init__(self, scenario: Scenario, slow_time: float):
@@ -422,7 +422,7 @@ class QuadraticEpisodeModel:
         rest = np.zeros(forcing.shape[1:])
         gain = propagate_linear(self._phi, forcing, rest, grid).states
         self._gain = gain.reshape(-1, gain.shape[-1])  # (n_steps + 1) * state_dim rows
-        self._phi_nodes = stages[:grid.n_steps + 1]
+        phi_nodes = stages[:grid.n_steps + 1]
         weights = np.full(grid.n_steps + 1, grid.h)
         weights[[0, -1]] *= 0.5
         # x'Mx sees only the symmetric part of M, which also keeps H symmetric
@@ -435,7 +435,7 @@ class QuadraticEpisodeModel:
         hessian = (np.tensordot(self._out_weighted, np.einsum("ij,kjn->kin", self._q, out),
                                 axes=([0, 1], [0, 1]))
                    + self._out_end.T @ self._p @ self._out_end
-                   + np.kron(r, self._phi_nodes.T @ (weights[:, None] * self._phi_nodes)))
+                   + np.kron(r, phi_nodes.T @ (weights[:, None] * phi_nodes)))
         self.hessian = 0.5 * (hessian + hessian.T)
         self._free: dict[bytes, tuple | None] = {}
 
@@ -474,19 +474,6 @@ class QuadraticEpisodeModel:
                         + err[-1] @ self._p @ err[-1])
             self._free[key] = (x_free, g, float(j0))
         return self._free[key]
-
-    def episode(self, coeffs: ControllerCoefficients, x0: np.ndarray):
-        """(trajectory, node controls, J) of the episode from x0, one of the
-        scenario's initial conditions, or None when max|a| reaches
-        :attr:`max_abs`."""
-        a = coeffs.values.ravel()
-        if not np.abs(a).max() < self.max_abs:
-            return None
-        x_free, g, j0 = self.free_response(x0)
-        states = x_free + (self._gain @ a).reshape(x_free.shape)
-        j = float(a @ (0.5 * (self.hessian @ a) + g)) + j0
-        return (StateTrajectory(self.grid, states, states.shape[1]),
-                controller_samples(coeffs, self._phi_nodes), j)
 
     def quadratic_form(self, initial_conditions) -> tuple[np.ndarray, np.ndarray, float] | None:
         """(H, g, j0) of the cost summed over the initial conditions; None if
@@ -547,27 +534,6 @@ def _integrate_open_loop(scenario: Scenario, values: np.ndarray, slow_time: floa
     return traj, scenario.basis_matrix_stages()[:n + 1] @ values.T
 
 
-def _open_loop_episode(scenario: Scenario, coeffs: ControllerCoefficients,
-                       slow_time: float, x0: np.ndarray):
-    """(trajectory, node controls, J) of one open-loop episode from x0.
-
-    A time-invariant linear plant under a quadratic cost is served by its
-    exact quadratic model. Every other plant and cost is simulated step by
-    step, and so is any episode whose coefficients reach the model's
-    ``max_abs``, so that it fails as the simulation does, with the same
-    step index.
-    """
-    dyn = scenario.dynamics
-    if isinstance(dyn, LinearDynamics) and dyn.time_invariant:
-        model = episode_model(scenario)
-        if model is not None:
-            result = model.episode(coeffs, x0)
-            if result is not None:
-                return result
-    traj, u_nodes = _integrate_open_loop(scenario, coeffs.values, slow_time, x0)
-    return traj, u_nodes, cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
-
-
 def _check_coefficients(scenario: Scenario, coeffs: ControllerCoefficients):
     if coeffs.n_channels != scenario.control_dim or \
             coeffs.n_functions != scenario.basis.n_functions:
@@ -577,42 +543,9 @@ def _check_coefficients(scenario: Scenario, coeffs: ControllerCoefficients):
         )
 
 
-def run_episode(scenario: Scenario, coeffs: ControllerCoefficients,
-                slow_time: float = 0.0, noise_index: int = 0) -> EpisodeResult:
-    """Integrate one episode from the first initial condition and measure J."""
-    _check_coefficients(scenario, coeffs)
-    traj, u_nodes, j = _open_loop_episode(scenario, coeffs, slow_time,
-                                          scenario.initial_conditions[0])
-    return EpisodeResult(trajectory=traj, controls=u_nodes, cost=j,
-                         measured_cost=j + scenario.noise.draw(noise_index))
-
-
-def run_multi_episode(scenario: Scenario, coeffs, slow_time: float = 0.0,
-                      noise_index: int = 0) -> MultiEpisodeResult:
-    """One episode per initial condition; a single noise draw on the summed cost.
-
-    ``coeffs`` is a ControllerCoefficients (open loop, the same control replayed
-    from every initial condition) or a feedback GainField.
-    """
-    from .feedback import GainField, run_feedback_episodes  # avoids a module cycle
-
-    if isinstance(coeffs, GainField):
-        episodes = run_feedback_episodes(scenario, coeffs,
-                                         scenario.initial_conditions, slow_time)
-    else:
-        _check_coefficients(scenario, coeffs)
-        episodes = []
-        for x0 in scenario.initial_conditions:
-            traj, u_nodes, j = _open_loop_episode(scenario, coeffs, slow_time, x0)
-            episodes.append(EpisodeResult(traj, u_nodes, j, j))
-    total = float(sum(ep.cost for ep in episodes))
-    return MultiEpisodeResult(episodes=tuple(episodes), total_cost=total,
-                              measured_total_cost=total + scenario.noise.draw(noise_index))
-
-
-def _scalar_episode_costs(scenario: Scenario) -> Callable[[np.ndarray, float], list] | None:
-    """J(flat, slow_time) of each initial condition's open-loop episode, for
-    a scalar linear plant (1x1 A and B) under a quadratic cost with 1x1
+def _scalar_episode_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray, float], list] | None:
+    """J(flat, slow_time) of the open-loop episode from each start in x0s,
+    for a scalar linear plant (1x1 A and B) under a quadratic cost with 1x1
     weights; None for any other plant or cost.
 
     The episode is simulated on flat float arrays: the same control product
@@ -634,7 +567,7 @@ def _scalar_episode_costs(scenario: Scenario) -> Callable[[np.ndarray, float], l
     c, q, r, p = (m.item() for m in (cost.c_matrix, cost.q_matrix, cost.r_matrix,
                                      cost.p_matrix))
     reference = None if cost.reference is None else cost.reference_nodes(grid)[:, 0]
-    starts = [x0.item() for x0 in scenario.initial_conditions]
+    starts = [x0.item() for x0 in x0s]
 
     def episode_costs(flat, slow_time):
         u = (stages @ flat.reshape(1, -1).T).ravel()
@@ -655,46 +588,97 @@ def _scalar_episode_costs(scenario: Scenario) -> Callable[[np.ndarray, float], l
     return episode_costs
 
 
-def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
-    """Noise-free J(flat, slow_time) of the open-loop episodes, to the bit
-    run_episode's cost (one initial condition) or run_multi_episode's total.
+def _open_loop_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray, float], list]:
+    """Noise-free J(flat, slow_time) of the open-loop episode from each start
+    in x0s, some of the scenario's initial conditions: the one place that
+    picks how an open-loop J is computed.
 
-    A frozen linear plant under a quadratic cost is served by its episode
-    model's 1/2 a'Ha + g'a + j0 per initial condition while max|a| stays
-    below the model's ``max_abs``; larger coefficients are simulated, as
-    run_episode simulates them, and fail with the simulation's error and
-    step index. Other plants and costs are simulated; a scalar plant under
-    1x1 weights by :func:`_scalar_episode_costs`, with the same bits.
+    A time-invariant linear plant under a quadratic cost is served by its
+    episode model's 1/2 a'Ha + g'a + j0 while max|a| stays below the
+    model's ``max_abs``; larger coefficients are simulated and fail with the
+    simulation's error and step index. Other plants and costs are simulated:
+    a scalar plant under 1x1 weights by :func:`_scalar_episode_costs`, with
+    the bits of :func:`cost_of_trajectory` on :func:`_integrate_open_loop`'s
+    trajectory, which every other one takes.
     """
-    ics, n_ch = scenario.initial_conditions, scenario.control_dim
+    simulated = _scalar_episode_costs(scenario, x0s)
+    if simulated is None:
+        def simulated(flat, slow_time):
+            values = flat.reshape(scenario.control_dim, -1)
+            runs = (_integrate_open_loop(scenario, values, slow_time, x0) for x0 in x0s)
+            return [cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
+                    for traj, u_nodes in runs]
 
-    def total(costs):
-        return costs[0] if len(ics) == 1 else float(sum(costs))
-
-    scalar_costs = _scalar_episode_costs(scenario)
-
-    def simulated(flat, slow_time):
-        if scalar_costs is not None:
-            return total(scalar_costs(flat, slow_time))
-        runs = (_integrate_open_loop(scenario, flat.reshape(n_ch, -1), slow_time, x0)
-                for x0 in ics)
-        return total([cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
-                      for traj, u_nodes in runs])
-
-    dyn = scenario.dynamics
-    model = episode_model(scenario) if getattr(dyn, "time_invariant", False) else None
+    model = (episode_model(scenario) if getattr(scenario.dynamics, "time_invariant", False)
+             else None)
     if model is None:
         return simulated
     hessian, max_abs = model.hessian, model.max_abs
-    frees = [model.free_response(x0) for x0 in ics]
+    frees = [model.free_response(x0) for x0 in x0s]
 
     def modelled(flat, slow_time):
         if np.abs(flat).max() < max_abs:
             h_a = hessian @ flat
-            return total([float(flat @ (0.5 * h_a + g)) + j0 for _, g, j0 in frees])
+            return [float(flat @ (0.5 * h_a + g)) + j0 for _, g, j0 in frees]
         return simulated(flat, slow_time)
 
     return modelled
+
+
+def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
+    """Noise-free J(flat, slow_time) of the open-loop episodes from every
+    initial condition, summed: to the bit run_multi_episode's total_cost
+    (see :func:`_open_loop_costs`)."""
+    costs = _open_loop_costs(scenario, scenario.initial_conditions)
+    return lambda flat, slow_time: float(sum(costs(flat, slow_time)))
+
+
+def _episodes(scenario: Scenario, coeffs, x0s, slow_time: float) -> list[EpisodeResult]:
+    """Noise-free episodes from the starts x0s, some of the scenario's initial
+    conditions: closed loops under a feedback GainField
+    (:func:`~escontrol.feedback.run_feedback_episodes`), or open loop under
+    ControllerCoefficients, with J from :func:`_open_loop_costs` and the
+    trajectory simulated step by step by :func:`_integrate_open_loop`."""
+    from .feedback import GainField, run_feedback_episodes  # avoids a module cycle
+
+    if isinstance(coeffs, GainField):
+        return run_feedback_episodes(scenario, coeffs, x0s, slow_time)
+    _check_coefficients(scenario, coeffs)
+    costs = _open_loop_costs(scenario, x0s)(coeffs.values.ravel(), slow_time)
+    return [EpisodeResult(*_integrate_open_loop(scenario, coeffs.values, slow_time, x0), j, j)
+            for x0, j in zip(x0s, costs)]
+
+
+def run_episode(scenario: Scenario, coeffs, slow_time: float = 0.0,
+                noise_index: int = 0) -> EpisodeResult:
+    """The episode from the first initial condition, with noise draw
+    ``noise_index`` on its J. ``coeffs`` is a ControllerCoefficients (open
+    loop) or a feedback GainField (closed loop)."""
+    episode = _episodes(scenario, coeffs, scenario.initial_conditions[:1], slow_time)[0]
+    return replace(episode, measured_cost=episode.cost + scenario.noise.draw(noise_index))
+
+
+def run_multi_episode(scenario: Scenario, coeffs, slow_time: float = 0.0,
+                      noise_index: int = 0) -> MultiEpisodeResult:
+    """One episode per initial condition; a single noise draw on the summed cost.
+
+    ``coeffs`` is a ControllerCoefficients (open loop, the same control replayed
+    from every initial condition) or a feedback GainField.
+    """
+    episodes = _episodes(scenario, coeffs, scenario.initial_conditions, slow_time)
+    total = float(sum(ep.cost for ep in episodes))
+    return MultiEpisodeResult(episodes=tuple(episodes), total_cost=total,
+                              measured_total_cost=total + scenario.noise.draw(noise_index))
+
+
+def coefficients_of(scenario: Scenario, flat: np.ndarray):
+    """The controller of flat coefficients: the scenario's gain field when
+    ``scenario.feedback`` is set, else open-loop ControllerCoefficients."""
+    if scenario.feedback:
+        from .feedback import gain_field  # avoids a module cycle
+
+        return gain_field(scenario, flat)
+    return ControllerCoefficients.from_flat(flat, scenario.control_dim)
 
 
 def episode_measurement(scenario: Scenario,
@@ -710,19 +694,17 @@ def episode_measurement(scenario: Scenario,
     :func:`open_loop_cost` or :func:`~escontrol.feedback.closed_loop_cost`.
     """
     if scenario.feedback:
-        from .feedback import closed_loop_cost, gain_field  # avoids a module cycle
-
-        coefficients, cost_fn = (lambda flat: gain_field(scenario, flat)), closed_loop_cost
+        from .feedback import closed_loop_cost as cost_fn  # avoids a module cycle
     else:
-        coefficients, cost_fn = (lambda flat: ControllerCoefficients.from_flat(
-            flat, scenario.control_dim)), open_loop_cost
+        cost_fn = open_loop_cost
     cost = None
 
     def measure(flat: np.ndarray, s: int) -> tuple[float, float]:
         nonlocal cost
         t = scenario.slow_time_for(s, delta)
         if cost is None:
-            res = run_multi_episode(scenario, coefficients(flat), slow_time=t, noise_index=s)
+            res = run_multi_episode(scenario, coefficients_of(scenario, flat), slow_time=t,
+                                    noise_index=s)
             cost = cost_fn(scenario)
             return res.total_cost, res.measured_total_cost
         j = cost(flat, t)

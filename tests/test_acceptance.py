@@ -35,7 +35,7 @@ from helpers import (cost_measurement, cumulative_trapezoid, eval_controller,
                      refined, run_scenario_es)
 from escontrol.basis import ControllerCoefficients
 from escontrol.es import EsConfig, restricted_optimum, run_es
-from escontrol.feedback import run_feedback_episode, synthesize_gain
+from escontrol.feedback import run_feedback_episodes, synthesize_gain
 from escontrol.harness import (ExperimentSpec, apply_overrides, build_scenario,
                                es_config_for, load_scenario, run_experiment,
                                shipped_scenarios)
@@ -251,7 +251,7 @@ def feedback_synthesis():
     def gap(x0):
         x0 = np.asarray(x0, dtype=float)
         j_star = optimal_cost_quadratic_form(riccati, x0)
-        j = run_feedback_episode(scenario, field, x0).cost
+        j = run_feedback_episodes(scenario, field, [x0])[0].cost
         return (j - j_star) / j_star
 
     return {"scenario": scenario, "field": field, "record": record,

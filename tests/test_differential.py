@@ -459,7 +459,7 @@ def scalar_open_loop_problems(draw):
 @given(scalar_open_loop_problems())
 def test_scalar_episode_costs_give_the_bits_of_the_simulated_trajectory(problem):
     scenario, flat, slow_time, diverging = problem
-    scalar_costs = _scalar_episode_costs(scenario)
+    scalar_costs = _scalar_episode_costs(scenario, scenario.initial_conditions)
     assert scalar_costs is not None
     values = flat.reshape(1, -1)
     if diverging:
@@ -533,7 +533,7 @@ def _drifting_scenario(d, p, general_dynamics=False, general_cost=False):
 def test_only_scalar_linear_quadratic_episodes_take_the_scalar_costs(
         d, p, general_dynamics, general_cost, scalar, monkeypatch):
     scenario = _drifting_scenario(d, p, general_dynamics, general_cost)
-    assert (_scalar_episode_costs(scenario) is not None) == scalar
+    assert (_scalar_episode_costs(scenario, scenario.initial_conditions) is not None) == scalar
     calls = _counting_integrations(monkeypatch)
     flat = np.linspace(-1.0, 1.0, p * scenario.basis.n_functions)
     open_loop_cost(scenario)(flat, 250.0)
@@ -563,7 +563,7 @@ def test_a_replaced_scenario_never_reuses_the_original_model():
     assert original._cache["episode_model"] is model
     flat = np.linspace(-0.5, 0.5, steeper.basis.n_functions)
     served = open_loop_cost(steeper)(flat, 0.0)
-    simulated = _scalar_episode_costs(steeper)(flat, 0.0)[0]
+    simulated = _scalar_episode_costs(steeper, steeper.initial_conditions)(flat, 0.0)[0]
     assert math.isclose(served, simulated, rel_tol=1e-9)
     assert not math.isclose(served, open_loop_cost(original)(flat, 0.0), rel_tol=1e-3)
 

@@ -2,11 +2,12 @@
 and run_es's measurements against the public episode functions.
 
 For a time-invariant linear plant under a quadratic cost, run_episode and the
-open-loop branch of run_multi_episode evaluate J = 1/2 a'Ha + g'a + j0 and
-the states x_free + G a instead of integrating. These tests hold that model
-to the simulation at 1e-9 relative on every shipped scenario it serves, and
-check that everything else is still simulated. The measurements run_es takes
-without result objects must give the public functions' (J, J_hat) bit for bit.
+open-loop branch of run_multi_episode evaluate J = 1/2 a'Ha + g'a + j0
+instead of integrating; their trajectories are always simulated. These tests
+hold that model to the simulation at 1e-9 relative on every shipped scenario
+it serves, and check that everything else is still simulated. The
+measurements run_es takes without result objects must give the public
+functions' (J, J_hat) bit for bit.
 """
 import dataclasses
 import math
@@ -42,6 +43,13 @@ def _random_coefficients(scenario, rng, scale):
     return ControllerCoefficients(scale * rng.standard_normal(shape))
 
 
+def _model_cost(model, coeffs, x0):
+    """J of the episode from x0 by the model's quadratic form."""
+    a = coeffs.values.ravel()
+    _, g, j0 = model.free_response(x0)
+    return float(a @ (0.5 * (model.hessian @ a) + g)) + j0
+
+
 def _assert_matches_simulation(scenario, coeffs, x0, episode):
     states, controls, j = simulated_episode(scenario, coeffs, x0)
     assert abs(episode.cost - j) <= REL * abs(j)
@@ -60,8 +68,8 @@ def test_model_matches_simulation_on_shipped_open_loop_scenarios(name, rng):
         for _ in range(3):
             coeffs = _random_coefficients(scenario, rng, scale)
             episode = run_episode(scenario, coeffs)
-            # served by the model, not by the simulation
-            assert episode.cost == model.episode(coeffs, x0)[2]
+            # J served by the model, not by the simulation
+            assert episode.cost == _model_cost(model, coeffs, x0)
             _assert_matches_simulation(scenario, coeffs, x0, episode)
 
 
@@ -97,7 +105,7 @@ def model_refused(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("the quadratic episode model was used")
 
-    monkeypatch.setattr(scenario_mod.QuadraticEpisodeModel, "episode", refuse)
+    monkeypatch.setattr(scenario_mod.QuadraticEpisodeModel, "free_response", refuse)
 
 
 @pytest.mark.parametrize("make", [
@@ -251,24 +259,24 @@ def test_measurement_matches_the_public_episode_functions_bitwise(make, rng, mon
     # J's last bits depend on the vector, so take many
     flats = [np.zeros(n)] + [scale * rng.standard_normal(n)
                              for scale in (0.1, 0.3, 1.0) for _ in range(4)]
-    model_episodes = []
-    episode = scenario_mod.QuadraticEpisodeModel.episode
+    episodes = []
+    original = scenario_mod._episodes
 
-    def counted(model, coeffs, x0):
-        model_episodes.append(x0)
-        return episode(model, coeffs, x0)
+    def counted(*args):
+        episodes.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(scenario_mod.QuadraticEpisodeModel, "episode", counted)
+    monkeypatch.setattr(scenario_mod, "_episodes", counted)
     by_measure = []
     for s in MEASURED_STEPS:
         for flat in flats:
-            before = len(model_episodes)
+            before = len(episodes)
             measured = measurement(flat, s)
-            by_measure.append(len(model_episodes) - before)
+            by_measure.append(len(episodes) - before)
             assert all(isinstance(v, float) for v in measured)
             assert _bits(measured) == _bits(reference(flat, s)), (s, flat)
-    # past the first measurement, J comes from the quadratic form alone
-    assert sum(by_measure[1:]) == 0
+    # past the first measurement, J comes without episode results
+    assert by_measure[0] == 1 and sum(by_measure[1:]) == 0
 
 
 @pytest.mark.parametrize("name", ["example3_tracking", "timevarying_noisy", "feedback_2d"])
@@ -355,15 +363,12 @@ def test_vector_at_the_model_bound_is_simulated_on_both_paths(make):
     measurement = episode_measurement(scenario, DELTA)
     measurement(np.zeros(n), 0)
     model = scenario._cache["episode_model"]
-    x0 = scenario.initial_conditions[0]
     below = np.linspace(-1.0, 1.0, n) * np.nextafter(model.max_abs, 0.0)
-    assert model.episode(ControllerCoefficients.from_flat(below, scenario.control_dim),
-                         x0) is not None
+    assert np.abs(below).max() < model.max_abs
     _, reference = _measurement_and_reference(scenario)
     for s, scale in ((1, 1.0), (2, 3.0)):
         flat = np.linspace(-1.0, 1.0, n) * (scale * model.max_abs)
-        coeffs = ControllerCoefficients.from_flat(flat, scenario.control_dim)
-        assert model.episode(coeffs, x0) is None
+        assert not np.abs(flat).max() < model.max_abs
         measured = measurement(flat, s)
         assert _bits(measured) == _bits(reference(flat, s))
         # served by the simulation, not by the model

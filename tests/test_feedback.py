@@ -12,12 +12,12 @@ from escontrol.basis import CustomSampledBasis, FourierPairsBasis
 from escontrol.errors import (ContractViolationError, IllPosedSynthesisError,
                               IntegrationDivergedError)
 from escontrol.es import PHASE_COS, PHASE_SIN
-from escontrol.feedback import (GainField, gain_dither_assignment, run_feedback_episode,
+from escontrol.feedback import (GainField, gain_dither_assignment, gain_field,
                                 run_feedback_episodes, synthesize_gain)
 from escontrol.harness import es_config_for, load_scenario, scenarios_dir
 from escontrol.lqr import optimal_cost_quadratic_form, scenario_oracle, simulate_optimal
 from escontrol.ode import TimeGrid, integrate_rk4_linear
-from escontrol.scenario import cost_of_trajectory, run_multi_episode
+from escontrol.scenario import cost_of_trajectory, run_episode, run_multi_episode
 
 
 def test_eval_gain_zeros_and_single_entry():
@@ -73,7 +73,7 @@ def test_eval_gain_out_of_range():
 def test_zero_field_reproduces_free_response():
     scenario = feedback_2d_scenario(n_steps=800)
     zero = zero_gain_field(scenario.basis, 2, 2)
-    res = run_feedback_episode(scenario, zero, np.array(X0_2D))
+    res = run_feedback_episodes(scenario, zero, [np.array(X0_2D)])[0]
     a = np.array(scenario.dynamics.a_fn(0.0))
     states = np.stack([expm(a * t) @ np.array(X0_2D) for t in scenario.grid.nodes()])
     expected = quadratic_cost_samples(scenario.cost, scenario.grid, states,
@@ -85,7 +85,7 @@ def test_zero_field_reproduces_free_response():
 def test_zero_initial_condition_costs_nothing(rng):
     scenario = feedback_2d_scenario(n_steps=300)
     field = GainField(scenario.basis, 2, 2, rng.standard_normal((2, 2, 20)))
-    res = run_feedback_episode(scenario, field, np.zeros(2))
+    res = run_feedback_episodes(scenario, field, [np.zeros(2)])[0]
     assert res.cost == 0.0
     assert np.all(res.trajectory.states == 0.0)
 
@@ -97,7 +97,7 @@ def test_projected_oracle_gains_are_near_optimal():
     field = project_gains(sol, scenario.basis, scenario.grid)
     for x0 in (X0_2D, Y0_2D):
         j_star = optimal_cost_quadratic_form(sol, np.array(x0))
-        j_fit = run_feedback_episode(scenario, field, np.array(x0)).cost
+        j_fit = run_feedback_episodes(scenario, field, [np.array(x0)])[0].cost
         assert j_fit >= j_star - 1e-8
         assert (j_fit - j_star) / j_star < 0.02
 
@@ -135,6 +135,18 @@ def test_batched_closed_loop_matches_stepwise_simulation(name, rng):
             assert episode.cost == pytest.approx(cost, rel=1e-12)
 
 
+
+def test_run_episode_on_a_gain_field_is_the_closed_loop_from_the_first_start(rng):
+    scenario = load_scenario(scenarios_dir() / "feedback_2d.scn")
+    n_coeffs = zero_gain_field(scenario.basis, 2, 2).flat().size
+    field = gain_field(scenario, 0.5 * rng.standard_normal(n_coeffs))
+    episode = run_episode(scenario, field, slow_time=0.25, noise_index=4)
+    direct = run_feedback_episodes(scenario, field, [scenario.initial_conditions[0]], 0.25)[0]
+    assert np.array_equal(episode.trajectory.states, direct.trajectory.states)
+    assert np.array_equal(episode.controls, direct.controls)
+    assert episode.cost == direct.cost
+    assert episode.measured_cost == direct.cost + scenario.noise.draw(4)
+
 def test_closed_loop_divergence_reports_step_index():
     # K(tau) = -3000 cos(pi tau) makes the RK4 steps amplify by up to ~4e4
     scenario = scalar_scenario(m=1, extension=1.0, n_steps=100, name="blow-up")
@@ -148,7 +160,7 @@ def test_closed_loop_divergence_reports_step_index():
         with pytest.raises(IntegrationDivergedError) as stepwise:
             integrate_rk4_linear(a_cl, None, x0, scenario.grid)
         with pytest.raises(IntegrationDivergedError) as batched:
-            run_feedback_episode(scenario, field, x0)
+            run_feedback_episodes(scenario, field, [x0])
     assert 0 < stepwise.value.step_index < 100
     assert batched.value.step_index == stepwise.value.step_index
 
@@ -157,8 +169,8 @@ def test_multi_episode_dispatches_gain_fields():
     scenario = feedback_2d_scenario(n_steps=300, noise_std=0.25, seed=5)
     zero = zero_gain_field(scenario.basis, 2, 2)
     multi = run_multi_episode(scenario, zero, noise_index=3)
-    direct = sum(run_feedback_episode(scenario, zero, x0).cost
-                 for x0 in scenario.initial_conditions)
+    direct = sum(ep.cost for ep in run_feedback_episodes(scenario, zero,
+                                                         scenario.initial_conditions))
     assert multi.total_cost == pytest.approx(direct, rel=1e-12)
     assert multi.measured_total_cost == pytest.approx(
         multi.total_cost + scenario.noise.draw(3), abs=0
@@ -311,7 +323,7 @@ def test_scalar_gain_synthesis_approaches_oracle_gain():
     assert es_dist <= proj_dist + 0.08
     # converged closed-loop cost close to the analytic optimum
     j_star = optimal_cost_quadratic_form(sol, scenario.initial_conditions[0])
-    j_es = run_feedback_episode(scenario, field, scenario.initial_conditions[0]).cost
+    j_es = run_episode(scenario, field).cost
     assert (j_es - j_star) / j_star < 0.05
 
 
@@ -324,7 +336,7 @@ def test_feedforward_field_tracks_reference():
     sol = scenario_oracle(scenario)
     field = project_gains(sol, scenario.basis, scenario.grid, include_feedforward=True)
     assert field.has_feedforward
-    res = run_feedback_episode(scenario, field, scenario.initial_conditions[0])
+    res = run_episode(scenario, field)
     _, _, j_star = simulate_optimal(scenario.dynamics, scenario.cost, scenario.grid,
                                     scenario.initial_conditions[0], sol)
     assert res.cost >= j_star - 1e-8

@@ -30,7 +30,7 @@ from escontrol.harness import (OUTPUT_DIR_ENV, SCHEMA, ExperimentSpec, apply_ove
                                build_scenario, es_config_for, load_scenario,
                                read_scenario_config, run_experiment, shipped_scenarios,
                                write_csv, write_iterations_csv)
-from escontrol.scenario import episode_measurement, run_episode
+from escontrol.scenario import _integrate_open_loop, episode_measurement, run_episode
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
 
@@ -784,3 +784,63 @@ def test_runs_import_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_platform_without_fork_writes_the_rows_inline(tmp_path, monkeypatch, capsys):
+    # 1 100 iterations span two blocks of 1 024 rows, so the run asks for a writer process
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    writes = _spy_calls(monkeypatch, escontrol.harness, "write_iterations_csv")
+    starts = _spy_calls(monkeypatch, multiprocessing.process.BaseProcess, "start")
+    out = tmp_path / "out"
+    assert cli_main(_run_args(out, 1100)) == 0
+    capsys.readouterr()
+    assert len(writes) == 1 and starts == [] and multiprocessing.active_children() == []
+    scenario = load_scenario(SHIPPED["example2_scalar"])
+    reference_iterations_csv(tmp_path / "reference.csv",
+                             run_scenario_es(scenario, es_config_for(scenario), 1100))
+    assert (out / "iterations.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+class _FirstEpisode(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_the_first_measurement_enters_run_multi_episode_before_any_row(name, tmp_path,
+                                                                      monkeypatch):
+    # the benchmark's set-up probe times a run up to this call
+    def first_episode(*_args, **_kwargs):
+        raise _FirstEpisode
+
+    monkeypatch.setattr(escontrol.scenario, "run_multi_episode", first_episode)
+    steps = _spy_calls(monkeypatch, escontrol.es, "es_step")
+    out = tmp_path / "out"
+    with pytest.raises(_FirstEpisode):
+        run_experiment(ExperimentSpec(scenario_path=str(SHIPPED[name]), out_dir=str(out)))
+    assert steps == []
+    assert (out / "iterations.csv").read_text().count("\n") == 1  # the header alone
+
+
+@pytest.mark.parametrize("name", ["example1_integrator", "example2_scalar",
+                                  "example2_scalar_periodic", "example3_tracking"])
+def test_trajectory_csv_of_a_model_served_scenario_is_the_simulation(name, tmp_path):
+    # J comes from the exact quadratic model, the states from the step-by-step simulation
+    scenario = load_scenario(SHIPPED[name])
+    n = 40
+    out = tmp_path / "out"
+    run_experiment(ExperimentSpec(scenario_path=str(SHIPPED[name]), n_iterations=n,
+                                  out_dir=str(out)))
+    lines = (out / "iterations.csv").read_text().splitlines()
+    flats = {0: np.zeros(scenario.basis.n_functions * scenario.control_dim),
+             n: np.array([float(v) for v in lines[-1].split(",")[4:]])}
+    rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    delta = es_config_for(scenario).delta
+    for phase, s in (("first", 0), ("last", n)):
+        traj, u_nodes = _integrate_open_loop(scenario, flats[s].reshape(scenario.control_dim, -1),
+                                             scenario.slow_time_for(s, delta),
+                                             scenario.initial_conditions[0])
+        written = np.array([[float(v) for v in row[3:]] for row in rows if row[0] == phase])
+        assert np.array_equal(written, np.column_stack((traj.states, u_nodes)))
