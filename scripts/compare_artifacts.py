@@ -10,9 +10,10 @@ block of iterations.csv, which is written inline; 2 100 span three, which a
 writer process beside the ES loop formats. It then compares the two sides
 file by file:
 
-- a CSV prints "identical", or its largest relative difference: over every
-  numeric column, the largest |parent - change| divided by the column's
-  largest magnitude;
+- a CSV prints "identical", or every column that differs, worst first: a
+  numeric column with its count of differing cells and its largest relative
+  difference (the largest |parent - change| divided by the column's largest
+  magnitude), a text column with its count of differing cells;
 - a summary.json prints the keys whose values differ, other than
   ``wall_time_s`` and ``scenario_path``, with the relative difference of
   two floats, or "identical".
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -85,23 +87,28 @@ def compare_csv(parent: Path, change: Path) -> str:
     if old[0] != new[0] or len(old) != len(new):
         return (f"different shape: {len(old) - 1} rows of {len(old[0])} columns "
                 f"against {len(new) - 1} rows of {len(new[0])}")
-    worst, where = 0.0, None
+    differ = []  # (relative difference, description); a text column sorts first
     for j, column in enumerate(old[0]):
+        cells = [(x[j], y[j]) for x, y in zip(old[1:], new[1:])]
+        count = sum(x != y for x, y in cells)
+        if count == 0:
+            continue
+        what = f"{column!r} {count} cell{'s' if count > 1 else ''}"
         try:
-            a = [float(row[j]) for row in old[1:]]
-            b = [float(row[j]) for row in new[1:]]
+            a = [float(x) for x, _ in cells]
+            b = [float(y) for _, y in cells]
         except ValueError:
-            if any(x[j] != y[j] for x, y in zip(old[1:], new[1:])):
-                return f"text differs in column {column!r}"
+            differ.append((math.inf, f"{what} (text)"))
             continue
         scale = max(max(map(abs, a), default=0.0), max(map(abs, b), default=0.0))
         diff = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
         relative = diff / scale if scale > 0.0 else 0.0
-        if diff > 0.0 and (where is None or relative > worst):
-            worst, where = relative, column
-    if where is None:
-        return "bytes differ, values equal"
-    return f"largest relative difference {worst:.3g} (column {where!r})"
+        differ.append((relative, f"{what}, largest relative difference {relative:.3g}"))
+    if not differ:
+        return "bytes differ, cells equal"
+    differ.sort(key=lambda item: -item[0])
+    return (f"{len(differ)} column{'s' if len(differ) > 1 else ''} differ: "
+            + "; ".join(what for _, what in differ))
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ from .harness import (ExperimentSpec, RunSummary, es_config_for, load_scenario,
                       run_experiment, shipped_scenarios)
 from .lqr import (RiccatiSolution, optimal_cost_quadratic_form, oracle_costs,
                   scenario_oracle, simulate_optimal, solve_riccati)
-from .ode import StateTrajectory, TimeGrid, integrate_rk4
+from .ode import TimeGrid, integrate_rk4
 from .scenario import (EpisodeResult, GeneralCost, GeneralDynamics, LinearDynamics,
                        MultiEpisodeResult, NoiseModel, QuadraticCost, Scenario,
                        run_episode, run_multi_episode)

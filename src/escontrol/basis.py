@@ -7,7 +7,7 @@ u(0) = u(T) regardless of the coefficients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,6 @@ class FourierPairsBasis:
     m: int
     horizon: float
     extension: float = 0.0
-    kind: str = field(default="fourier-pairs", init=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -70,7 +69,6 @@ class CustomSampledBasis:
     functions: tuple[Callable[[float], float], ...] | None = None
     sample_grid: TimeGrid | None = None
     samples: np.ndarray | None = None
-    kind: str = field(default="custom-sampled", init=False)
 
     def __post_init__(self):
         if self.functions is None and (self.samples is None or self.sample_grid is None):

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import Basis
 from .errors import ContractViolationError, IllPosedSynthesisError
 from .es import EsConfig, EsRunRecord, PHASE_COS, PHASE_SIN, make_frequency_schedule, run_es
-from .ode import StateTrajectory, integrate_rk4_linear
+from .ode import integrate_rk4_linear
 from .scenario import (EpisodeResult, LinearDynamics, QuadraticCost, Scenario,
                        cost_of_trajectories, episode_measurement)
 
@@ -112,7 +112,7 @@ def _closed_loops(scenario: Scenario, flat: np.ndarray, feedforward: bool, x0s,
     v = phi_nm @ flat[n_gain:].reshape(p, n_f).T if feedforward else None  # V(tau)
     # node-major with one row per episode: states[k, i] is x_i(tau_k)
     states = integrate_rk4_linear(a_cl, None if v is None else v @ b.T, starts,
-                                  grid).states.transpose(0, 2, 1)
+                                  grid).transpose(0, 2, 1)
 
     gain_t = gain.transpose(1, 0, 2).reshape(dim * p, n_f)  # K' at the nodes, contiguous
     k_t = (phi_nm[:n + 1] @ gain_t.T).reshape(n + 1, dim, p)
@@ -154,9 +154,7 @@ def run_feedback_episodes(scenario: Scenario, field: GainField, x0s,
     _check_fits(scenario, field, x0s)
     states, controls, costs = _closed_loops(scenario, field.flat(), field.has_feedforward,
                                             x0s, slow_time)
-    return [EpisodeResult(trajectory=StateTrajectory(grid=scenario.grid, states=states[:, i],
-                                                     dimension=states.shape[2]),
-                          controls=controls[:, i], cost=float(costs[i]),
+    return [EpisodeResult(states=states[:, i], controls=controls[:, i], cost=float(costs[i]),
                           measured_cost=float(costs[i]))
             for i in range(costs.shape[0])]
 

@@ -598,7 +598,7 @@ def _write_trajectories_csv(path: Path, scenario: Scenario, record: EsRunRecord)
         res = run_episode(scenario, coefficients_of(scenario, flat),
                           slow_time=scenario.slow_time_for(s, record.config.delta),
                           noise_index=s)
-        for values in np.column_stack((taus, res.trajectory.states, res.controls)):
+        for values in np.column_stack((taus, res.states, res.controls)):
             yield (phase, s), values
 
     def rows():

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (ContractViolationError, IntegrationDivergedError,
                      RiccatiInstabilityError)
-from .ode import StateTrajectory, TimeGrid, integrate_rk4_linear, rk4_steps
+from .ode import TimeGrid, integrate_rk4_linear, rk4_steps
 from .scenario import LinearDynamics, QuadraticCost, Scenario, cost_of_trajectory
 
 _PSD_TOL = -1e-8
@@ -199,8 +199,8 @@ def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
 
 def simulate_optimal(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
                      x0, riccati: RiccatiSolution,
-                     slow_time: float = 0.0) -> tuple[StateTrajectory, np.ndarray, float]:
-    """Forward simulation under u = -K(tau) x + R^-1 B' v(tau); returns J*."""
+                     slow_time: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
+    """Forward simulation under u = -K(tau) x + R^-1 B' v(tau): node states, controls and J*."""
     if riccati.grid != grid:
         raise ContractViolationError("riccati solution was computed on a different grid")
     a = np.atleast_2d(np.asarray(dynamics.a_fn(slow_time), dtype=float))
@@ -210,12 +210,11 @@ def simulate_optimal(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGr
     if riccati.has_reference:
         feed = np.einsum("ij,kj->ki", riccati.rinv_bt, riccati._v_stages)
         forcing = feed @ b.T
-    traj = integrate_rk4_linear(a_cl, forcing, x0, grid)
-    u_nodes = -np.einsum("kij,kj->ki", riccati.gains, traj.states)
+    states = integrate_rk4_linear(a_cl, forcing, x0, grid)
+    u_nodes = -np.einsum("kij,kj->ki", riccati.gains, states)
     if riccati.has_reference:
         u_nodes = u_nodes + np.einsum("ij,kj->ki", riccati.rinv_bt, riccati.feedforward)
-    j_star = cost_of_trajectory(cost, grid, traj.states, u_nodes)
-    return traj, u_nodes, j_star
+    return states, u_nodes, cost_of_trajectory(cost, grid, states, u_nodes)
 
 
 def optimal_cost_quadratic_form(riccati: RiccatiSolution, x0) -> float:

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import ContractViolationError, IntegrationDivergedError
 
-Derivative = Callable[[float, np.ndarray], np.ndarray]
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -49,24 +47,6 @@ class TimeGrid:
         return self.nodes()[:-1] + 0.5 * self.h
 
 
-@dataclass(frozen=True)
-class StateTrajectory:
-    """States at every grid node: n_steps + 1 rows, each a state or a block of them."""
-
-    grid: TimeGrid
-    states: np.ndarray
-    dimension: int
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        object.__setattr__(self, "states", states)
-        if states.shape[:2] != (self.grid.n_steps + 1, self.dimension):
-            raise ContractViolationError(
-                f"expected states of shape {(self.grid.n_steps + 1, self.dimension)}, "
-                f"got {states.shape}"
-            )
-
-
 def rk4_steps(derivative: Callable, x, grid: TimeGrid) -> Iterator:
     """Classical fixed-step 4th-order Runge-Kutta for dx/dt = derivative(t, x).
 
@@ -86,15 +66,15 @@ def rk4_steps(derivative: Callable, x, grid: TimeGrid) -> Iterator:
         yield x
 
 
-def integrate_rk4(derivative: Derivative, x0, grid: TimeGrid) -> StateTrajectory:
-    """RK4 (:func:`rk4_steps`) for a vector state, sampled on every grid node.
+def integrate_rk4(derivative: Callable, x0, grid: TimeGrid) -> np.ndarray:
+    """RK4 (:func:`rk4_steps`) for a vector state: the (n_steps + 1, d)
+    states at every grid node.
 
     Raises :class:`IntegrationDivergedError` carrying the failing step index
     if any state component becomes NaN or infinite.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    dim = x.shape[0]
-    states = np.empty((grid.n_steps + 1, dim))
+    states = np.empty((grid.n_steps + 1, x.shape[0]))
     states[0] = x
 
     def rate(t, x):
@@ -107,7 +87,7 @@ def integrate_rk4(derivative: Derivative, x0, grid: TimeGrid) -> StateTrajectory
                 step_index=k,
             )
         states[k + 1] = x
-    return StateTrajectory(grid=grid, states=states, dimension=dim)
+    return states
 
 
 # --- fast paths for linear(-affine) dynamics -------------------------------
@@ -267,9 +247,10 @@ def scalar_scan(phi, w: list | None, x: float, n: int) -> list:
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up is reported by its step
 def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
-                     grid: TimeGrid) -> StateTrajectory:
+                     grid: TimeGrid) -> np.ndarray:
     """Scan x[k+1] = phi[k] x[k] + w[k] over the grid: the package's one
-    linear scan.
+    linear scan. Returns the states at every grid node, (n_steps + 1, d), or
+    (n_steps + 1, d, cols) for a block.
 
     ``phi`` is an (n_steps, d, d) stack or one (d, d) matrix shared by every
     step, which may be a Python float when d = 1. The state is (d,) or a
@@ -293,8 +274,7 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
     if x0.shape == (1,):
         xs = scalar_scan(phi.reshape(n).tolist() if stacked else float(np.asarray(phi).flat[0]),
                          None if w is None else w.reshape(n).tolist(), float(x0[0]), n)
-        return StateTrajectory(grid=grid, states=np.fromiter(xs, float, n + 1).reshape(n + 1, 1),
-                               dimension=1)
+        return np.fromiter(xs, float, n + 1).reshape(n + 1, 1)
     starts = x0[:, None] if x0.ndim == 1 else x0
     if not stacked:
         phi = np.broadcast_to(phi, (n, dim, dim))
@@ -310,8 +290,7 @@ def propagate_linear(phi: np.ndarray, w: np.ndarray | None, x0: np.ndarray,
     states[1:] = moved.reshape(n, dim, -1).transpose(0, 2, 1)
     if not np.isfinite(states).all():
         _raise_if_diverged(states)
-    return StateTrajectory(grid, states.transpose(0, 2, 1) if x0.ndim == 2 else states[:, 0],
-                           dim)
+    return states.transpose(0, 2, 1) if x0.ndim == 2 else states[:, 0]
 
 
 def _stage_rows(samples: np.ndarray) -> tuple:
@@ -332,21 +311,15 @@ def rk4_frozen_forcing(g_start, g_mid, g_end, u: np.ndarray) -> np.ndarray:
     return u_start @ g_start.T + u_mid @ g_mid.T + u_end @ g_end.T
 
 
-def rk4_linear_steps(a_samples: np.ndarray, f_samples: np.ndarray | None,
-                     grid: TimeGrid) -> tuple:
-    """(Phi, w) of the RK4 steps x[k+1] = Phi[k] x[k] + w[k] of dx/dt = A(t) x + f(t),
-    from ``a_samples`` (2 n_steps + 1, d, d) and ``f_samples`` (2 n_steps + 1, d)
-    or None at the RK4 stage times (see :func:`_stage_rows`)."""
+@np.errstate(over="ignore", invalid="ignore")  # the scan reports a blow-up by its step
+def integrate_rk4_linear(a_samples: np.ndarray, f_samples: np.ndarray | None,
+                         x0, grid: TimeGrid) -> np.ndarray:
+    """RK4 for dx/dt = A(t) x + f(t), from ``a_samples`` (2 n_steps + 1, d, d)
+    and ``f_samples`` (2 n_steps + 1, d) or None at the RK4 stage times (see
+    :func:`_stage_rows`): the steps of the stage recursion scanned by
+    :func:`propagate_linear` from ``x0``, (d,), or a (d, cols) block of
+    columns that share the forcing f."""
     a_start, a_mid, a_end = _stage_rows(a_samples)
     w = None if f_samples is None else rk4_step_forcing(
         a_mid, a_end, *_stage_rows(f_samples), grid.h)
-    return rk4_step_matrices(a_start, a_mid, a_end, grid.h), w
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the scan reports a blow-up by its step
-def integrate_rk4_linear(a_samples: np.ndarray, f_samples: np.ndarray | None,
-                         x0, grid: TimeGrid) -> StateTrajectory:
-    """RK4 for dx/dt = A(t) x + f(t): the steps of :func:`rk4_linear_steps`
-    scanned by :func:`propagate_linear` from ``x0``, (d,), or a (d, cols)
-    block of columns that share the forcing f."""
-    return propagate_linear(*rk4_linear_steps(a_samples, f_samples, grid), x0, grid)
+    return propagate_linear(rk4_step_matrices(a_start, a_mid, a_end, grid.h), w, x0, grid)

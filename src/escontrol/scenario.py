@@ -18,8 +18,8 @@ import numpy as np
 from .basis import Basis, ControllerCoefficients
 from .errors import (ContractViolationError, IntegrationDivergedError,
                      ScenarioValidationError)
-from .ode import (StateTrajectory, TimeGrid, integrate_rk4, propagate_linear,
-                  rk4_frozen_forcing, rk4_frozen_step, scalar_scan)
+from .ode import (TimeGrid, integrate_rk4, propagate_linear, rk4_frozen_forcing,
+                  rk4_frozen_step, scalar_scan)
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,9 @@ class Scenario:
 
 @dataclass(frozen=True)
 class EpisodeResult:
-    trajectory: StateTrajectory
+    """States and controls at the grid nodes, J, and J plus its noise draw."""
+
+    states: np.ndarray
     controls: np.ndarray
     cost: float
     measured_cost: float
@@ -420,7 +422,7 @@ class QuadraticEpisodeModel:
         u = (stages[:, None, :, None] * np.eye(p)[:, None, :]).reshape(len(stages), -1, p)
         forcing = rk4_frozen_forcing(*gains, u).swapaxes(1, 2)  # (n_steps, d, columns)
         rest = np.zeros(forcing.shape[1:])
-        gain = propagate_linear(self._phi, forcing, rest, grid).states
+        gain = propagate_linear(self._phi, forcing, rest, grid)
         self._gain = gain.reshape(-1, gain.shape[-1])  # (n_steps + 1) * state_dim rows
         phi_nodes = stages[:grid.n_steps + 1]
         weights = np.full(grid.n_steps + 1, grid.h)
@@ -460,7 +462,7 @@ class QuadraticEpisodeModel:
         key = x0.tobytes()
         if key not in self._free:
             try:
-                x_free = propagate_linear(self._phi, None, x0, self.grid).states
+                x_free = propagate_linear(self._phi, None, x0, self.grid)
             except IntegrationDivergedError:
                 self._free[key] = None
                 return None
@@ -509,7 +511,7 @@ def episode_model(scenario: Scenario, slow_time: float = 0.0) -> QuadraticEpisod
 
 def _integrate_open_loop(scenario: Scenario, values: np.ndarray, slow_time: float,
                          x0: np.ndarray):
-    """(trajectory, node controls) of one open-loop episode from x0, simulated
+    """(states, node controls) of one open-loop episode from x0, simulated
     step by step under the coefficient rows ``values`` (n_channels, n_functions).
 
     A linear plant, frozen at ``slow_time``, takes the closed-form RK4 step
@@ -527,11 +529,9 @@ def _integrate_open_loop(scenario: Scenario, values: np.ndarray, slow_time: floa
     basis = scenario.basis
 
     def derivative(tau, x):
-        u = basis.eval_matrix(tau)[0] @ values.T
-        return dyn.f(tau, x, u)
+        return dyn.f(tau, x, basis.eval_matrix(tau)[0] @ values.T)
 
-    traj = integrate_rk4(derivative, x0, grid)
-    return traj, scenario.basis_matrix_stages()[:n + 1] @ values.T
+    return integrate_rk4(derivative, x0, grid), scenario.basis_matrix_stages()[:n + 1] @ values.T
 
 
 def _check_coefficients(scenario: Scenario, coeffs: ControllerCoefficients):
@@ -553,8 +553,7 @@ def _scalar_episode_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray, floa
     :func:`~escontrol.ode.rk4_frozen_step` on Python floats and the same
     float scan, then the 1x1 operations of :func:`cost_of_trajectories` in
     the same order. So each J has the bits of :func:`cost_of_trajectory` on
-    :func:`_integrate_open_loop`'s trajectory, without the 2-D wrappers
-    around them.
+    :func:`_integrate_open_loop`'s states.
     """
     dyn, cost, grid = scenario.dynamics, scenario.cost, scenario.grid
     if not (isinstance(dyn, LinearDynamics) and dyn.state_dim == dyn.control_dim == 1
@@ -588,41 +587,48 @@ def _scalar_episode_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray, floa
     return episode_costs
 
 
+def _model_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray], list | None] | None:
+    """J(flat) of the open-loop episode from each start in x0s by the episode
+    model, or None where max|a| reaches its ``max_abs``; None if no model serves."""
+    model = getattr(scenario.dynamics, "time_invariant", False) and episode_model(scenario)
+    if not model:
+        return None
+    hessian, max_abs = model.hessian, model.max_abs
+    frees = [model.free_response(x0) for x0 in x0s]
+
+    def costs(flat):
+        if not np.abs(flat).max() < max_abs:
+            return None
+        h_a = hessian @ flat
+        return [float(flat @ (0.5 * h_a + g)) + j0 for _, g, j0 in frees]
+
+    return costs
+
+
 def _open_loop_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray, float], list]:
     """Noise-free J(flat, slow_time) of the open-loop episode from each start
     in x0s, some of the scenario's initial conditions: the one place that
     picks how an open-loop J is computed.
 
     A time-invariant linear plant under a quadratic cost is served by its
-    episode model's 1/2 a'Ha + g'a + j0 while max|a| stays below the
-    model's ``max_abs``; larger coefficients are simulated and fail with the
-    simulation's error and step index. Other plants and costs are simulated:
-    a scalar plant under 1x1 weights by :func:`_scalar_episode_costs`, with
-    the bits of :func:`cost_of_trajectory` on :func:`_integrate_open_loop`'s
-    trajectory, which every other one takes.
+    episode model (:func:`_model_costs`) while max|a| < ``max_abs``; larger
+    coefficients are simulated and fail with the simulation's error and step
+    index. Other plants and costs are simulated: a scalar plant under 1x1
+    weights by :func:`_scalar_episode_costs`, with the bits of
+    :func:`cost_of_trajectory` on :func:`_integrate_open_loop`'s states,
+    which every other one takes.
     """
     simulated = _scalar_episode_costs(scenario, x0s)
     if simulated is None:
         def simulated(flat, slow_time):
             values = flat.reshape(scenario.control_dim, -1)
-            runs = (_integrate_open_loop(scenario, values, slow_time, x0) for x0 in x0s)
-            return [cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
-                    for traj, u_nodes in runs]
+            return [cost_of_trajectory(scenario.cost, scenario.grid, *_integrate_open_loop(
+                scenario, values, slow_time, x0)) for x0 in x0s]
 
-    model = (episode_model(scenario) if getattr(scenario.dynamics, "time_invariant", False)
-             else None)
-    if model is None:
+    modelled = _model_costs(scenario, x0s)
+    if modelled is None:
         return simulated
-    hessian, max_abs = model.hessian, model.max_abs
-    frees = [model.free_response(x0) for x0 in x0s]
-
-    def modelled(flat, slow_time):
-        if np.abs(flat).max() < max_abs:
-            h_a = hessian @ flat
-            return [float(flat @ (0.5 * h_a + g)) + j0 for _, g, j0 in frees]
-        return simulated(flat, slow_time)
-
-    return modelled
+    return lambda flat, slow_time: modelled(flat) or simulated(flat, slow_time)
 
 
 def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
@@ -637,16 +643,22 @@ def _episodes(scenario: Scenario, coeffs, x0s, slow_time: float) -> list[Episode
     """Noise-free episodes from the starts x0s, some of the scenario's initial
     conditions: closed loops under a feedback GainField
     (:func:`~escontrol.feedback.run_feedback_episodes`), or open loop under
-    ControllerCoefficients, with J from :func:`_open_loop_costs` and the
-    trajectory simulated step by step by :func:`_integrate_open_loop`."""
+    ControllerCoefficients, each simulated once by :func:`_integrate_open_loop`
+    and costed by :func:`_model_costs` or else by :func:`cost_of_trajectory`
+    of that run: the bits of :func:`_open_loop_costs`."""
     from .feedback import GainField, run_feedback_episodes  # avoids a module cycle
 
     if isinstance(coeffs, GainField):
         return run_feedback_episodes(scenario, coeffs, x0s, slow_time)
+    if not isinstance(coeffs, ControllerCoefficients):
+        raise ContractViolationError("an episode takes ControllerCoefficients or a GainField, "
+                                     f"got {type(coeffs).__name__}")
     _check_coefficients(scenario, coeffs)
-    costs = _open_loop_costs(scenario, x0s)(coeffs.values.ravel(), slow_time)
-    return [EpisodeResult(*_integrate_open_loop(scenario, coeffs.values, slow_time, x0), j, j)
-            for x0, j in zip(x0s, costs)]
+    runs = [_integrate_open_loop(scenario, coeffs.values, slow_time, x0) for x0 in x0s]
+    modelled = _model_costs(scenario, x0s)
+    costs = (modelled and modelled(coeffs.values.ravel())) or [
+        cost_of_trajectory(scenario.cost, scenario.grid, *run) for run in runs]
+    return [EpisodeResult(states, u_nodes, j, j) for (states, u_nodes), j in zip(runs, costs)]
 
 
 def run_episode(scenario: Scenario, coeffs, slow_time: float = 0.0,

@@ -12,7 +12,8 @@ from escontrol.es import run_es
 from escontrol.feedback import GainField
 from escontrol.harness import write_csv
 from escontrol.lqr import RiccatiSolution, _pd_inverse_times
-from escontrol.ode import TimeGrid, rk4_frozen_forcing, rk4_frozen_step, rk4_linear_steps
+from escontrol.ode import (TimeGrid, _stage_rows, rk4_frozen_forcing, rk4_frozen_step,
+                          rk4_step_forcing, rk4_step_matrices)
 from escontrol.scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
                                 _integrate_open_loop, cost_of_trajectory, episode_measurement)
 
@@ -178,9 +179,8 @@ def quadratic_cost_samples(cost, grid, states, controls):
 def simulated_episode(scenario, coeffs, x0, slow_time=0.0):
     """(states, node controls, J) of one open-loop episode, simulated step by
     step: the reference for the exact quadratic episode model."""
-    traj, u_nodes = _integrate_open_loop(scenario, coeffs.values, slow_time, x0)
-    j = cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes)
-    return traj.states, u_nodes, j
+    states, u_nodes = _integrate_open_loop(scenario, coeffs.values, slow_time, x0)
+    return states, u_nodes, cost_of_trajectory(scenario.cost, scenario.grid, states, u_nodes)
 
 
 def simulated_cost_fn(scenario, slow_time=0.0):
@@ -350,15 +350,19 @@ def frozen_steps(a, forcing, grid):
 
 
 def stacked_steps(a, forcing, grid):
-    """(Phi, w) of the stage recursion (ode.rk4_linear_steps) for the same
+    """(Phi, w) of the stage recursion (ode.rk4_step_matrices and
+    ode.rk4_step_forcing, the steps of ode.integrate_rk4_linear) for the same
     plant and forcing as :func:`frozen_steps`, with A broadcast to a stack of
     stage samples; a block of forcing is stepped column by column."""
-    a_stack = np.broadcast_to(a, (2 * grid.n_steps + 1,) + a.shape)
+    a_start, a_mid, a_end = _stage_rows(np.broadcast_to(a, (2 * grid.n_steps + 1,) + a.shape))
+
+    def steps(f):
+        return rk4_step_forcing(a_mid, a_end, *_stage_rows(f), grid.h)
+
+    phi = rk4_step_matrices(a_start, a_mid, a_end, grid.h)
     if forcing is None or forcing.ndim == 2:
-        return rk4_linear_steps(a_stack, forcing, grid)
-    columns = [rk4_linear_steps(a_stack, forcing[..., c], grid)
-               for c in range(forcing.shape[2])]
-    return columns[0][0], np.stack([w for _, w in columns], axis=-1)
+        return phi, None if forcing is None else steps(forcing)
+    return phi, np.stack([steps(forcing[..., c]) for c in range(forcing.shape[2])], axis=-1)
 
 
 def homogeneous_prefix_transitions(phi, w=None):

@@ -145,20 +145,20 @@ def test_criterion_3_tracking_error_matches_the_oracle():
     scenario = load_scenario(SCN["example3_tracking"])
     riccati = scenario_oracle(scenario)
     x0 = scenario.initial_conditions[0]
-    traj, _, _ = simulate_optimal(scenario.dynamics, scenario.cost,
-                                  scenario.grid, x0, riccati)
+    optimal, _, _ = simulate_optimal(scenario.dynamics, scenario.cost,
+                                     scenario.grid, x0, riccati)
     taus = scenario.grid.nodes()
     ref = scenario.cost.reference_samples(taus)[:, 0]
 
     def tracking_error(states):
         return quadrature_trapezoid((states[:, 0] - ref) ** 2, scenario.grid)
 
-    e_star = tracking_error(traj.states)
+    e_star = tracking_error(optimal)
     cfg = es_config_for(scenario)
     record = run_scenario_es(scenario, cfg, int(scenario.es_defaults["n_iterations"]))
     converged = ControllerCoefficients.from_flat(
         record.period_averaged_coefficients(), 1)
-    e_es = tracking_error(run_episode(scenario, converged).trajectory.states)
+    e_es = tracking_error(run_episode(scenario, converged).states)
     rel = (e_es - e_star) / e_star
     line = (f"CRITERION 3: tracking error {e_es:.3e} vs oracle {e_star:.3e} "
             f"({_pct(rel)}, bound 10%)")

@@ -115,7 +115,7 @@ def _stepwise_episode(scenario, field, x0):
         return u + field.ff_coeffs @ rows if field.has_feedforward else u
 
     states = integrate_rk4(lambda tau, x: a @ x + b @ control(tau, x), x0,
-                           scenario.grid).states
+                           scenario.grid)
     controls = np.stack([control(tau, x) for tau, x in zip(scenario.grid.nodes(), states)])
     return states, controls, cost_of_trajectory(scenario.cost, scenario.grid, states, controls)
 
@@ -144,7 +144,7 @@ def test_batched_closed_loop_matches_stepwise_rk4(problem):
     assert not diverging, "a diverging draw stayed finite"
     for episode, (states, controls, cost) in zip(
             run_feedback_episodes(scenario, field, x0s), expected):
-        assert _close(episode.trajectory.states, states)
+        assert _close(episode.states, states)
         assert _close(episode.controls, controls)
         assert math.isclose(episode.cost, cost, rel_tol=1e-12)
 
@@ -289,10 +289,10 @@ def test_quadratic_episode_model_matches_stepwise_rk4(problem):
     total = 0.0
     for x0, episode in zip(scenario.initial_conditions, multi.episodes):
         states = integrate_rk4(lambda tau, x: a @ x + b @ control(tau), x0,
-                               scenario.grid).states
+                               scenario.grid)
         controls = np.stack([control(tau) for tau in scenario.grid.nodes()])
         cost, _ = _per_node_cost(scenario.cost, scenario.grid, states, controls)
-        assert _close(episode.trajectory.states, states, rel=1e-9)
+        assert _close(episode.states, states, rel=1e-9)
         assert _close(episode.controls, controls, rel=1e-9)
         assert math.isclose(episode.cost, cost, rel_tol=1e-9)
         total += cost
@@ -381,7 +381,7 @@ def _stepwise_open_loop(scenario, coeffs, slow_time):
         for x0 in scenario.initial_conditions:
             try:
                 states = integrate_rk4(lambda tau, x: a @ x + b @ control(tau), x0,
-                                       scenario.grid).states
+                                       scenario.grid)
             except IntegrationDivergedError as exc:
                 episodes.append(exc.step_index)
                 break
@@ -414,7 +414,7 @@ def test_drifting_episodes_match_stepwise_rk4_of_the_frozen_plant(problem):
         return
     multi = run_multi_episode(scenario, coeffs, slow_time)
     for episode, (states, controls, cost) in zip(multi.episodes, expected, strict=True):
-        assert _close(episode.trajectory.states, states)
+        assert _close(episode.states, states)
         assert _close(episode.controls, controls)
         assert math.isclose(episode.cost, cost, rel_tol=1e-12)
     assert math.isclose(multi.total_cost, sum(cost for _, _, cost in expected),
@@ -473,8 +473,8 @@ def test_scalar_episode_costs_give_the_bits_of_the_simulated_trajectory(problem)
         return
     expected = []
     for x0 in scenario.initial_conditions:
-        traj, u_nodes = _integrate_open_loop(scenario, values, slow_time, x0)
-        expected.append(cost_of_trajectory(scenario.cost, scenario.grid, traj.states, u_nodes))
+        states, u_nodes = _integrate_open_loop(scenario, values, slow_time, x0)
+        expected.append(cost_of_trajectory(scenario.cost, scenario.grid, states, u_nodes))
     assert scalar_costs(flat, slow_time) == expected
     if not scenario.dynamics.time_invariant:  # served by the scalar costs
         total = open_loop_cost(scenario)(flat, slow_time)
@@ -597,7 +597,7 @@ def test_constant_a_step_map_matches_the_stacked_one_on_generated_plants(problem
     with np.errstate(over="ignore", invalid="ignore"):
         for steps in (frozen_steps, stacked_steps):
             try:
-                runs.append(propagate_linear(*steps(a, forcing, grid), x0, grid).states)
+                runs.append(propagate_linear(*steps(a, forcing, grid), x0, grid))
             except IntegrationDivergedError as exc:
                 runs.append(exc.step_index)
     frozen, stacked = runs

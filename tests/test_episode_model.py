@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (X0_2D, Y0_2D, Z0_2D, example2_scenario, feedback_2d_scenario,
+from helpers import (B_2D, X0_2D, Y0_2D, Z0_2D, example2_scenario, feedback_2d_scenario,
                      scalar_scenario, simulated_cost_fn, simulated_episode)
 # run_es on a scenario's episode measurement, as esctl run and synthesize_gain take it
 from helpers import run_scenario_es as run_es
@@ -53,7 +53,7 @@ def _model_cost(model, coeffs, x0):
 def _assert_matches_simulation(scenario, coeffs, x0, episode):
     states, controls, j = simulated_episode(scenario, coeffs, x0)
     assert abs(episode.cost - j) <= REL * abs(j)
-    assert np.abs(episode.trajectory.states - states).max() <= REL * np.abs(states).max()
+    assert np.abs(episode.states - states).max() <= REL * np.abs(states).max()
     assert np.abs(episode.controls - controls).max() <= REL * np.abs(controls).max()
 
 
@@ -120,7 +120,7 @@ def test_model_is_not_used_outside_its_domain(make, model_refused, rng):
     states, _, j = simulated_episode(scenario, coeffs, scenario.initial_conditions[0],
                                      slow_time=1500.0)
     assert episode.cost == j
-    assert np.array_equal(episode.trajectory.states, states)
+    assert np.array_equal(episode.states, states)
     assert "episode_model" not in scenario._cache
 
 
@@ -134,13 +134,47 @@ def test_model_is_not_used_for_a_gain_field(model_refused, rng):
     assert "episode_model" not in scenario._cache
 
 
+
+def _drifting_two_state_scenario():
+    """An open-loop d = 2 plant whose A drifts with slow time, two starts."""
+    base = dataclasses.replace(feedback_2d_scenario(n_steps=40, m=2), feedback=False)
+    b = np.array(B_2D)
+    return dataclasses.replace(base, dynamics=LinearDynamics(
+        a_fn=lambda t: -(1.0 + 1e-3 * t) * np.eye(2), b_fn=lambda t: b,
+        state_dim=2, control_dim=2))
+
+
+@pytest.mark.parametrize("make", [lambda: load_scenario(SHIPPED["timevarying_noisy"]),
+                                  _drifting_two_state_scenario],
+                         ids=["timevarying_noisy", "drifting_two_state"])
+def test_each_simulated_start_is_integrated_once(make, monkeypatch, rng):
+    scenario = make()
+    coeffs = _random_coefficients(scenario, rng, 1.0)
+    expected = [simulated_episode(scenario, coeffs, x0, slow_time=1500.0)
+                for x0 in scenario.initial_conditions]
+    starts = []
+    original = scenario_mod._integrate_open_loop
+
+    def counted(scn, values, slow_time, x0):
+        starts.append(x0)
+        return original(scn, values, slow_time, x0)
+
+    monkeypatch.setattr(scenario_mod, "_integrate_open_loop", counted)
+    multi = run_multi_episode(scenario, coeffs, slow_time=1500.0)
+    assert len(starts) == len(scenario.initial_conditions)
+    for episode, (states, u_nodes, j) in zip(multi.episodes, expected, strict=True):
+        assert np.array_equal(episode.states, states)
+        assert np.array_equal(episode.controls, u_nodes)
+        assert episode.cost == j
+
+
 def test_replaced_scenario_does_not_reuse_the_cached_model(rng):
     scenario = example2_scenario(n_steps=200, m=2)
     coeffs = _random_coefficients(scenario, rng, 1.0)
     run_episode(scenario, coeffs)
     finer = dataclasses.replace(scenario, grid=TimeGrid(0.0, 1.0, 300))
     episode = run_episode(finer, coeffs)
-    assert episode.trajectory.states.shape == (301, 1)
+    assert episode.states.shape == (301, 1)
     _assert_matches_simulation(finer, coeffs, finer.initial_conditions[0], episode)
 
 

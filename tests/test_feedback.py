@@ -79,7 +79,7 @@ def test_zero_field_reproduces_free_response():
     expected = quadratic_cost_samples(scenario.cost, scenario.grid, states,
                                       np.zeros((scenario.grid.n_steps + 1, 2)))
     assert res.cost == pytest.approx(expected, rel=1e-8)
-    assert np.allclose(res.trajectory.states, states, rtol=1e-9, atol=1e-9)
+    assert np.allclose(res.states, states, rtol=1e-9, atol=1e-9)
 
 
 def test_zero_initial_condition_costs_nothing(rng):
@@ -87,7 +87,7 @@ def test_zero_initial_condition_costs_nothing(rng):
     field = GainField(scenario.basis, 2, 2, rng.standard_normal((2, 2, 20)))
     res = run_feedback_episodes(scenario, field, [np.zeros(2)])[0]
     assert res.cost == 0.0
-    assert np.all(res.trajectory.states == 0.0)
+    assert np.all(res.states == 0.0)
 
 
 def test_projected_oracle_gains_are_near_optimal():
@@ -125,12 +125,12 @@ def test_batched_closed_loop_matches_stepwise_simulation(name, rng):
         episodes = run_feedback_episodes(scenario, field, scenario.initial_conditions)
         assert len(episodes) == len(scenario.initial_conditions)
         for x0, episode in zip(scenario.initial_conditions, episodes):
-            states = integrate_rk4_linear(a_cl, forcing, x0, grid).states
+            states = integrate_rk4_linear(a_cl, forcing, x0, grid)
             nodes = slice(n_steps + 1)
             controls = -np.einsum("tij,tj->ti", k_s[nodes], states) + v_s[nodes]
             cost = cost_of_trajectory(scenario.cost, scenario.grid, states, controls)
             scale = np.abs(states).max()
-            assert np.abs(episode.trajectory.states - states).max() <= 1e-12 * scale
+            assert np.abs(episode.states - states).max() <= 1e-12 * scale
             assert np.abs(episode.controls - controls).max() <= 1e-12 * np.abs(controls).max()
             assert episode.cost == pytest.approx(cost, rel=1e-12)
 
@@ -142,7 +142,7 @@ def test_run_episode_on_a_gain_field_is_the_closed_loop_from_the_first_start(rng
     field = gain_field(scenario, 0.5 * rng.standard_normal(n_coeffs))
     episode = run_episode(scenario, field, slow_time=0.25, noise_index=4)
     direct = run_feedback_episodes(scenario, field, [scenario.initial_conditions[0]], 0.25)[0]
-    assert np.array_equal(episode.trajectory.states, direct.trajectory.states)
+    assert np.array_equal(episode.states, direct.states)
     assert np.array_equal(episode.controls, direct.controls)
     assert episode.cost == direct.cost
     assert episode.measured_cost == direct.cost + scenario.noise.draw(4)

@@ -839,8 +839,8 @@ def test_trajectory_csv_of_a_model_served_scenario_is_the_simulation(name, tmp_p
     rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
     delta = es_config_for(scenario).delta
     for phase, s in (("first", 0), ("last", n)):
-        traj, u_nodes = _integrate_open_loop(scenario, flats[s].reshape(scenario.control_dim, -1),
-                                             scenario.slow_time_for(s, delta),
-                                             scenario.initial_conditions[0])
+        states, u_nodes = _integrate_open_loop(
+            scenario, flats[s].reshape(scenario.control_dim, -1),
+            scenario.slow_time_for(s, delta), scenario.initial_conditions[0])
         written = np.array([[float(v) for v in row[3:]] for row in rows if row[0] == phase])
-        assert np.array_equal(written, np.column_stack((traj.states, u_nodes)))
+        assert np.array_equal(written, np.column_stack((states, u_nodes)))

@@ -91,17 +91,17 @@ def test_refinement_consistency_of_s0():
 def test_simulate_optimal_at_equilibrium_is_zero():
     scenario = example2_scenario()
     sol = scenario_oracle(scenario)
-    traj, controls, j_star = simulate_optimal(scenario.dynamics, scenario.cost,
-                                              scenario.grid, np.array([0.0]), sol)
-    assert np.all(traj.states == 0.0)
+    states, controls, j_star = simulate_optimal(scenario.dynamics, scenario.cost,
+                                                scenario.grid, np.array([0.0]), sol)
+    assert np.all(states == 0.0)
     assert j_star == 0.0
 
 
 def test_example2_optimal_cost_and_quadratic_form_agree():
     scenario = example2_scenario()
     sol = scenario_oracle(scenario)
-    traj, controls, j_star = simulate_optimal(scenario.dynamics, scenario.cost,
-                                              scenario.grid, np.array([2.0]), sol)
+    states, controls, j_star = simulate_optimal(scenario.dynamics, scenario.cost,
+                                                scenario.grid, np.array([2.0]), sol)
     s0 = scalar_riccati_closed_form(1.0, 1.0, 1.0, 2.0, 2.0, 2.0,
                                     np.array([0.0]), 1.0)[0]
     expected = 0.5 * s0 * 4.0

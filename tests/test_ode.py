@@ -29,24 +29,24 @@ def test_grid_invariants():
 
 
 def test_zero_dynamics_stays_constant():
-    traj = integrate_rk4(lambda t, x: np.zeros(1), np.array([3.0]), TimeGrid(0.0, 1.0, 100))
-    assert np.all(traj.states == 3.0)
+    states = integrate_rk4(lambda t, x: np.zeros(1), np.array([3.0]), TimeGrid(0.0, 1.0, 100))
+    assert np.all(states == 3.0)
 
 
 def test_exponential_growth_matches_closed_form():
-    traj = integrate_rk4(lambda t, x: x, np.array([1.0]), TimeGrid(0.0, 1.0, 1000))
-    assert abs(traj.states[-1, 0] - math.e) < 1e-9
+    states = integrate_rk4(lambda t, x: x, np.array([1.0]), TimeGrid(0.0, 1.0, 1000))
+    assert abs(states[-1, 0] - math.e) < 1e-9
 
 
 def test_constant_derivative_is_exact():
-    traj = integrate_rk4(lambda t, x: np.ones(1), np.array([2.0]), TimeGrid(0.0, 1.0, 10))
-    assert traj.states[-1, 0] == pytest.approx(3.0, abs=1e-13)
+    states = integrate_rk4(lambda t, x: np.ones(1), np.array([2.0]), TimeGrid(0.0, 1.0, 10))
+    assert states[-1, 0] == pytest.approx(3.0, abs=1e-13)
 
 
 def test_rk4_fourth_order_on_exponential():
     def error(n):
-        traj = integrate_rk4(lambda t, x: x, np.array([1.0]), TimeGrid(0.0, 1.0, n))
-        return abs(traj.states[-1, 0] - math.e)
+        states = integrate_rk4(lambda t, x: x, np.array([1.0]), TimeGrid(0.0, 1.0, n))
+        return abs(states[-1, 0] - math.e)
 
     ratio = error(100) / error(200)
     assert 12.0 <= ratio <= 20.0
@@ -61,8 +61,8 @@ def test_linear_dynamics_scale_with_initial_condition(a, scale):
     mat = np.array(a).reshape(2, 2)
     grid = TimeGrid(0.0, 1.0, 64)
     v = np.array([1.0, -0.5])
-    base = integrate_rk4(lambda t, x: mat @ x, v, grid).states
-    scaled = integrate_rk4(lambda t, x: mat @ x, scale * v, grid).states
+    base = integrate_rk4(lambda t, x: mat @ x, v, grid)
+    scaled = integrate_rk4(lambda t, x: mat @ x, scale * v, grid)
     assert np.allclose(scaled, scale * base, rtol=1e-12, atol=1e-12)
 
 
@@ -127,10 +127,10 @@ def test_linear_fast_path_matches_generic_rk4():
     generic = integrate_rk4(
         lambda t, x: a @ x + np.array([math.sin(3.0 * t), math.cos(2.0 * t)]), x0, grid
     )
-    scale = np.abs(generic.states).max()
+    scale = np.abs(generic).max()
     for fast in (integrate_rk4_linear(_broadcast(a, grid), forcing, x0, grid),
                  propagate_linear(*frozen_steps(a, forcing, grid), x0, grid)):
-        assert np.allclose(fast.states, generic.states, atol=1e-12 * scale, rtol=1e-12)
+        assert np.allclose(fast, generic, atol=1e-12 * scale, rtol=1e-12)
 
 
 def test_linear_fast_path_scalar_matches_generic():
@@ -143,7 +143,7 @@ def test_linear_fast_path_scalar_matches_generic():
     )
     for fast in (integrate_rk4_linear(_broadcast(a, grid), forcing, x0, grid),
                  propagate_linear(*frozen_steps(a, forcing, grid), x0, grid)):
-        assert np.allclose(fast.states, generic.states, rtol=1e-12, atol=1e-12)
+        assert np.allclose(fast, generic, rtol=1e-12, atol=1e-12)
 
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
@@ -169,7 +169,7 @@ def _frozen_plant_inputs(name, slow_time):
 def test_unforced_scan_only_multiplies():
     # adding a zero forcing would turn -0.0 into 0.0
     for phi in (np.array([[0.5]]), np.full((4, 1, 1), 0.5)):
-        states = propagate_linear(phi, None, np.array([-0.0]), TimeGrid(0.0, 1.0, 4)).states
+        states = propagate_linear(phi, None, np.array([-0.0]), TimeGrid(0.0, 1.0, 4))
         assert np.all(states == 0.0) and np.all(np.signbit(states))
 
 
@@ -180,7 +180,7 @@ def test_rk4_steps_on_floats_matches_integrate_rk4_bitwise():
         return 1.5 * x - 0.2 * x * x + math.cos(4.0 * t)
 
     floats = list(rk4_steps(rate, 0.7, grid))
-    arrays = integrate_rk4(rate, np.array([0.7]), grid).states[1:, 0]
+    arrays = integrate_rk4(rate, np.array([0.7]), grid)[1:, 0]
     assert np.array(floats).tobytes() == arrays.tobytes()
 
 
@@ -208,9 +208,9 @@ def _block_and_columns(a, forcing, starts, grid):
     of one column per row, (2 n_steps + 1, d), is shared by every column."""
     for steps in (stacked_steps, frozen_steps):
         phi, w = steps(a, forcing, grid)
-        block = propagate_linear(phi, w, starts, grid).states
+        block = propagate_linear(phi, w, starts, grid)
         columns = [propagate_linear(phi, w if w is None or w.ndim == 2 else w[..., c],
-                                    starts[:, c], grid).states
+                                    starts[:, c], grid)
                    for c in range(starts.shape[1])]
         yield block, columns
 

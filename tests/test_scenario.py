@@ -27,7 +27,7 @@ SHIPPED = {p.stem: p for p in shipped_scenarios()}
 def test_zero_control_constant_state():
     scenario = scalar_scenario(a=0.0, b=1.0, x0=2.0)
     res = run_episode(scenario, zero_coefficients(scenario.control_dim, scenario.basis))
-    assert np.allclose(res.trajectory.states, 2.0)
+    assert np.allclose(res.states, 2.0)
     # J = x(1)^2 + int (x^2 + u^2) = 4 + 4
     assert res.cost == pytest.approx(8.0, abs=1e-6)
 
@@ -260,7 +260,7 @@ def test_linear_fast_path_matches_general_dynamics_path(rng):
     coeffs = ControllerCoefficients(rng.standard_normal((1, 6)))
     fast = run_episode(scenario, coeffs)
     slow = run_episode(general, coeffs)
-    assert np.allclose(fast.trajectory.states, slow.trajectory.states,
+    assert np.allclose(fast.states, slow.states,
                        rtol=1e-11, atol=1e-11)
     assert fast.cost == pytest.approx(slow.cost, rel=1e-11)
 
@@ -355,6 +355,17 @@ def test_mismatched_coefficients_rejected():
                            match=rf"ES iteration s=0: .*\({n_coeffs},\), expected \(16,\)") as err:
             run_scenario_es(feedback, cfg, 3, initial_coeffs=np.zeros(n_coeffs))
         assert err.value.iteration == 0
+
+
+
+@pytest.mark.parametrize("coeffs", [np.zeros(10), np.zeros((1, 10)), [0.0] * 10, None],
+                         ids=["flat_array", "row_array", "list", "none"])
+def test_episodes_refuse_what_is_no_controller(coeffs):
+    scenario = load_scenario(SHIPPED["example2_scalar"])
+    for episodes in (run_episode, run_multi_episode):
+        with pytest.raises(ContractViolationError,
+                           match="ControllerCoefficients or a GainField, got"):
+            episodes(scenario, coeffs)
 
 
 def test_initial_condition_dimensions_checked():
