@@ -73,13 +73,18 @@ def _values(run: dict) -> dict:
 
 
 def summarize(pairs: list[dict]) -> dict:
-    """Per metric over the pairs in which both runs succeeded: medians, the
-    quartiles of each side and the pairs in which the change is lower."""
+    """Per metric over the pairs in which both runs succeeded and report it
+    (a run whose calls were too short for a kernel sample inside one has no
+    ``in_call_kernel_ms``): medians, the quartiles of each side and the
+    pairs in which the change is lower."""
     ok = [p for p in pairs if all("error" not in p[side] for side in SIDES)]
     summary = {}
-    names = list(_values(ok[0]["parent"])) if ok else []
+    names = list(dict.fromkeys(name for p in ok for side in SIDES for name in _values(p[side])))
     for name in names:
-        per_side = {side: [_values(p[side])[name] for p in ok] for side in SIDES}
+        both = [p for p in ok if all(name in _values(p[side]) for side in SIDES)]
+        if not both:
+            continue
+        per_side = {side: [_values(p[side])[name] for p in both] for side in SIDES}
         old, new = per_side["parent"], per_side["change"]
         entry = {f"{side}_median": statistics.median(values)
                  for side, values in per_side.items()}
@@ -92,7 +97,7 @@ def summarize(pairs: list[dict]) -> dict:
             (entry["change_median"] - base) / base if base else None
         entry["change_lower_in_pairs"] = sum(b < a for a, b in zip(old, new))
         entry["equal_in_pairs"] = sum(b == a for a, b in zip(old, new))
-        entry["pairs"] = len(ok)
+        entry["pairs"] = len(both)
         summary[name] = entry
     summary["correct_all"] = all(p[side].get("correct") is True for p in pairs for side in SIDES)
     summary["failed_total"] = {side: sum(p[side].get("failed", 0) for p in pairs)

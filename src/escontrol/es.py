@@ -392,12 +392,12 @@ def restricted_optimum(scenario: Scenario, slow_time: float = 0.0):
     reference for every ES convergence test.
     """
     episodes = episode_model(scenario, slow_time)
-    form = None if episodes is None else episodes.quadratic_form(scenario.initial_conditions)
-    if form is None:
+    if episodes is None or None in episodes.frees:
         dim = scenario.control_dim * scenario.basis.n_functions
         cost = open_loop_cost(scenario)
         model = assemble_quadratic_cost(lambda flat: cost(flat, slow_time), dim)
     else:
-        model = QuadraticCostModel(*form)
+        _, g, j0 = map(sum, zip(*episodes.frees))  # summed over the starts
+        model = QuadraticCostModel(len(episodes.frees) * episodes.hessian, g, j0)
     c_star = model.minimizer()
     return c_star, model(c_star), model

@@ -99,13 +99,12 @@ def _closed_loops(scenario: Scenario, flat: np.ndarray, feedforward: bool, x0s,
     flat coefficients (the layout of :meth:`GainField.flat`)."""
     if not isinstance(scenario.dynamics, LinearDynamics):
         raise ContractViolationError("feedback episodes require linear dynamics")
-    a = np.array(scenario.dynamics.a_fn(slow_time), dtype=float, ndmin=2, copy=None)
-    b = np.array(scenario.dynamics.b_fn(slow_time), dtype=float, ndmin=2, copy=None)
+    a, b = scenario.dynamics.frozen_at(slow_time)
     grid = scenario.grid
     n, dim, p, n_f = grid.n_steps, a.shape[0], b.shape[1], scenario.basis.n_functions
     n_gain = p * dim * n_f
     gain = flat[:n_gain].reshape(p, dim, n_f)  # K(tau)[l, q] = gain[l, q] . phi(tau)
-    phi_nm = scenario.basis_matrix_stages()  # nodes 0..n, then midpoints of steps 0..n-1
+    phi_nm = scenario.basis_matrix_stages  # nodes 0..n, then midpoints of steps 0..n-1
     b_gain = (b @ gain.reshape(p, -1)).reshape(dim * dim, n_f)  # B K(tau) = b_gain . phi(tau)
     a_cl = (a.ravel() - phi_nm @ b_gain.T).reshape(-1, dim, dim)
     starts = np.array(x0s, dtype=float).T  # one (d,) start per column
@@ -219,18 +218,14 @@ def gain_dither_assignment(omega0: float, m: int, state_dim: int, control_dim: i
 
 
 def _check_initial_conditions(scenario: Scenario):
-    n = scenario.state_dim
-    stacked = np.stack(scenario.initial_conditions) \
-        if scenario.initial_conditions else np.zeros((0, n))
+    stacked = np.stack(scenario.initial_conditions)
+    needed = scenario.state_dim
     if scenario.feedforward:
         # -K x + V is only separable when the [x0; 1] vectors span R^(n+1):
         # with fewer starts a continuum of (K, V) pairs matches the training
         # trajectories and the learned field cannot generalize
-        needed = n + 1
-        stacked = np.hstack([stacked, np.ones((stacked.shape[0], 1))]) \
-            if stacked.size else stacked
-    else:
-        needed = n
+        stacked = np.hstack([stacked, np.ones((stacked.shape[0], 1))])
+        needed += 1
     if len(scenario.initial_conditions) != needed:
         raise IllPosedSynthesisError(
             f"gain synthesis needs exactly {needed} initial conditions "

@@ -623,7 +623,7 @@ def _write_oracle_csv(path: Path, scenario: Scenario, riccati) -> None:
 def _write_gains_csv(path: Path, scenario: Scenario, field_: GainField,
                      riccati) -> None:
     taus = scenario.grid.nodes()
-    phi = scenario.basis_matrix_stages()[:scenario.grid.n_steps + 1]
+    phi = scenario.basis_matrix_stages[:scenario.grid.n_steps + 1]
     k_samples = field_.gain_samples(phi)
     p, n = field_.control_dim, field_.state_dim
     header = ["tau"] + [f"k_{l + 1}_{q + 1}" for l in range(p) for q in range(n)]
@@ -735,9 +735,12 @@ def _run_mode(spec: ExperimentSpec, path: Path, scenario: Scenario, mode: str,
         "row-major (k_1_1, k_1_2, ..., then feedforward rows)"
     )
     payload["oracle_costs_per_initial_condition"] = per_ic
+    resolved = scenario.raw_config
     if record is not None:
         payload["es_config"] = record.config.to_dict()
-    payload["resolved_scenario"] = scenario.raw_config
+        # the count the run used, which --iters may have set
+        resolved = {**resolved, "es": {**resolved["es"], "n_iterations": record.n_iterations}}
+    payload["resolved_scenario"] = resolved
     with _open_artifact(out_dir / "summary.json") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True))
     return summary

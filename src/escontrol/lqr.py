@@ -141,8 +141,7 @@ def _riccati_sweep(a, m, ctqc, cost: QuadraticCost, grid: TimeGrid, s_end, v_end
 def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
                   slow_time: float = 0.0) -> RiccatiSolution:
     """Backward Riccati + feedforward solve with the plant frozen at slow_time."""
-    a = np.atleast_2d(np.asarray(dynamics.a_fn(slow_time), dtype=float))
-    b = np.atleast_2d(np.asarray(dynamics.b_fn(slow_time), dtype=float))
+    a, b = dynamics.frozen_at(slow_time)
     n = a.shape[0]
     c = cost.c_matrix
     rinv_bt = _pd_inverse_times(cost.r_matrix, b.T)
@@ -203,8 +202,7 @@ def simulate_optimal(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGr
     """Forward simulation under u = -K(tau) x + R^-1 B' v(tau): node states, controls and J*."""
     if riccati.grid != grid:
         raise ContractViolationError("riccati solution was computed on a different grid")
-    a = np.atleast_2d(np.asarray(dynamics.a_fn(slow_time), dtype=float))
-    b = np.atleast_2d(np.asarray(dynamics.b_fn(slow_time), dtype=float))
+    a, b = dynamics.frozen_at(slow_time)
     a_cl = a - np.einsum("ij,kjl->kil", b, riccati._k_stages)
     forcing = None
     if riccati.has_reference:

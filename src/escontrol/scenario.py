@@ -50,6 +50,11 @@ class LinearDynamics:
         return cls(a_fn=lambda t: a, b_fn=lambda t: b,
                    state_dim=a.shape[0], control_dim=b.shape[1], time_invariant=True)
 
+    def frozen_at(self, slow_time: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) of the plant frozen at ``slow_time``, as 2-D float arrays."""
+        return (np.array(self.a_fn(slow_time), dtype=float, ndmin=2, copy=None),
+                np.array(self.b_fn(slow_time), dtype=float, ndmin=2, copy=None))
+
 
 @dataclass(frozen=True)
 class GeneralDynamics:
@@ -270,9 +275,13 @@ class NoiseModel:
         return self._block[1][offset]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """One repeatable optimal-control problem plus its measurement channel."""
+    """One repeatable optimal-control problem plus its measurement channel.
+
+    A value: vary it with ``dataclasses.replace``, whose copy derives its
+    cached data (stage basis rows, episode model) afresh.
+    """
 
     name: str
     dynamics: Dynamics
@@ -287,8 +296,6 @@ class Scenario:
     es_defaults: dict = field(default_factory=dict)
     # the resolved scenario-file mapping it was built from (see harness.SCHEMA)
     raw_config: dict | None = None
-    # init=False: dataclasses.replace() builds a copy with a cache of its own
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ics = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in self.initial_conditions]
@@ -300,7 +307,7 @@ class Scenario:
                 "all initial conditions must match the state dimension "
                 f"{self.dynamics.state_dim}"
             )
-        self.initial_conditions = ics
+        object.__setattr__(self, "initial_conditions", ics)
 
     @property
     def state_dim(self) -> int:
@@ -310,14 +317,16 @@ class Scenario:
     def control_dim(self) -> int:
         return self.dynamics.control_dim
 
+    @cached_property
     def basis_matrix_stages(self) -> np.ndarray:
         """Basis rows at the RK4 stage times: the n_steps + 1 nodes, then the
         n_steps midpoints."""
-        if "phi_nm" not in self._cache:
-            grid = self.grid
-            self._cache["phi_nm"] = self.basis.eval_matrix(
-                np.concatenate([grid.nodes(), grid.midpoints()]))
-        return self._cache["phi_nm"]
+        return self.basis.eval_matrix(np.concatenate([self.grid.nodes(), self.grid.midpoints()]))
+
+    @cached_property
+    def _episode_model(self) -> QuadraticEpisodeModel | None:
+        """:func:`episode_model` of a time-invariant plant, built on first use."""
+        return _quadratic_model(self, 0.0)
 
     def slow_time_for(self, step: int, delta: float) -> float:
         """Slow time of episode ``step``: the batch clock when one exists,
@@ -397,94 +406,73 @@ class QuadraticEpisodeModel:
 
     RK4 on dx/dtau = A x + B u is linear in the forcing, so the states are
     affine in the flat coefficient vector a (channel-major, as in
-    ``ControllerCoefficients.flat``): x = x_free(x0) + G a, where column
+    ``ControllerCoefficients.flat``): x = x_unforced(x0) + G a, where column
     i = c * n_functions + j of G is the response from rest to basis function
     j on control channel c. The trapezoid cost of those states is then
     exactly J(a) = 1/2 a'Ha + g(x0)'a + j0(x0). The RK4 steps are those of
     :func:`~escontrol.ode.rk4_frozen_step`. G comes from one scan of all its
-    columns and H is built with it; x_free, g and j0 once per initial
-    condition. Costs agree with the step-by-step simulation to rounding,
-    not bitwise; trajectories are always simulated.
+    columns and H is built with it; ``frees`` holds (x_unforced, g, j0) of
+    every initial condition, None where x_unforced diverges. Costs agree
+    with the step-by-step simulation to rounding, not bitwise; trajectories
+    are always simulated.
+
+    The model serves coefficients with max|a| below ``max_abs``, which keeps
+    every state x_unforced + G a and every product of J far from overflow for
+    all the initial conditions; 0.0 when a free response diverges.
     """
 
     def __init__(self, scenario: Scenario, slow_time: float):
-        dyn, cost, grid = scenario.dynamics, scenario.cost, scenario.grid
-        self.grid = grid
-        self._cost = cost
-        self._initial_conditions = scenario.initial_conditions
-        a = np.atleast_2d(np.asarray(dyn.a_fn(slow_time), dtype=float))
-        b = np.atleast_2d(np.asarray(dyn.b_fn(slow_time), dtype=float))
+        cost, grid = scenario.cost, scenario.grid
+        a, b = scenario.dynamics.frozen_at(slow_time)
         phi, *gains = rk4_frozen_step(a, b, grid.h)
-        self._phi = np.atleast_2d(phi)  # a float Phi would only scan a (1,) state
-        stages = scenario.basis_matrix_stages()
-        p = b.shape[1]
+        phi = np.atleast_2d(phi)  # a float Phi would only scan a (1,) state
+        stages = scenario.basis_matrix_stages
+        eye = np.eye(b.shape[1])
         # control of column c * n_functions + j: phi_j(tau) on channel c
-        u = (stages[:, None, :, None] * np.eye(p)[:, None, :]).reshape(len(stages), -1, p)
+        u = (stages[:, None, :, None] * eye[:, None, :]).reshape(len(stages), -1, len(eye))
         forcing = rk4_frozen_forcing(*gains, u).swapaxes(1, 2)  # (n_steps, d, columns)
-        rest = np.zeros(forcing.shape[1:])
-        gain = propagate_linear(self._phi, forcing, rest, grid)
-        self._gain = gain.reshape(-1, gain.shape[-1])  # (n_steps + 1) * state_dim rows
+        gain = propagate_linear(phi, forcing, np.zeros(forcing.shape[1:]), grid)  # from rest
         phi_nodes = stages[:grid.n_steps + 1]
         weights = np.full(grid.n_steps + 1, grid.h)
         weights[[0, -1]] *= 0.5
         # x'Mx sees only the symmetric part of M, which also keeps H symmetric
-        self._p, self._q, r = (0.5 * (m + m.T)
-                               for m in (cost.p_matrix, cost.q_matrix, cost.r_matrix))
+        p, q, r = (0.5 * (m + m.T) for m in (cost.p_matrix, cost.q_matrix, cost.r_matrix))
         out = np.einsum("ij,kjn->kin", cost.c_matrix, gain)  # C G at every node
-        self._out_end = out[-1]
-        self._out_weighted = out * weights[:, None, None]
-        self._weights = weights
-        hessian = (np.tensordot(self._out_weighted, np.einsum("ij,kjn->kin", self._q, out),
+        out_end, out_weighted = out[-1], out * weights[:, None, None]
+        hessian = (np.tensordot(out_weighted, np.einsum("ij,kjn->kin", q, out),
                                 axes=([0, 1], [0, 1]))
-                   + self._out_end.T @ self._p @ self._out_end
+                   + out_end.T @ p @ out_end
                    + np.kron(r, phi_nodes.T @ (weights[:, None] * phi_nodes)))
         self.hessian = 0.5 * (hessian + hessian.T)
-        self._free: dict[bytes, tuple | None] = {}
-
-    @cached_property
-    def max_abs(self) -> float:
-        """The model serves coefficients with max|a| below this bound, which
-        keeps every state x_free + G a and every product of J far from
-        overflow for all the scenario's initial conditions; 0.0 when one of
-        their free responses diverges."""
-        frees = [self.free_response(x0) for x0 in self._initial_conditions]
-        if any(free is None for free in frees):
-            return 0.0
+        self.frees = []
+        for x0 in scenario.initial_conditions:
+            try:
+                x_unforced = propagate_linear(phi, None, x0, grid)
+            except IntegrationDivergedError:
+                self.frees.append(None)
+                continue
+            err = x_unforced @ cost.c_matrix.T
+            if cost.reference is not None:
+                err = err - cost.reference_nodes(grid)
+            q_err = err @ q
+            g = (np.tensordot(out_weighted, q_err, axes=([0, 1], [0, 1]))
+                 + out_end.T @ (p @ err[-1]))
+            j0 = 0.5 * (weights @ np.einsum("ki,ki->k", q_err, err) + err[-1] @ p @ err[-1])
+            self.frees.append((x_unforced, g, float(j0)))
         # row sums bound every product: |a_i| < 1e100 / scale
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.max([len(self.hessian), np.abs(self._gain).sum(axis=1).max(),
-                            np.abs(self.hessian).sum(axis=1).max(),
-                            *(np.abs(np.r_[x.ravel(), g, j0]).max() for x, g, j0 in frees)])
-        return 1e100 / scale if scale < math.inf else 0.0
+            scale = math.inf if None in self.frees else np.max([
+                len(self.hessian), np.abs(gain.reshape(-1, gain.shape[-1])).sum(axis=1).max(),
+                np.abs(self.hessian).sum(axis=1).max(),
+                *(np.abs(np.r_[x.ravel(), g, j0]).max() for x, g, j0 in self.frees)])
+        self.max_abs = 1e100 / scale if scale < math.inf else 0.0
 
-    def free_response(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """(x_free, g, j0) of initial condition x0; None if x_free diverges."""
-        key = x0.tobytes()
-        if key not in self._free:
-            try:
-                x_free = propagate_linear(self._phi, None, x0, self.grid)
-            except IntegrationDivergedError:
-                self._free[key] = None
-                return None
-            err = x_free @ self._cost.c_matrix.T
-            if self._cost.reference is not None:
-                err = err - self._cost.reference_nodes(self.grid)
-            q_err = err @ self._q
-            g = (np.tensordot(self._out_weighted, q_err, axes=([0, 1], [0, 1]))
-                 + self._out_end.T @ (self._p @ err[-1]))
-            j0 = 0.5 * (self._weights @ np.einsum("ki,ki->k", q_err, err)
-                        + err[-1] @ self._p @ err[-1])
-            self._free[key] = (x_free, g, float(j0))
-        return self._free[key]
 
-    def quadratic_form(self, initial_conditions) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """(H, g, j0) of the cost summed over the initial conditions; None if
-        a free response diverges."""
-        frees = [self.free_response(x0) for x0 in initial_conditions]
-        if any(free is None for free in frees):
-            return None
-        return (len(frees) * self.hessian, sum(free[1] for free in frees),
-                sum(free[2] for free in frees))
+def _quadratic_model(scenario: Scenario, slow_time: float) -> QuadraticEpisodeModel | None:
+    try:
+        return QuadraticEpisodeModel(scenario, slow_time)
+    except IntegrationDivergedError:
+        return None
 
 
 def episode_model(scenario: Scenario, slow_time: float = 0.0) -> QuadraticEpisodeModel | None:
@@ -492,21 +480,15 @@ def episode_model(scenario: Scenario, slow_time: float = 0.0) -> QuadraticEpisod
 
     None unless the plant is LinearDynamics and the cost a QuadraticCost, or
     when a response to a basis function diverges. A time-invariant plant's
-    model is built on first use and kept in the scenario's cache; any other
-    plant's is built for the call.
+    model is built on first use and kept by the scenario; any other plant's
+    is built for the call.
     """
     dyn = scenario.dynamics
     if not isinstance(dyn, LinearDynamics) or not isinstance(scenario.cost, QuadraticCost):
         return None
-    if dyn.time_invariant and "episode_model" in scenario._cache:
-        return scenario._cache["episode_model"]
-    try:
-        model = QuadraticEpisodeModel(scenario, slow_time)
-    except IntegrationDivergedError:
-        model = None
     if dyn.time_invariant:
-        scenario._cache["episode_model"] = model
-    return model
+        return scenario._episode_model
+    return _quadratic_model(scenario, slow_time)
 
 
 def _integrate_open_loop(scenario: Scenario, values: np.ndarray, slow_time: float,
@@ -521,17 +503,15 @@ def _integrate_open_loop(scenario: Scenario, values: np.ndarray, slow_time: floa
     dyn, grid = scenario.dynamics, scenario.grid
     n = grid.n_steps
     if isinstance(dyn, LinearDynamics):
-        u = scenario.basis_matrix_stages() @ values.T
-        a = np.atleast_2d(np.asarray(dyn.a_fn(slow_time), dtype=float))
-        b = np.atleast_2d(np.asarray(dyn.b_fn(slow_time), dtype=float))
-        phi, *gains = rk4_frozen_step(a, b, grid.h)
+        u = scenario.basis_matrix_stages @ values.T
+        phi, *gains = rk4_frozen_step(*dyn.frozen_at(slow_time), grid.h)
         return propagate_linear(phi, rk4_frozen_forcing(*gains, u), x0, grid), u[:n + 1]
     basis = scenario.basis
 
     def derivative(tau, x):
         return dyn.f(tau, x, basis.eval_matrix(tau)[0] @ values.T)
 
-    return integrate_rk4(derivative, x0, grid), scenario.basis_matrix_stages()[:n + 1] @ values.T
+    return integrate_rk4(derivative, x0, grid), scenario.basis_matrix_stages[:n + 1] @ values.T
 
 
 def _check_coefficients(scenario: Scenario, coeffs: ControllerCoefficients):
@@ -543,10 +523,11 @@ def _check_coefficients(scenario: Scenario, coeffs: ControllerCoefficients):
         )
 
 
-def _scalar_episode_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray, float], list] | None:
-    """J(flat, slow_time) of the open-loop episode from each start in x0s,
-    for a scalar linear plant (1x1 A and B) under a quadratic cost with 1x1
-    weights; None for any other plant or cost.
+def _scalar_episode_costs(scenario: Scenario,
+                          n_starts: int) -> Callable[[np.ndarray, float], list] | None:
+    """J(flat, slow_time) of the open-loop episode from each of the first
+    ``n_starts`` initial conditions, for a scalar linear plant (1x1 A and B)
+    under a quadratic cost with 1x1 weights; None for any other plant or cost.
 
     The episode is simulated on flat float arrays: the same control product
     with the stage rows, the closed-form RK4 step of
@@ -561,17 +542,17 @@ def _scalar_episode_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray, floa
             and cost.c_matrix.shape == cost.r_matrix.shape == (1, 1)):
         return None
     n, h = grid.n_steps, grid.h
-    stages = scenario.basis_matrix_stages()
+    stages = scenario.basis_matrix_stages
     # P and Q are square with C's rows, so 1x1 too
     c, q, r, p = (m.item() for m in (cost.c_matrix, cost.q_matrix, cost.r_matrix,
                                      cost.p_matrix))
     reference = None if cost.reference is None else cost.reference_nodes(grid)[:, 0]
-    starts = [x0.item() for x0 in x0s]
+    starts = [x0.item() for x0 in scenario.initial_conditions[:n_starts]]
 
     def episode_costs(flat, slow_time):
         u = (stages @ flat.reshape(1, -1).T).ravel()
-        phi, *gains = rk4_frozen_step(np.asarray(dyn.a_fn(slow_time), dtype=float).item(),
-                                      np.asarray(dyn.b_fn(slow_time), dtype=float).item(), h)
+        a, b = dyn.frozen_at(slow_time)
+        phi, *gains = rk4_frozen_step(a.item(), b.item(), h)
         w = rk4_frozen_forcing(*gains, u).tolist()
         u = u[:n + 1]
         costs = []
@@ -587,14 +568,14 @@ def _scalar_episode_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray, floa
     return episode_costs
 
 
-def _model_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray], list | None] | None:
-    """J(flat) of the open-loop episode from each start in x0s by the episode
-    model, or None where max|a| reaches its ``max_abs``; None if no model serves."""
+def _model_costs(scenario: Scenario, n_starts: int) -> Callable[[np.ndarray], list | None] | None:
+    """J(flat) of the open-loop episode from each of the first ``n_starts``
+    initial conditions by the episode model, or None where max|a| reaches its
+    ``max_abs``; None if no model serves."""
     model = getattr(scenario.dynamics, "time_invariant", False) and episode_model(scenario)
     if not model:
         return None
-    hessian, max_abs = model.hessian, model.max_abs
-    frees = [model.free_response(x0) for x0 in x0s]
+    hessian, max_abs, frees = model.hessian, model.max_abs, model.frees[:n_starts]
 
     def costs(flat):
         if not np.abs(flat).max() < max_abs:
@@ -605,10 +586,10 @@ def _model_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray], list | None]
     return costs
 
 
-def _open_loop_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray, float], list]:
-    """Noise-free J(flat, slow_time) of the open-loop episode from each start
-    in x0s, some of the scenario's initial conditions: the one place that
-    picks how an open-loop J is computed.
+def _open_loop_costs(scenario: Scenario, n_starts: int) -> Callable[[np.ndarray, float], list]:
+    """Noise-free J(flat, slow_time) of the open-loop episode from each of the
+    first ``n_starts`` initial conditions: the one place that picks how an
+    open-loop J is computed.
 
     A time-invariant linear plant under a quadratic cost is served by its
     episode model (:func:`_model_costs`) while max|a| < ``max_abs``; larger
@@ -618,14 +599,15 @@ def _open_loop_costs(scenario: Scenario, x0s) -> Callable[[np.ndarray, float], l
     :func:`cost_of_trajectory` on :func:`_integrate_open_loop`'s states,
     which every other one takes.
     """
-    simulated = _scalar_episode_costs(scenario, x0s)
+    simulated = _scalar_episode_costs(scenario, n_starts)
     if simulated is None:
         def simulated(flat, slow_time):
             values = flat.reshape(scenario.control_dim, -1)
             return [cost_of_trajectory(scenario.cost, scenario.grid, *_integrate_open_loop(
-                scenario, values, slow_time, x0)) for x0 in x0s]
+                scenario, values, slow_time, x0))
+                for x0 in scenario.initial_conditions[:n_starts]]
 
-    modelled = _model_costs(scenario, x0s)
+    modelled = _model_costs(scenario, n_starts)
     if modelled is None:
         return simulated
     return lambda flat, slow_time: modelled(flat) or simulated(flat, slow_time)
@@ -635,19 +617,21 @@ def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
     """Noise-free J(flat, slow_time) of the open-loop episodes from every
     initial condition, summed: to the bit run_multi_episode's total_cost
     (see :func:`_open_loop_costs`)."""
-    costs = _open_loop_costs(scenario, scenario.initial_conditions)
+    costs = _open_loop_costs(scenario, len(scenario.initial_conditions))
     return lambda flat, slow_time: float(sum(costs(flat, slow_time)))
 
 
-def _episodes(scenario: Scenario, coeffs, x0s, slow_time: float) -> list[EpisodeResult]:
-    """Noise-free episodes from the starts x0s, some of the scenario's initial
-    conditions: closed loops under a feedback GainField
+def _episodes(scenario: Scenario, coeffs, n_starts: int,
+              slow_time: float) -> list[EpisodeResult]:
+    """Noise-free episodes from the first ``n_starts`` initial conditions:
+    closed loops under a feedback GainField
     (:func:`~escontrol.feedback.run_feedback_episodes`), or open loop under
     ControllerCoefficients, each simulated once by :func:`_integrate_open_loop`
     and costed by :func:`_model_costs` or else by :func:`cost_of_trajectory`
     of that run: the bits of :func:`_open_loop_costs`."""
     from .feedback import GainField, run_feedback_episodes  # avoids a module cycle
 
+    x0s = scenario.initial_conditions[:n_starts]
     if isinstance(coeffs, GainField):
         return run_feedback_episodes(scenario, coeffs, x0s, slow_time)
     if not isinstance(coeffs, ControllerCoefficients):
@@ -655,7 +639,7 @@ def _episodes(scenario: Scenario, coeffs, x0s, slow_time: float) -> list[Episode
                                      f"got {type(coeffs).__name__}")
     _check_coefficients(scenario, coeffs)
     runs = [_integrate_open_loop(scenario, coeffs.values, slow_time, x0) for x0 in x0s]
-    modelled = _model_costs(scenario, x0s)
+    modelled = _model_costs(scenario, n_starts)
     costs = (modelled and modelled(coeffs.values.ravel())) or [
         cost_of_trajectory(scenario.cost, scenario.grid, *run) for run in runs]
     return [EpisodeResult(states, u_nodes, j, j) for (states, u_nodes), j in zip(runs, costs)]
@@ -666,7 +650,7 @@ def run_episode(scenario: Scenario, coeffs, slow_time: float = 0.0,
     """The episode from the first initial condition, with noise draw
     ``noise_index`` on its J. ``coeffs`` is a ControllerCoefficients (open
     loop) or a feedback GainField (closed loop)."""
-    episode = _episodes(scenario, coeffs, scenario.initial_conditions[:1], slow_time)[0]
+    episode = _episodes(scenario, coeffs, 1, slow_time)[0]
     return replace(episode, measured_cost=episode.cost + scenario.noise.draw(noise_index))
 
 
@@ -677,7 +661,7 @@ def run_multi_episode(scenario: Scenario, coeffs, slow_time: float = 0.0,
     ``coeffs`` is a ControllerCoefficients (open loop, the same control replayed
     from every initial condition) or a feedback GainField.
     """
-    episodes = _episodes(scenario, coeffs, scenario.initial_conditions, slow_time)
+    episodes = _episodes(scenario, coeffs, len(scenario.initial_conditions), slow_time)
     total = float(sum(ep.cost for ep in episodes))
     return MultiEpisodeResult(episodes=tuple(episodes), total_cost=total,
                               measured_total_cost=total + scenario.noise.draw(noise_index))

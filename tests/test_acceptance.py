@@ -21,6 +21,7 @@ cancelling coefficients.
   coefficients, from zero, ends at x0 +1.9%, y0 +4.1%), but the problem is
   so badly conditioned that ES stalls near y0 +9%.
 """
+import dataclasses
 import subprocess
 import sys
 import time
@@ -214,7 +215,8 @@ def test_criterion_5_time_varying_noisy_plant():
     firsts = []
     for seed in range(20):
         scenario = load_scenario(SCN["timevarying_noisy"])
-        scenario.noise = type(scenario.noise)(scenario.noise.std_dev, seed)
+        scenario = dataclasses.replace(scenario, noise=dataclasses.replace(scenario.noise,
+                                                                           seed=seed))
         record = run_scenario_es(scenario, cfg, n_batches)
         first = float(record.costs[:200].mean())
         final = float(record.costs[-200:].mean())

@@ -43,10 +43,10 @@ def _random_coefficients(scenario, rng, scale):
     return ControllerCoefficients(scale * rng.standard_normal(shape))
 
 
-def _model_cost(model, coeffs, x0):
-    """J of the episode from x0 by the model's quadratic form."""
+def _model_cost(model, coeffs, start):
+    """J of the episode from initial condition ``start`` by the model's quadratic form."""
     a = coeffs.values.ravel()
-    _, g, j0 = model.free_response(x0)
+    _, g, j0 = model.frees[start]
     return float(a @ (0.5 * (model.hessian @ a) + g)) + j0
 
 
@@ -69,7 +69,7 @@ def test_model_matches_simulation_on_shipped_open_loop_scenarios(name, rng):
             coeffs = _random_coefficients(scenario, rng, scale)
             episode = run_episode(scenario, coeffs)
             # J served by the model, not by the simulation
-            assert episode.cost == _model_cost(model, coeffs, x0)
+            assert episode.cost == _model_cost(model, coeffs, 0)
             _assert_matches_simulation(scenario, coeffs, x0, episode)
 
 
@@ -105,7 +105,7 @@ def model_refused(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("the quadratic episode model was used")
 
-    monkeypatch.setattr(scenario_mod.QuadraticEpisodeModel, "free_response", refuse)
+    monkeypatch.setattr(scenario_mod.QuadraticEpisodeModel, "__init__", refuse)
 
 
 @pytest.mark.parametrize("make", [
@@ -121,7 +121,7 @@ def test_model_is_not_used_outside_its_domain(make, model_refused, rng):
                                      slow_time=1500.0)
     assert episode.cost == j
     assert np.array_equal(episode.states, states)
-    assert "episode_model" not in scenario._cache
+    assert "_episode_model" not in vars(scenario)
 
 
 def test_model_is_not_used_for_a_gain_field(model_refused, rng):
@@ -131,7 +131,7 @@ def test_model_is_not_used_for_a_gain_field(model_refused, rng):
     multi = run_multi_episode(scenario, field)
     direct = run_feedback_episodes(scenario, field, scenario.initial_conditions, 0.0)
     assert [ep.cost for ep in multi.episodes] == [ep.cost for ep in direct]
-    assert "episode_model" not in scenario._cache
+    assert "_episode_model" not in vars(scenario)
 
 
 
@@ -178,6 +178,23 @@ def test_replaced_scenario_does_not_reuse_the_cached_model(rng):
     _assert_matches_simulation(finer, coeffs, finer.initial_conditions[0], episode)
 
 
+def test_a_scenario_with_another_plant_gets_its_own_model():
+    scenario = load_scenario(SHIPPED["example2_scalar"])
+    flat = 0.3 * np.eye(scenario.basis.n_functions)[0]
+    assert scenario_mod.open_loop_cost(scenario)(flat, 0.0) == pytest.approx(42.328, abs=1e-3)
+    model = vars(scenario)["_episode_model"]
+    steeper = LinearDynamics.constant(2.0, 1.0)
+    # the plant cannot change under the model kept for it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.dynamics = steeper
+    replaced = dataclasses.replace(scenario, dynamics=steeper)
+    assert "_episode_model" not in vars(replaced)
+    j = scenario_mod.open_loop_cost(replaced)(flat, 0.0)
+    assert vars(replaced)["_episode_model"] is not model
+    assert j == pytest.approx(275.17, abs=1e-2)
+    assert j == pytest.approx(simulated_cost_fn(replaced)(flat), rel=REL)
+
+
 def _max_rel(actual, expected):
     return np.abs(np.asarray(actual) - expected).max() / np.abs(expected).max()
 
@@ -196,7 +213,7 @@ def test_restricted_optimum_matches_the_probed_quadratic_form(make, slow_time):
     assert _max_rel(model.gradient0, probed.gradient0) <= REL
     assert abs(model.j0 - probed.j0) <= REL * abs(probed.j0)
     # only a time-invariant plant keeps its model
-    assert ("episode_model" in scenario._cache) == scenario.dynamics.time_invariant
+    assert ("_episode_model" in vars(scenario)) == scenario.dynamics.time_invariant
 
 
 def test_overflowing_model_falls_back_without_a_numpy_warning():
@@ -227,10 +244,9 @@ def test_model_build_makes_one_forced_scan(make, monkeypatch):
 
     monkeypatch.setattr(scenario_mod, "propagate_linear", counted)
     model = episode_model(scenario)
-    assert forced == [True]
-    # then one unforced scan per initial condition, on first use
-    assert model.max_abs > 0.0
+    # then one unforced scan per initial condition, in the same build
     assert forced == [True] + [False] * len(scenario.initial_conditions)
+    assert model.max_abs > 0.0
 
 
 # --- run_es's measurement: measure(flat, s) -> (J, J_hat) ----------------------
@@ -321,7 +337,7 @@ def test_run_es_takes_its_first_measurement_through_the_public_functions(name, m
     def counting(public):
         def wrapper(scn, *args, **kwargs):
             # the episode model is built inside the first call, never before it
-            calls.append("episode_model" in scn._cache)
+            calls.append("_episode_model" in vars(scn))
             return public(scn, *args, **kwargs)
 
         return wrapper
@@ -334,7 +350,7 @@ def test_run_es_takes_its_first_measurement_through_the_public_functions(name, m
         record = run_es(scenario, es_config_for(scenario), 20)
     assert calls == [False]
     assert np.all(np.isfinite(record.costs))
-    assert ("episode_model" in scenario._cache) == \
+    assert ("_episode_model" in vars(scenario)) == \
         (scenario.dynamics.time_invariant and not scenario.feedback)
 
 
@@ -342,7 +358,7 @@ def test_overflowing_vector_after_the_model_is_cached_fails_as_the_simulation():
     scenario = scalar_scenario(a=10.0, n_steps=200, m=2)
     measurement = episode_measurement(scenario, DELTA)
     measurement(np.zeros(4), 0)
-    assert scenario._cache["episode_model"] is not None
+    assert vars(scenario)["_episode_model"] is not None
     huge = np.full(4, 1e306)
     with pytest.raises(IntegrationDivergedError) as bare:
         simulated_episode(scenario, ControllerCoefficients.from_flat(huge, 1),
@@ -368,14 +384,14 @@ def test_finite_cost_with_an_overflowing_unobserved_state_fails_as_the_simulatio
     measurement = episode_measurement(scenario, DELTA)
     small = np.array([0.3, -0.2, 0.1, 0.4])
     measurement(small, 0)
-    model = scenario._cache["episode_model"]
+    model = vars(scenario)["_episode_model"]
     assert model is not None
     large = np.full(4, 1e70)
     coeffs = ControllerCoefficients.from_flat(large, 1)
     x0 = scenario.initial_conditions[0]
     with np.errstate(over="ignore", invalid="ignore"):
         h_a = model.hessian @ large
-        _, g, j0 = model.free_response(x0)
+        _, g, j0 = model.frees[0]
         assert math.isfinite(float(large @ (0.5 * h_a + g)) + j0)
     with pytest.raises(IntegrationDivergedError) as bare:
         simulated_episode(scenario, coeffs, x0)
@@ -396,7 +412,7 @@ def test_vector_at_the_model_bound_is_simulated_on_both_paths(make):
     n = scenario.control_dim * scenario.basis.n_functions
     measurement = episode_measurement(scenario, DELTA)
     measurement(np.zeros(n), 0)
-    model = scenario._cache["episode_model"]
+    model = vars(scenario)["_episode_model"]
     below = np.linspace(-1.0, 1.0, n) * np.nextafter(model.max_abs, 0.0)
     assert np.abs(below).max() < model.max_abs
     _, reference = _measurement_and_reference(scenario)

@@ -272,22 +272,23 @@ def test_synthesis_refuses_a_scenario_without_the_feedback_flag():
     scenario = feedback_2d_scenario(n_steps=50, m=2, es_defaults={
         "k": 0.1, "alpha": 10.0, "omega0": 1000.0})
     config = es_config_for(scenario)
-    scenario.feedback = False  # its episodes are measured in open loop
+    scenario = dataclasses.replace(scenario, feedback=False)  # measured in open loop
     with pytest.raises(ContractViolationError, match="feedback: false"):
         synthesize_gain(scenario, config, 5)
 
 
 def test_feedforward_synthesis_needs_an_extra_affinely_independent_start():
-    scenario = scalar_scenario(m=2, extension=1.0, n_steps=100, name="ff-count")
-    scenario.feedback = True
-    scenario.feedforward = True
-    scenario.es_defaults = {"k": 0.2, "alpha": 50.0, "omega0": 1000.0}
+    scenario = dataclasses.replace(
+        scalar_scenario(m=2, extension=1.0, n_steps=100, name="ff-count"), feedback=True,
+        feedforward=True, es_defaults={"k": 0.2, "alpha": 50.0, "omega0": 1000.0})
     with pytest.raises(IllPosedSynthesisError, match="2 initial conditions"):
         synthesize_gain(scenario, es_config_for(scenario), 5)  # only one start
-    scenario.initial_conditions = [np.array([2.0]), np.array([2.0])]
+    scenario = dataclasses.replace(scenario, initial_conditions=[np.array([2.0]),
+                                                                 np.array([2.0])])
     with pytest.raises(IllPosedSynthesisError, match="affinely"):
         synthesize_gain(scenario, es_config_for(scenario), 5)  # duplicated start
-    scenario.initial_conditions = [np.array([2.0]), np.array([-1.0])]
+    scenario = dataclasses.replace(scenario, initial_conditions=[np.array([2.0]),
+                                                                 np.array([-1.0])])
     field, _ = synthesize_gain(scenario, es_config_for(scenario), 5)
     assert field.has_feedforward
 
@@ -301,13 +302,13 @@ def test_synthesis_default_step_samples_the_fastest_dither_ten_times():
 
 
 def test_scalar_gain_synthesis_approaches_oracle_gain():
-    scenario = scalar_scenario(m=2, extension=1.0, n_steps=200, name="scalar-fb")
-    scenario.feedback = True
-    scenario.es_defaults = {"k": 0.2, "alpha": 50.0, "omega0": 1000.0}
+    scenario = dataclasses.replace(
+        scalar_scenario(m=2, extension=1.0, n_steps=200, name="scalar-fb"), feedback=True,
+        es_defaults={"k": 0.2, "alpha": 50.0, "omega0": 1000.0})
     sol = scenario_oracle(scenario)
     field, record = synthesize_gain(scenario, es_config_for(scenario), 8000)
 
-    phi = scenario.basis_matrix_stages()[:scenario.grid.n_steps + 1]
+    phi = scenario.basis_matrix_stages[:scenario.grid.n_steps + 1]
     k_es = field.gain_samples(phi)[:, 0, 0]
     k_star = sol.gains[:, 0, 0]
     proj = project_gains(sol, scenario.basis, scenario.grid)

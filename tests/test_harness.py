@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -201,9 +202,8 @@ def test_es_config_for_requires_tuned_values():
     scenario = load_scenario(SHIPPED["example2_scalar"])
     cfg = es_config_for(scenario)
     assert cfg.n_coeffs == 10
-    scenario.es_defaults = {}
     with pytest.raises(ScenarioValidationError):
-        es_config_for(scenario)
+        es_config_for(dataclasses.replace(scenario, es_defaults={}))
 
 
 def test_cli_list_scenarios(capsys):
@@ -604,6 +604,20 @@ def test_cli_records_numbers_as_the_run_used_them(tmp_path, capsys):
     assert (resolved["es"]["alpha"], resolved["grid"]["t_end"]) == (1000.0, 1.0)
     assert type(resolved["grid"]["t_end"]) is float
     assert summary["es_config"]["alpha"] == 1000.0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["example2_scalar", "timevarying_noisy"])
+def test_resolved_scenario_of_an_iters_run_reruns_without_iters(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", str(SHIPPED[name]), "--iters", "3",
+                     "--out", str(out)]) == 0
+    resolved = tmp_path / "resolved.scn"
+    resolved.write_text(json.dumps(json.loads(
+        (out / "summary.json").read_text())["resolved_scenario"]))
+    assert json.loads(resolved.read_text())["es"]["n_iterations"] == 3
+    assert cli_main(["run", "--scenario", str(resolved), "--out", str(tmp_path / "again")]) == 0
+    assert _artifacts(tmp_path / "again") == _artifacts(out)
     capsys.readouterr()
 
 

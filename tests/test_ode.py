@@ -162,7 +162,7 @@ def _frozen_plant_inputs(name, slow_time):
     rng = np.random.default_rng(5)
     coeffs = ControllerCoefficients(
         rng.standard_normal((scenario.control_dim, scenario.basis.n_functions)))
-    u_s = controller_samples(coeffs, scenario.basis_matrix_stages())
+    u_s = controller_samples(coeffs, scenario.basis_matrix_stages)
     return a, u_s @ b.T, scenario.initial_conditions[0], scenario.grid
 
 

@@ -125,6 +125,13 @@ def test_block_cache_is_not_part_of_the_noise_model_value():
     assert silent._block == clean._block  # nothing generated
 
 
+def test_no_scenario_field_can_be_assigned():
+    scenario = example2_scenario()
+    for field in dataclasses.fields(Scenario):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scenario, field.name, getattr(scenario, field.name))
+
+
 def test_measured_cost_uses_stream_position():
     scenario = example2_scenario(noise_std=0.5, seed=9)
     coeffs = zero_coefficients(scenario.control_dim, scenario.basis)
@@ -145,8 +152,8 @@ def test_multi_episode_singleton_matches_run_episode():
 
 
 def test_multi_episode_duplicated_initial_condition_doubles_cost():
-    scenario = example2_scenario()
-    scenario.initial_conditions = [np.array([2.0]), np.array([2.0])]
+    scenario = dataclasses.replace(example2_scenario(),
+                                   initial_conditions=[np.array([2.0]), np.array([2.0])])
     coeffs = zero_coefficients(scenario.control_dim, scenario.basis)
     multi = run_multi_episode(scenario, coeffs)
     single = run_episode(scenario, coeffs)
