@@ -5,10 +5,12 @@
 
 For every shipped scenario of each tree, runs ``esctl run --iters 300
 --seed 7``, ``esctl run --iters 2100 --seed 7`` and ``esctl oracle`` with
-that tree's ``src`` on the import path. 300 iterations fit in one 1 024-row
-block of iterations.csv, which is written inline; 2 100 span three, which a
-writer process beside the ES loop formats. It then compares the two sides
-file by file:
+that tree's ``src`` on the import path, and ``esctl compare --iters 300
+--seed 7`` on each scenario whose ``feedback`` is not true (a feedback
+scenario has no compare mode); compare mode solves its oracle.csv at the
+slow time the run ended. 300 iterations fit in one 1 024-row block of
+iterations.csv, which is written inline; 2 100 span three, which a writer
+process beside the ES loop formats. It then compares the two sides file by file:
 
 - a CSV prints "identical", or every column that differs, worst first: a
   numeric column with its count of differing cells and its largest relative
@@ -32,8 +34,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import yaml
+
 COMMANDS = {"run": ["run", "--iters", "300", "--seed", "7"],
             "run-2100": ["run", "--iters", "2100", "--seed", "7"], "oracle": ["oracle"]}
+OPEN_LOOP_COMMANDS = {"compare": ["compare", "--iters", "300", "--seed", "7"]}
 IGNORED_SUMMARY_KEYS = {"wall_time_s", "scenario_path"}
 
 
@@ -43,7 +48,10 @@ def run_tree(tree: Path, out: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     failures = []
     for scenario in sorted((tree / "src" / "escontrol" / "scenarios").glob("*.scn")):
-        for name, args in COMMANDS.items():
+        commands = dict(COMMANDS)
+        if yaml.safe_load(scenario.read_text()).get("feedback") is not True:
+            commands.update(OPEN_LOOP_COMMANDS)
+        for name, args in commands.items():
             target = out / scenario.stem / name
             done = subprocess.run(
                 [sys.executable, "-m", "escontrol.cli", *args, "--scenario", str(scenario),

@@ -4,14 +4,14 @@ The package learns open-loop controls and time-varying feedback gains of
 unknown plants from noisy scalar cost measurements, and ships an analytic
 finite-horizon LQR/tracking oracle to verify what was learned.
 """
-from .basis import ControllerCoefficients, CustomSampledBasis, FourierPairsBasis
+from .basis import ControllerCoefficients, CustomSampledBasis, FourierPairsBasis, GainField
 from .errors import (ArtifactWriteError, ContractViolationError, EsControlError,
                      IllPosedSynthesisError, IntegrationDivergedError,
                      MeasurementInvalidError, RiccatiInstabilityError, ScenarioParseError,
                      ScenarioValidationError, ScheduleCollisionError)
 from .es import (EsConfig, EsRunRecord, assemble_quadratic_cost, es_step,
                  make_frequency_schedule, restricted_optimum, run_es)
-from .feedback import GainField, gain_dither_assignment, synthesize_gain
+from .feedback import gain_dither_assignment, synthesize_gain
 from .harness import (ExperimentSpec, RunSummary, es_config_for, load_scenario,
                       run_experiment, shipped_scenarios)
 from .lqr import (RiccatiSolution, optimal_cost_quadratic_form, oracle_costs,

@@ -1,4 +1,6 @@
-"""Controller parameterization as linear combinations of basis functions.
+"""Controller parameterization as linear combinations of basis functions:
+open-loop controls u(tau) (:class:`ControllerCoefficients`) and feedback
+gain fields K(tau), with optional feedforward V(tau) (:class:`GainField`).
 
 Controllers live on the horizon [0, T] but the basis may be built on a
 longer interval [0, T + extension]; with a Fourier basis the extension
@@ -134,6 +136,72 @@ class ControllerCoefficients:
     def flat(self) -> np.ndarray:
         """Channel-major flattening; the serialization order everywhere."""
         return self.values.ravel().copy()
+
+
+@dataclass(frozen=True)
+class GainField:
+    """Basis-expanded feedback gain K(tau) and optional feedforward V(tau)."""
+
+    basis: Basis
+    state_dim: int
+    control_dim: int
+    gain_coeffs: np.ndarray              # (p, n, n_functions)
+    ff_coeffs: np.ndarray | None = None  # (p, n_functions)
+
+    def __post_init__(self):
+        gain = np.asarray(self.gain_coeffs, dtype=float)
+        object.__setattr__(self, "gain_coeffs", gain)
+        expected = (self.control_dim, self.state_dim, self.basis.n_functions)
+        if gain.shape != expected:
+            raise ContractViolationError(
+                f"gain coefficients shaped {gain.shape}, expected {expected}"
+            )
+        if not np.all(np.isfinite(gain)):
+            raise ContractViolationError("gain coefficients must be finite")
+        if self.ff_coeffs is not None:
+            ff = np.asarray(self.ff_coeffs, dtype=float)
+            object.__setattr__(self, "ff_coeffs", ff)
+            if ff.shape != (self.control_dim, self.basis.n_functions):
+                raise ContractViolationError(
+                    f"feedforward coefficients shaped {ff.shape}, expected "
+                    f"{(self.control_dim, self.basis.n_functions)}"
+                )
+            if not np.all(np.isfinite(ff)):
+                raise ContractViolationError("feedforward coefficients must be finite")
+
+    @classmethod
+    def from_flat(cls, flat, basis: Basis, state_dim: int, control_dim: int,
+                  feedforward: bool = False) -> "GainField":
+        flat = np.asarray(flat, dtype=float)
+        n_gain = control_dim * state_dim * basis.n_functions
+        expected = n_gain + (control_dim * basis.n_functions if feedforward else 0)
+        if flat.shape != (expected,):
+            raise ContractViolationError(
+                f"flat gain-field coefficients shaped {flat.shape}, expected ({expected},)")
+        gain = flat[:n_gain].reshape(control_dim, state_dim, basis.n_functions)
+        ff = None
+        if feedforward:
+            ff = flat[n_gain:].reshape(control_dim, basis.n_functions)
+        return cls(basis, state_dim, control_dim, gain, ff)
+
+    @property
+    def has_feedforward(self) -> bool:
+        return self.ff_coeffs is not None
+
+    def flat(self) -> np.ndarray:
+        """Entries row-major (each interleaved per basis order), then V rows."""
+        parts = [self.gain_coeffs.ravel()]
+        if self.ff_coeffs is not None:
+            parts.append(self.ff_coeffs.ravel())
+        return np.concatenate(parts)
+
+    def gain_samples(self, phi_matrix: np.ndarray) -> np.ndarray:
+        """K at pre-evaluated basis rows; shape (len(taus), p, n)."""
+        p, n, n_functions = self.gain_coeffs.shape
+        return (phi_matrix @ self.gain_coeffs.reshape(p * n, n_functions).T).reshape(-1, p, n)
+
+    def feedforward_samples(self, phi_matrix: np.ndarray) -> np.ndarray:
+        return phi_matrix @ self.ff_coeffs.T
 
 
 def controller_samples(coeffs: ControllerCoefficients, phi_matrix: np.ndarray) -> np.ndarray:

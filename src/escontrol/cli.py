@@ -20,8 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import EsControlError, ScenarioParseError
-from .harness import (ExperimentSpec, output_dir, read_scenario_config, run_experiment,
-                      shipped_scenarios)
+from .harness import ExperimentSpec, read_scenario_config, run_experiment, shipped_scenarios
 
 
 def _add_common(parser: argparse.ArgumentParser, with_iters: bool):
@@ -102,9 +101,7 @@ def main(argv=None) -> int:
         record.update({key: int(getattr(exc, key)) for key in ("iteration", "step_index",
                        "node_index") if getattr(exc, key, None) is not None})
         sys.stderr.write(json.dumps(record) + "\n")
-        # a scenario that could not be loaded has no name yet: use its file stem
-        out = Path(getattr(exc, "out_dir", None)
-                   or output_dir(spec, Path(args.scenario).stem, record["mode"]))
+        out = Path(exc.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "error.json").write_text(json.dumps(record, indent=2))
         return 1

@@ -28,11 +28,11 @@ import numpy as np
 import yaml
 
 from . import es as es_module
-from .basis import FourierPairsBasis
+from .basis import FourierPairsBasis, GainField
 from .errors import (ArtifactWriteError, ContractViolationError, EsControlError,
                      ScenarioError, ScenarioParseError, ScenarioValidationError)
 from .es import PHASE_COS, PHASE_SIN, EsConfig, EsRunRecord, default_delta, run_es
-from .feedback import GainField, gain_dither_assignment, synthesize_gain
+from .feedback import gain_dither_assignment, synthesize_gain
 from .lqr import oracle_costs, scenario_oracle
 from .ode import TimeGrid
 from .scenario import (LinearDynamics, NoiseModel, QuadraticCost, Scenario,
@@ -657,17 +657,20 @@ def run_experiment(spec: ExperimentSpec) -> RunSummary:
     failing iteration),
     trajectory.csv (ES modes; the closed loop in feedback mode), gains.csv
     (feedback mode), oracle.csv (oracle/compare modes) and summary.json
-    always. An EsControlError raised once the scenario is built carries
-    ``out_dir``, the experiment's resolved output directory.
+    always. Every EsControlError it raises carries ``out_dir``, the
+    experiment's resolved output directory; for a scenario that cannot be
+    loaded, the one its file stem and ``spec.mode or "run"`` name.
     """
     started = time.perf_counter()
     path = Path(spec.scenario_path)
-    scenario = load_scenario(path, spec.overrides, spec.seed)
-    mode = spec.mode or ("feedback-es" if scenario.feedback else "open-loop-es")
+    name, mode = path.stem, spec.mode or "run"
     try:
+        scenario = load_scenario(path, spec.overrides, spec.seed)
+        name = scenario.name
+        mode = spec.mode or ("feedback-es" if scenario.feedback else "open-loop-es")
         return _run_mode(spec, path, scenario, mode, started)
     except EsControlError as exc:
-        exc.out_dir = str(output_dir(spec, scenario.name, mode))
+        exc.out_dir = str(output_dir(spec, name, mode))
         raise
 
 

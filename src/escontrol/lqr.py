@@ -120,9 +120,7 @@ def _riccati_sweep(a, m, ctqc, cost: QuadraticCost, grid: TimeGrid, s_end, v_end
         def v_rate(sigma, v):
             nonlocal forcing
             if forcing[0] != sigma:
-                r_tau = np.atleast_1d(np.asarray(cost.reference(grid.t_end - sigma),
-                                                 dtype=float))
-                forcing = (sigma, operand(ctq @ r_tau))
+                forcing = (sigma, operand(ctq @ cost.reference_at(grid.t_end - sigma)))
             return mul(next(stages), v) + forcing[1]
 
         # v can only be stepped as far as the S stages reach
@@ -152,8 +150,7 @@ def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
     s_terminal = c.T @ cost.p_matrix @ c
     v_terminal = None
     if has_reference:
-        r_end = np.atleast_1d(np.asarray(cost.reference(grid.t_end), dtype=float))
-        v_terminal = c.T @ cost.p_matrix @ r_end
+        v_terminal = c.T @ cost.p_matrix @ cost.reference_at(grid.t_end)
     try:
         # a blow-up is reported by the step it happens at, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):

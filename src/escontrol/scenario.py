@@ -1,10 +1,12 @@
-"""Repeatable optimal-control problems: plant, cost, horizon, noise.
+"""Repeatable optimal-control problems (plant, cost, horizon, noise) and
+their episodes, open loop and closed loop.
 
 An episode integrates the plant over the fast horizon [0, T] under a
-basis-parameterized controller and returns the cost J plus a noisy
-measurement J_hat = J + n. Time-varying plants are frozen within an
-episode at the episode's slow time (plants drift far slower than one
-horizon), which keeps episodes pure functions of their inputs.
+basis-parameterized controller, open-loop ControllerCoefficients or a
+feedback GainField, and returns the cost J plus a noisy measurement
+J_hat = J + n. Time-varying plants are frozen within an episode at the
+episode's slow time (plants drift far slower than one horizon), which
+keeps episodes pure functions of their inputs.
 """
 from __future__ import annotations
 
@@ -15,11 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import Basis, ControllerCoefficients
+from .basis import Basis, ControllerCoefficients, GainField
 from .errors import (ContractViolationError, IntegrationDivergedError,
                      ScenarioValidationError)
-from .ode import (TimeGrid, integrate_rk4, propagate_linear, rk4_frozen_forcing,
-                  rk4_frozen_step, scalar_scan)
+from .ode import (TimeGrid, integrate_rk4, integrate_rk4_linear, propagate_linear,
+                  rk4_frozen_forcing, rk4_frozen_step, scalar_scan)
 
 
 @dataclass(frozen=True)
@@ -121,25 +123,21 @@ class QuadraticCost:
     def output_dim(self) -> int:
         return self.c_matrix.shape[0]
 
+    def reference_at(self, tau: float) -> np.ndarray:
+        """r(tau) as (output_dim,) floats; any other shape is a ContractViolationError."""
+        r = np.atleast_1d(np.asarray(self.reference(tau), dtype=float))
+        if r.shape != (self.output_dim,):
+            raise ContractViolationError(
+                f"reference r({tau}) shaped {r.shape}, expected ({self.output_dim},)")
+        return r
+
     def reference_samples(self, taus: np.ndarray) -> np.ndarray:
-        """Reference sampled at taus, shape (len(taus), output_dim): one call on
-        all of taus when its result's shape is unambiguous, else one per tau."""
+        """Reference sampled at taus, shape (len(taus), output_dim), by
+        :meth:`reference_at` at each tau."""
         taus = np.atleast_1d(taus)
-        n = taus.shape[0]
         if self.reference is None:
-            return np.zeros((n, self.output_dim))
-        if n != self.output_dim:  # a square result would not tell nodes from outputs
-            try:
-                arr = np.asarray(self.reference(taus), dtype=float)
-                if arr.shape == (self.output_dim, n):
-                    return arr.T.copy()
-                if arr.shape == (n, self.output_dim):
-                    return arr
-            except Exception:
-                pass
-        rows = [np.atleast_1d(np.asarray(self.reference(float(t)), dtype=float))
-                for t in taus]
-        return np.stack(rows, axis=0)
+            return np.zeros((taus.shape[0], self.output_dim))
+        return np.stack([self.reference_at(t) for t in taus.tolist()])
 
     def reference_nodes(self, grid: TimeGrid) -> np.ndarray:
         """Reference sampled on the grid nodes, kept per grid."""
@@ -621,16 +619,91 @@ def open_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
     return lambda flat, slow_time: float(sum(costs(flat, slow_time)))
 
 
+def _closed_loops(scenario: Scenario, flat: np.ndarray, feedforward: bool, x0s,
+                  slow_time: float):
+    """States (n_steps + 1, m, d), node controls (n_steps + 1, m, p) and the
+    m costs of the closed loops from the starts x0s under the gain field with
+    flat coefficients (the layout of :meth:`GainField.flat`)."""
+    if not isinstance(scenario.dynamics, LinearDynamics):
+        raise ContractViolationError("feedback episodes require linear dynamics")
+    a, b = scenario.dynamics.frozen_at(slow_time)
+    grid = scenario.grid
+    n, dim, p, n_f = grid.n_steps, a.shape[0], b.shape[1], scenario.basis.n_functions
+    n_gain = p * dim * n_f
+    gain = flat[:n_gain].reshape(p, dim, n_f)  # K(tau)[l, q] = gain[l, q] . phi(tau)
+    phi_nm = scenario.basis_matrix_stages  # nodes 0..n, then midpoints of steps 0..n-1
+    b_gain = (b @ gain.reshape(p, -1)).reshape(dim * dim, n_f)  # B K(tau) = b_gain . phi(tau)
+    a_cl = (a.ravel() - phi_nm @ b_gain.T).reshape(-1, dim, dim)
+    starts = np.array(x0s, dtype=float).T  # one (d,) start per column
+    v = phi_nm @ flat[n_gain:].reshape(p, n_f).T if feedforward else None  # V(tau)
+    # node-major with one row per episode: states[k, i] is x_i(tau_k)
+    states = integrate_rk4_linear(a_cl, None if v is None else v @ b.T, starts,
+                                  grid).transpose(0, 2, 1)
+
+    gain_t = gain.transpose(1, 0, 2).reshape(dim * p, n_f)  # K' at the nodes, contiguous
+    k_t = (phi_nm[:n + 1] @ gain_t.T).reshape(n + 1, dim, p)
+    controls = -(states * k_t if dim == 1 else states @ k_t)
+    if feedforward:
+        controls += v[:n + 1, None, :]
+    return states, controls, cost_of_trajectories(scenario.cost, grid, states, controls)
+
+
+def _check_fits(scenario: Scenario, field_: GainField, x0s) -> None:
+    """The closed loop reads a field on the scenario's basis rows and starts
+    as (d,) rows: refuse what it would misread."""
+    if field_.basis != scenario.basis:
+        raise ContractViolationError(
+            f"the gain field is on another basis than scenario {scenario.name!r}")
+    if (field_.control_dim, field_.state_dim) != (scenario.control_dim, scenario.state_dim):
+        raise ContractViolationError(
+            f"a {field_.control_dim}x{field_.state_dim} gain field does not fit the "
+            f"{scenario.control_dim}x{scenario.state_dim} gains of scenario {scenario.name!r}")
+    for x0 in x0s:
+        if np.shape(x0) != (scenario.state_dim,):
+            raise ContractViolationError(
+                f"initial condition shaped {np.shape(x0)} does not fit state dimension "
+                f"{scenario.state_dim}")
+
+
+def run_feedback_episodes(scenario: Scenario, field_: GainField, x0s,
+                          slow_time: float = 0.0) -> list[EpisodeResult]:
+    """Closed-loop episodes under u = -K(tau) x (+ V(tau)) for several
+    initial conditions at once.
+
+    The field must be on the scenario's basis, with its state and control
+    dimensions, and every start a (d,) vector; anything else raises
+    ContractViolationError. All episodes of a batch share one pass:
+    :func:`~escontrol.ode.integrate_rk4_linear` scans the closed loop with
+    every initial condition as a column of one block, and the costs are
+    taken in one batched quadrature.
+    """
+    _check_fits(scenario, field_, x0s)
+    states, controls, costs = _closed_loops(scenario, field_.flat(), field_.has_feedforward,
+                                            x0s, slow_time)
+    return [EpisodeResult(states=states[:, i], controls=controls[:, i], cost=float(costs[i]),
+                          measured_cost=float(costs[i]))
+            for i in range(costs.shape[0])]
+
+
+def closed_loop_cost(scenario: Scenario) -> Callable[[np.ndarray, float], float]:
+    """Noise-free J(flat, slow_time) of the closed loops from every initial
+    condition under the gain field of the flat coefficients: to the bit the
+    total_cost of run_multi_episode on that GainField."""
+    def cost(flat: np.ndarray, slow_time: float) -> float:
+        costs = _closed_loops(scenario, flat, scenario.feedforward,
+                              scenario.initial_conditions, slow_time)[2]
+        return float(sum(costs.tolist()))
+
+    return cost
+
+
 def _episodes(scenario: Scenario, coeffs, n_starts: int,
               slow_time: float) -> list[EpisodeResult]:
     """Noise-free episodes from the first ``n_starts`` initial conditions:
-    closed loops under a feedback GainField
-    (:func:`~escontrol.feedback.run_feedback_episodes`), or open loop under
-    ControllerCoefficients, each simulated once by :func:`_integrate_open_loop`
-    and costed by :func:`_model_costs` or else by :func:`cost_of_trajectory`
-    of that run: the bits of :func:`_open_loop_costs`."""
-    from .feedback import GainField, run_feedback_episodes  # avoids a module cycle
-
+    closed loops under a feedback GainField (:func:`run_feedback_episodes`),
+    or open loop under ControllerCoefficients, each simulated once by
+    :func:`_integrate_open_loop` and costed by :func:`_model_costs` or else by
+    :func:`cost_of_trajectory` of that run: the bits of :func:`_open_loop_costs`."""
     x0s = scenario.initial_conditions[:n_starts]
     if isinstance(coeffs, GainField):
         return run_feedback_episodes(scenario, coeffs, x0s, slow_time)
@@ -671,9 +744,8 @@ def coefficients_of(scenario: Scenario, flat: np.ndarray):
     """The controller of flat coefficients: the scenario's gain field when
     ``scenario.feedback`` is set, else open-loop ControllerCoefficients."""
     if scenario.feedback:
-        from .feedback import gain_field  # avoids a module cycle
-
-        return gain_field(scenario, flat)
+        return GainField.from_flat(flat, scenario.basis, scenario.state_dim,
+                                   scenario.control_dim, feedforward=scenario.feedforward)
     return ControllerCoefficients.from_flat(flat, scenario.control_dim)
 
 
@@ -687,12 +759,9 @@ def episode_measurement(scenario: Scenario,
     The first measurement goes through run_multi_episode, which validates
     the coefficients and builds what the scenario caches, such as its
     episode model. Every later J comes, with the same bits, from
-    :func:`open_loop_cost` or :func:`~escontrol.feedback.closed_loop_cost`.
+    :func:`open_loop_cost` or :func:`closed_loop_cost`.
     """
-    if scenario.feedback:
-        from .feedback import closed_loop_cost as cost_fn  # avoids a module cycle
-    else:
-        cost_fn = open_loop_cost
+    cost_fn = closed_loop_cost if scenario.feedback else open_loop_cost
     cost = None
 
     def measure(flat: np.ndarray, s: int) -> tuple[float, float]:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import controller_l2_norm, eval_controller, zero_coefficients
-from escontrol.basis import ControllerCoefficients, CustomSampledBasis, FourierPairsBasis
+from escontrol.basis import (ControllerCoefficients, CustomSampledBasis, FourierPairsBasis,
+                            GainField)
 from escontrol.errors import ContractViolationError
 from escontrol.ode import TimeGrid
 
@@ -141,6 +142,11 @@ def test_custom_basis_from_samples_interpolates():
 def test_coefficients_must_be_finite():
     with pytest.raises(ContractViolationError):
         ControllerCoefficients(np.array([[np.nan, 0.0]]))
+    basis = FourierPairsBasis(m=1, horizon=1.0)
+    with pytest.raises(ContractViolationError, match="gain coefficients must be finite"):
+        GainField(basis, 1, 1, np.array([[[np.nan, 0.0]]]))
+    with pytest.raises(ContractViolationError, match="feedforward coefficients must be finite"):
+        GainField(basis, 1, 1, np.zeros((1, 1, 2)), ff_coeffs=np.array([[0.0, np.inf]]))
 
 
 def test_flat_round_trip_is_channel_major():

@@ -12,12 +12,13 @@ from escontrol.basis import CustomSampledBasis, FourierPairsBasis
 from escontrol.errors import (ContractViolationError, IllPosedSynthesisError,
                               IntegrationDivergedError)
 from escontrol.es import PHASE_COS, PHASE_SIN
-from escontrol.feedback import (GainField, gain_dither_assignment, gain_field,
-                                run_feedback_episodes, synthesize_gain)
+from escontrol.feedback import (GainField, gain_dither_assignment, run_feedback_episodes,
+                                synthesize_gain)
 from escontrol.harness import es_config_for, load_scenario, scenarios_dir
 from escontrol.lqr import optimal_cost_quadratic_form, scenario_oracle, simulate_optimal
 from escontrol.ode import TimeGrid, integrate_rk4_linear
-from escontrol.scenario import cost_of_trajectory, run_episode, run_multi_episode
+from escontrol.scenario import (coefficients_of, cost_of_trajectory, run_episode,
+                                run_multi_episode)
 
 
 def test_eval_gain_zeros_and_single_entry():
@@ -139,7 +140,7 @@ def test_batched_closed_loop_matches_stepwise_simulation(name, rng):
 def test_run_episode_on_a_gain_field_is_the_closed_loop_from_the_first_start(rng):
     scenario = load_scenario(scenarios_dir() / "feedback_2d.scn")
     n_coeffs = zero_gain_field(scenario.basis, 2, 2).flat().size
-    field = gain_field(scenario, 0.5 * rng.standard_normal(n_coeffs))
+    field = coefficients_of(scenario, 0.5 * rng.standard_normal(n_coeffs))
     episode = run_episode(scenario, field, slow_time=0.25, noise_index=4)
     direct = run_feedback_episodes(scenario, field, [scenario.initial_conditions[0]], 0.25)[0]
     assert np.array_equal(episode.states, direct.states)

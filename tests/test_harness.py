@@ -81,6 +81,20 @@ def test_parse_error_reports_line(tmp_path):
         load_scenario(bad)
 
 
+def test_an_unparsable_scenario_error_carries_the_output_dir_of_its_file_stem(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "envout"))
+    bad = tmp_path / "broken.scn"
+    bad.write_text("name: x\ndynamics: [unclosed\n")
+    with pytest.raises(ScenarioParseError) as caught:
+        run_experiment(ExperimentSpec(scenario_path=str(bad)))
+    assert caught.value.out_dir == str(tmp_path / "envout" / "broken-run")
+    with pytest.raises(ScenarioParseError) as caught:
+        run_experiment(ExperimentSpec(scenario_path=str(bad), mode="oracle-only",
+                                      out_dir=str(tmp_path / "given")))
+    assert caught.value.out_dir == str(tmp_path / "given")
+
+
 def test_unknown_expression_symbol_rejected(tmp_path):
     config = yaml.safe_load(SHIPPED["timevarying_noisy"].read_text())
     config["dynamics"]["a"] = "1 + __import__('os').system('true')"

@@ -16,6 +16,7 @@ from escontrol.basis import ControllerCoefficients, FourierPairsBasis
 from escontrol.errors import ContractViolationError, ScenarioValidationError
 from escontrol.es import EsConfig
 from escontrol.harness import load_scenario, shipped_scenarios
+from escontrol.lqr import oracle_costs
 from escontrol.ode import TimeGrid
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics,
                                 NoiseModel, QuadraticCost, Scenario, _ndtri,
@@ -250,6 +251,21 @@ def test_reference_with_as_many_outputs_as_nodes_keeps_its_axes():
                          reference=lambda tau: np.asarray(tau)[..., None] * [1.0, 2.0, 3.0])
     grid = TimeGrid(0.0, 1.0, 2)
     assert np.array_equal(cost.reference_nodes(grid), grid.nodes()[:, None] * [1.0, 2.0, 3.0])
+
+
+def test_a_reference_of_the_wrong_shape_is_refused_by_episodes_and_oracle():
+    # one float for a 2-output cost: numpy would broadcast it to both outputs
+    cost = QuadraticCost(c_matrix=[[1.0], [1.0]], p_matrix=np.eye(2), q_matrix=np.eye(2),
+                         r_matrix=1.0, reference=lambda tau: 1.0)
+    scenario = Scenario(name="two-outputs", dynamics=LinearDynamics.constant(-1.0, 1.0),
+                        cost=cost, grid=TimeGrid(0.0, 1.0, 50),
+                        basis=FourierPairsBasis(m=2, horizon=1.0),
+                        initial_conditions=[np.array([1.0])])
+    shape = r"shaped \(1,\), expected \(2,\)"
+    with pytest.raises(ContractViolationError, match=shape):
+        run_episode(scenario, zero_coefficients(1, scenario.basis))
+    with pytest.raises(ContractViolationError, match=shape):
+        oracle_costs(scenario)
 
 
 def test_linear_fast_path_matches_general_dynamics_path(rng):
