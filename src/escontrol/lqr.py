@@ -155,13 +155,12 @@ def solve_riccati(dynamics: LinearDynamics, cost: QuadraticCost, grid: TimeGrid,
         # a blow-up is reported by the step it happens at, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             s_half, v_half = _riccati_sweep(a, m, ctqc, cost, grid, s_terminal, v_terminal)
-    except Exception as exc:
+    except IntegrationDivergedError as exc:
         # sweep step k lands on half-step node 2 n - 1 - k, counted in tau; the
         # grid node at or below it is the first one the sweep did not reach
-        step = getattr(exc, "step_index", None)
         raise RiccatiInstabilityError(
             f"backward Riccati integration failed: {exc}",
-            node_index=None if step is None else (2 * grid.n_steps - 1 - step) // 2,
+            node_index=(2 * grid.n_steps - 1 - exc.step_index) // 2,
         ) from exc
     # half-step node 2 k is grid node k, 2 k + 1 the midpoint of step k
     stages = np.r_[0:2 * grid.n_steps + 1:2, 1:2 * grid.n_steps:2]

@@ -11,8 +11,10 @@ keeps episodes pure functions of their inputs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -158,97 +160,28 @@ class GeneralCost:
 CostSpec = QuadraticCost | GeneralCost
 
 
-# Cephes ndtri (the one scipy.special.ndtri runs): rational approximations
-# on exp(-2) < y < 1 - exp(-2) and, in the nearer tail's z = sqrt(-2 log y),
-# on 2 <= z < 8 and on z >= 8.
-_NDTRI_EXP_M2 = 0.13533528323661269189  # exp(-2), where the tail starts
-_NDTRI_S2PI = 2.50662827463100050242    # sqrt(2 pi)
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
-             -5.66762857469070293439E1, 1.39312609387279679503E1,
-             -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
-             8.63602421390890590575E1, -2.25462687854119370527E2,
-             2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
-             5.71628192246421288162E1, 4.40805073893200834700E1,
-             1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-             -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
-             4.13172038254672030440E1, 1.50425385692907503408E1,
-             2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
-             3.93881025292474443415E0, 1.33303460815807542389E0,
-             2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6,
-             6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
-             1.37702099489081330271E0, 2.16236993594496635890E-1,
-             1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
-
-
-def _polevl(x: np.ndarray, coefs: tuple, monic: bool = False) -> np.ndarray:
-    """Horner's rule, leading coefficient first (Cephes polevl); with
-    ``monic`` an implicit leading 1 precedes ``coefs`` (Cephes p1evl)."""
-    ans = x + coefs[0] if monic else coefs[0]
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(y0: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of each 0 < y0 < 1: Cephes ndtri, with the
-    same operations in the same order, so the bits of scipy.special.ndtri.
-
-    The tail takes its logarithms from ``math.log`` (the C library's), because
-    NumPy's own ``np.log`` differs from it in the last bit on some inputs.
-    """
-    upper = y0 > 1.0 - _NDTRI_EXP_M2
-    y = np.where(upper, 1.0 - y0, y0)
-    out = np.empty_like(y)
-    central = y > _NDTRI_EXP_M2
-    yc = y[central] - 0.5
-    y2 = yc * yc
-    out[central] = (yc + yc * (y2 * _polevl(y2, _NDTRI_P0)
-                               / _polevl(y2, _NDTRI_Q0, monic=True))) * _NDTRI_S2PI
-    tail = ~central
-    x = np.sqrt(-2.0 * np.array([math.log(v) for v in y[tail].tolist()]))
-    x0 = x - np.array([math.log(v) for v in x.tolist()]) / x
-    z = 1.0 / x
-    x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, monic=True)
-    far = x >= 8.0  # y <= exp(-32)
-    if far.any():
-        zf = z[far]
-        x1[far] = zf * _polevl(zf, _NDTRI_P2) / _polevl(zf, _NDTRI_Q2, monic=True)
-    x = x0 - x1
-    out[tail] = np.where(upper[tail], x, -x)
-    return out
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Gaussian measurement noise from a counter-based Philox stream.
 
-    Draw i is ndtri(u) * std_dev (inverse-CDF sampling), where u is the
-    (4 i)-th uniform of the Philox4x64-10 stream keyed by ``seed``:
+    Draw i is std_dev * NormalDist().inv_cdf(u) (inverse-CDF sampling), where
+    u is the (4 i)-th uniform of the Philox4x64-10 stream keyed by ``seed``:
     ``Philox.advance(i)`` skips i whole counter blocks of four 64-bit words,
     one word per uniform. Any position in the stream is reproducible on any
-    platform without generating its predecessors. ndtri is a NumPy port of
-    the Cephes ``ndtri`` (:func:`_ndtri`), with the same bits as
-    ``scipy.special.ndtri``.
+    platform without generating its predecessors; the quantile is the
+    standard library's (Wichura's AS241), whose bits depend only on the C
+    library's ``log``.
 
     Draws are generated in blocks of ``_BLOCK`` consecutive indices, at the
     first draw that needs the block, and the latest block is kept. A draw
-    is still a pure function of (seed, std_dev, i).
+    is still a pure function of (seed, std_dev, i). A noisy model refuses an
+    index that is negative or not an integer with a ContractViolationError.
     """
 
     std_dev: float
     seed: int
     # (block number, draws) of the latest block; not part of the value
-    _block: tuple = field(default=(-1, ()), init=False, repr=False, compare=False)
+    _block: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     _BLOCK = 512
 
@@ -263,13 +196,18 @@ class NoiseModel:
     def draw(self, index: int) -> float:
         if self.std_dev == 0.0:
             return 0.0
-        number, offset = divmod(int(index), self._BLOCK)
+        try:
+            number, offset = divmod(operator.index(index), self._BLOCK)
+        except TypeError:
+            number = -1  # not an integer: refused below
         if self._block[0] != number:
+            if number < 0:
+                raise ContractViolationError(f"noise index must be an integer >= 0, got {index!r}")
             bit_gen = np.random.Philox(key=self.seed)
             bit_gen.advance(number * self._BLOCK)
             u = np.random.Generator(bit_gen).random(4 * self._BLOCK)[0::4]
-            u = np.clip(u, 5e-324, 1.0 - 1e-16)
-            object.__setattr__(self, "_block", (number, (self.std_dev * _ndtri(u)).tolist()))
+            quantiles = map(NormalDist().inv_cdf, np.clip(u, 5e-324, 1.0 - 1e-16).tolist())
+            object.__setattr__(self, "_block", (number, [self.std_dev * q for q in quantiles]))
         return self._block[1][offset]
 
 

@@ -1,8 +1,8 @@
 """Scenario factories and reference oracles shared across the test modules."""
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from escontrol.basis import (Basis, ControllerCoefficients, FourierPairsBasis,
                              controller_samples)
@@ -288,7 +288,7 @@ def fresh_philox_draw(std_dev, seed, index):
     bit_gen = np.random.Philox(key=seed)
     bit_gen.advance(index)
     u = np.random.Generator(bit_gen).random()
-    return float(std_dev * ndtri(min(max(u, 5e-324), 1.0 - 1e-16)))
+    return std_dev * NormalDist().inv_cdf(min(max(u, 5e-324), 1.0 - 1e-16))
 
 
 def reference_iterations_csv(path, record):

@@ -38,8 +38,9 @@ from escontrol.lqr import solve_riccati
 from escontrol.ode import TimeGrid, integrate_rk4, propagate_linear
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics, NoiseModel,
                                 QuadraticCost, Scenario, _integrate_open_loop, _scalar_episode_costs,
-                                cost_of_trajectories, cost_of_trajectory, episode_measurement,
-                                episode_model, open_loop_cost, run_episode, run_multi_episode)
+                                closed_loop_cost, cost_of_trajectories, cost_of_trajectory,
+                                episode_measurement, episode_model, open_loop_cost, run_episode,
+                                run_multi_episode)
 
 DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None,
                         database=None)
@@ -57,7 +58,8 @@ def _psd(rng, n, floor=0.0):
 
 @st.composite
 def closed_loop_problems(draw):
-    """(scenario, gain field, initial conditions, diverging) of one draw."""
+    """(scenario, gain field, initial conditions, diverging, slow time) of one
+    draw; a drifting plant's A and B move with the slow time."""
     d = draw(st.integers(1, 3), label="d")
     p = draw(st.integers(1, 3), label="p")
     n_out = draw(st.integers(1, 3), label="outputs")
@@ -65,6 +67,8 @@ def closed_loop_problems(draw):
     feedforward = draw(st.booleans(), label="feedforward")
     tracking = draw(st.booleans(), label="reference")
     diverging = draw(st.booleans(), label="diverging gains")
+    drifting = draw(st.booleans(), label="drifting plant")
+    slow_time = draw(st.sampled_from([0.0, 0.7, 2.0, 1234.5]), label="slow time")
     n_steps = draw(st.integers(2, 64), label="n_steps")
     m = draw(st.integers(1, 3), label="m")
     extension = draw(st.sampled_from([0.1, 0.5, 1.0]), label="extension")
@@ -74,12 +78,20 @@ def closed_loop_problems(draw):
     a = 0.8 * rng.standard_normal((d, d))
     # shift the spectrum so that its rightmost real part is -0.5 or +0.5
     a += ((-0.5 if stable else 0.5) - np.linalg.eigvals(a).real.max()) * np.eye(d)
+    b = rng.standard_normal((d, p))
+    if drifting:
+        da = 0.3 * rng.standard_normal((d, d))
+        dynamics = LinearDynamics(a_fn=lambda t: a + math.sin(t) * da,
+                                  b_fn=lambda t: (1.0 + 0.25 * math.cos(t)) * b,
+                                  state_dim=d, control_dim=p)
+    else:
+        dynamics = LinearDynamics.constant(a, b)
     amp, freq, phase = rng.standard_normal((3, n_out))
     reference = (lambda t: amp * np.sin(4.0 * freq * np.asarray(t)[..., None] + phase)) \
         if tracking else None
     scenario = Scenario(
         name="generated",
-        dynamics=LinearDynamics.constant(a, rng.standard_normal((d, p))),
+        dynamics=dynamics,
         cost=QuadraticCost(c_matrix=rng.standard_normal((n_out, d)),
                            p_matrix=_psd(rng, n_out), q_matrix=_psd(rng, n_out),
                            r_matrix=_psd(rng, p, floor=0.5), reference=reference),
@@ -94,7 +106,7 @@ def closed_loop_problems(draw):
     field = GainField(scenario.basis, d, p, scale * rng.standard_normal((p, d, n_f)),
                       rng.standard_normal((p, n_f)) if feedforward else None)
     x0s = list(rng.standard_normal((draw(st.integers(1, 3), label="starts"), d)))
-    return scenario, field, x0s, diverging
+    return scenario, field, x0s, diverging, slow_time
 
 
 def _fourier_rows(basis, tau):
@@ -103,11 +115,12 @@ def _fourier_rows(basis, tau):
                      for j in range(1, basis.m + 1) for f in (math.cos, math.sin)])
 
 
-def _stepwise_episode(scenario, field, x0):
-    """(states, node controls, J) under u = -K(tau) x + V(tau), integrated
-    step by step by generic RK4 with the field summed at every stage time."""
-    a = scenario.dynamics.a_fn(0.0)
-    b = scenario.dynamics.b_fn(0.0)
+def _stepwise_episode(scenario, field, x0, slow_time):
+    """(states, node controls, J) under u = -K(tau) x + V(tau) with the plant
+    frozen at ``slow_time``, integrated step by step by generic RK4 with the
+    field summed at every stage time."""
+    a = np.asarray(scenario.dynamics.a_fn(slow_time))
+    b = np.asarray(scenario.dynamics.b_fn(slow_time))
 
     def control(tau, x):
         rows = _fourier_rows(scenario.basis, tau)
@@ -127,26 +140,29 @@ def _close(got, want, rel=1e-12):
 @DIFFERENTIAL
 @given(closed_loop_problems())
 def test_batched_closed_loop_matches_stepwise_rk4(problem):
-    scenario, field, x0s, diverging = problem
+    scenario, field, x0s, diverging, slow_time = problem
     expected, failed_steps = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for x0 in x0s:
             try:
-                expected.append(_stepwise_episode(scenario, field, x0))
+                expected.append(_stepwise_episode(scenario, field, x0, slow_time))
             except IntegrationDivergedError as exc:
                 failed_steps.append(exc.step_index)
         if failed_steps:
             # the batch fails at the earliest failing step of its episodes
             with pytest.raises(IntegrationDivergedError) as batched:
-                run_feedback_episodes(scenario, field, x0s)
+                run_feedback_episodes(scenario, field, x0s, slow_time)
             assert batched.value.step_index == min(failed_steps)
             return
     assert not diverging, "a diverging draw stayed finite"
     for episode, (states, controls, cost) in zip(
-            run_feedback_episodes(scenario, field, x0s), expected):
+            run_feedback_episodes(scenario, field, x0s, slow_time), expected):
         assert _close(episode.states, states)
         assert _close(episode.controls, controls)
         assert math.isclose(episode.cost, cost, rel_tol=1e-12)
+    total = closed_loop_cost(dataclasses.replace(scenario, initial_conditions=x0s))
+    assert math.isclose(total(field.flat(), slow_time), sum(cost for *_, cost in expected),
+                        rel_tol=1e-12)
 
 
 def _indefinite(rng, n):

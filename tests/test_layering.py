@@ -1,6 +1,8 @@
 """The package is layered: each module imports only modules below it, so
-no import, not even one inside a function body, closes a cycle."""
+no import, not even one inside a function body, closes a cycle. Beyond
+itself it imports only the standard library and its runtime dependencies."""
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "escontrol"
@@ -29,3 +31,25 @@ def test_each_module_imports_only_modules_below_it():
             if ORDER.index(module) >= rank:
                 upward.append(f"{path.stem} imports {module} (line {line})")
     assert upward == []
+
+
+# pyproject.toml's runtime dependencies, by the names they are imported under
+RUNTIME_DEPENDENCIES = {"numpy", "yaml"}
+
+
+def test_the_package_imports_only_the_standard_library_and_its_dependencies():
+    # every import, function-local ones included, so an optional package such
+    # as scipy cannot slip in on a path that no run happens to take
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.stem} imports {name} (line {node.lineno})" for name in names
+                        if name.split(".")[0] not in
+                        sys.stdlib_module_names | RUNTIME_DEPENDENCIES | {"escontrol"}]
+    assert foreign == []

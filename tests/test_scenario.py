@@ -1,12 +1,12 @@
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import ndtri
 
 from helpers import (A_2D, B_2D, P_2D, Q_2D, R_2D, X0_2D, Y0_2D, fresh_philox_draw,
                      example2_scenario, feedback_2d_scenario, quadratic_cost_samples,
@@ -19,7 +19,7 @@ from escontrol.harness import load_scenario, shipped_scenarios
 from escontrol.lqr import oracle_costs
 from escontrol.ode import TimeGrid
 from escontrol.scenario import (GeneralCost, GeneralDynamics, LinearDynamics,
-                                NoiseModel, QuadraticCost, Scenario, _ndtri,
+                                NoiseModel, QuadraticCost, Scenario,
                                 cost_of_trajectory, run_episode, run_multi_episode)
 
 SHIPPED = {p.stem: p for p in shipped_scenarios()}
@@ -66,13 +66,14 @@ def test_noise_draw_i_is_the_4i_th_uniform_of_the_philox_stream():
     model = NoiseModel(std_dev=0.5, seed=42)
     uniforms = np.random.Generator(np.random.Philox(key=42)).random(20)
     for i in range(5):
-        assert model.draw(i) == float(0.5 * ndtri(uniforms[4 * i]))
+        assert model.draw(i) == 0.5 * NormalDist().inv_cdf(float(uniforms[4 * i]))
 
 
-def test_ndtri_port_gives_the_bits_of_scipy():
-    # every branch of Cephes ndtri on both sides: the central rational
-    # function (|y - 1/2| < 1/2 - exp(-2)), the tail polynomial for
+def test_noise_quantile_agrees_with_scipy_ndtri():
+    # every branch of Cephes ndtri (scipy's) on both sides: the central
+    # rational function (|y - 1/2| < 1/2 - exp(-2)), the tail polynomial for
     # z = sqrt(-2 log y) < 8 and the one for z >= 8 (y <= exp(-32))
+    from scipy.special import ndtri
     rng = np.random.default_rng(20260810)
     far_upper = 1.0 - np.arange(1, 115) * 2.0**-53  # 1 - y0 <= exp(-32)
     edge = math.exp(-2)
@@ -89,10 +90,10 @@ def test_ndtri_port_gives_the_bits_of_scipy():
     x = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
     for branch in (u < edge, u > 1.0 - edge):  # both tails, both polynomials
         assert (branch & (x < 8.0)).sum() > 1000 and (branch & (x >= 8.0)).sum() > 50
-    port, reference = _ndtri(u), ndtri(u)
-    differ = port.view(np.int64) != reference.view(np.int64)
-    assert not differ.any(), (f"{differ.sum()} of {u.size} draws differ, first at "
-                              f"u = {u[differ][0]!r}")
+    quantile = np.array([NormalDist().inv_cdf(v) for v in u.tolist()])
+    reference = ndtri(u)
+    rel = np.abs(quantile - reference) / np.maximum(np.abs(reference), 5e-324)
+    assert rel.max() <= 2e-15, f"rel. difference {rel.max():.3g} at u = {u[rel.argmax()]!r}"
 
 
 def test_block_draws_equal_one_generator_per_draw():
@@ -114,6 +115,14 @@ def test_noise_seed_must_lie_in_the_philox_key_range():
     widest = NoiseModel(0.5, 2**128 - 1)
     assert widest.draw(0) == fresh_philox_draw(0.5, 2**128 - 1, 0)
     assert NoiseModel(0.5, np.uint64(42)).draw(3) == NoiseModel(0.5, 42).draw(3)
+
+
+def test_noise_index_must_be_a_nonnegative_integer():
+    model = NoiseModel(0.5, 42)
+    for index in (-1, -513, 1.5):
+        with pytest.raises(ContractViolationError, match="noise index"):
+            model.draw(index)
+    assert model.draw(np.int64(3)) == model.draw(3) == fresh_philox_draw(0.5, 42, 3)
 
 
 def test_block_cache_is_not_part_of_the_noise_model_value():
@@ -254,18 +263,21 @@ def test_reference_with_as_many_outputs_as_nodes_keeps_its_axes():
 
 
 def test_a_reference_of_the_wrong_shape_is_refused_by_episodes_and_oracle():
-    # one float for a 2-output cost: numpy would broadcast it to both outputs
-    cost = QuadraticCost(c_matrix=[[1.0], [1.0]], p_matrix=np.eye(2), q_matrix=np.eye(2),
-                         r_matrix=1.0, reference=lambda tau: 1.0)
-    scenario = Scenario(name="two-outputs", dynamics=LinearDynamics.constant(-1.0, 1.0),
-                        cost=cost, grid=TimeGrid(0.0, 1.0, 50),
-                        basis=FourierPairsBasis(m=2, horizon=1.0),
-                        initial_conditions=[np.array([1.0])])
-    shape = r"shaped \(1,\), expected \(2,\)"
-    with pytest.raises(ContractViolationError, match=shape):
-        run_episode(scenario, zero_coefficients(1, scenario.basis))
-    with pytest.raises(ContractViolationError, match=shape):
-        oracle_costs(scenario)
+    # one float for a 2-output cost, which numpy would broadcast to both
+    # outputs: everywhere, or only inside the horizon (right at T, where the
+    # Riccati sweep starts, and wrong once it is under way)
+    for reference in (lambda tau: 1.0, lambda tau: [1.0, 1.0] if tau > 0.5 else 1.0):
+        cost = QuadraticCost(c_matrix=[[1.0], [1.0]], p_matrix=np.eye(2), q_matrix=np.eye(2),
+                             r_matrix=1.0, reference=reference)
+        scenario = Scenario(name="two-outputs", dynamics=LinearDynamics.constant(-1.0, 1.0),
+                            cost=cost, grid=TimeGrid(0.0, 1.0, 50),
+                            basis=FourierPairsBasis(m=2, horizon=1.0),
+                            initial_conditions=[np.array([1.0])])
+        shape = r"shaped \(1,\), expected \(2,\)"
+        with pytest.raises(ContractViolationError, match=shape):
+            run_episode(scenario, zero_coefficients(1, scenario.basis))
+        with pytest.raises(ContractViolationError, match=shape):
+            oracle_costs(scenario)
 
 
 def test_linear_fast_path_matches_general_dynamics_path(rng):
